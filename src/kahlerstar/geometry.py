@@ -21,6 +21,7 @@ point.  Index conventions used throughout (axes are 0-based):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -39,6 +40,7 @@ __all__ = [
     "covariant_derivatives",
     "jacobi_residual",
     "as_chart_jet",
+    "worst_abs",
 ]
 
 #: smallest admissible metric eigenvalue (or singular value) at the base point
@@ -47,6 +49,22 @@ EIGENVALUE_FLOOR = 1e-8
 #: minimum jet order accepted by :func:`build_chart`; third-order operators
 #: need third covariant derivatives plus curvature, which consume six degrees
 MIN_CHART_ORDER = 6
+
+
+def worst_abs(values) -> float:
+    """Largest magnitude among ``values``: ``inf`` if one is not finite, ``0.0`` if none.
+
+    Every check residual that reduces several values goes through here: a
+    running ``max`` drops NaN (``max(0.0, nan) == 0.0``), which would let a
+    residual that is not a number pass its check.
+    """
+    worst = 0.0
+    for value in values:
+        mag = float(abs(value))  # a numpy scalar would leak into the JSON report
+        if not math.isfinite(mag):
+            return math.inf
+        worst = max(worst, mag)
+    return worst
 
 
 class SingularMetricError(ArithmeticError):
@@ -490,15 +508,15 @@ def jacobi_residual(ctx: ChartContext) -> float:
     n = ctx.n
     gu0 = ctx.inverse_metric_values()
     dgu, dgu_bar = metric_derivative_values(ctx)
-    worst = 0.0
+    gaps = []
     for l in range(n):
         for nn in range(n):
             for m in range(n):
                 hol = sum(gu0[l][k] * dgu[k][nn][m] - gu0[nn][k] * dgu[k][l][m] for k in range(n))
-                worst = max(worst, abs(hol))
+                gaps.append(hol)
     for k in range(n):
         for nn in range(n):
             for m in range(n):
                 anti = sum(gu0[l][k] * dgu_bar[l][nn][m] - gu0[l][m] * dgu_bar[l][nn][k] for l in range(n))
-                worst = max(worst, abs(anti))
-    return worst
+                gaps.append(anti)
+    return worst_abs(gaps)

@@ -7,17 +7,21 @@ point up to a prescribed total degree ``trunc``.  Every retained
 coefficient is exact, so truncating first and operating afterwards gives
 the same result as operating first and truncating afterwards.
 
-Coefficient keys are flat integer tuples of length ``2n``: the first ``n``
-entries are the holomorphic multi-index, the last ``n`` the
-antiholomorphic one.
+Coefficients are addressed by flat keys of length ``2n`` (holomorphic
+multi-index, then antiholomorphic) and stored as one dense complex vector
+over the graded monomial basis: degree ascending, :func:`iter_multi_indices`
+order within a degree.  The basis of order ``t`` is a prefix of every higher
+one, so truncation is a prefix copy, and the index tables that products,
+derivatives and the linear solver gather through are kept per ``n`` for the
+highest order seen.  Product pairs are sorted by output, then left factor, so
+a coefficient is summed in the same order whatever order the tables have
+(Griewank & Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 13).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
-from operator import add as _add
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -47,9 +51,6 @@ def iter_multi_indices(n: int, order: int) -> Iterator[MultiIndex]:
         if order == 0:
             yield ()
         return
-    if n == 1:
-        yield (order,)
-        return
     for head in range(order + 1):
         for tail in iter_multi_indices(n - 1, order - head):
             yield (head,) + tail
@@ -70,103 +71,168 @@ def multi_binomial(a: Sequence[int], b: Sequence[int]) -> int:
     return math.prod(math.comb(x, y) for x, y in zip(a, b))
 
 
-@dataclass(frozen=True)
-class Jet:
-    """Truncated Taylor expansion at a base point.
+class _Tables:
+    """Index tables of the graded basis in ``2n`` variables up to degree ``order``: degree
+    ``d`` starts at ``deg_start[d]``, the product pairs of output ``k`` at ``seg[k]``."""
 
-    ``coeffs`` maps flat keys (holomorphic part followed by antiholomorphic
-    part) to complex Taylor coefficients; the represented germ is
-    ``sum(c[key] * dz**key_hol * dzb**key_anti)``.  Jets are immutable;
-    arithmetic between two jets requires equal ``n`` and ``trunc``.
+    def __init__(self, n: int, order: int) -> None:
+        self.order = order
+        width = 2 * n
+        self.keys = list(iter_multi_indices_upto(width, order))
+        self.index = {key: i for i, key in enumerate(self.keys)}
+        size = len(self.keys)
+        exps = np.array(self.keys, dtype=np.intp).reshape(size, width)
+        self.deg = exps.sum(axis=1)
+        self.deg_start = [int(i) for i in np.searchsorted(self.deg, np.arange(order + 2))]
+        # base-(order+1) digits encode a monomial; a product's code is the sum of codes
+        radix = (order + 1) ** np.arange(width, dtype=np.int64)
+        code = exps @ radix
+        by_code = np.argsort(code)
+
+        def position(c: np.ndarray) -> np.ndarray:
+            return by_code[np.searchsorted(code[by_code], c)]
+
+        # every pair (i, j) with deg i + deg j <= order, then sorted by (k, i)
+        counts = np.array(self.deg_start, dtype=np.intp)[order + 1 - self.deg]
+        pair_i = np.repeat(np.arange(size, dtype=np.intp), counts)
+        starts = np.repeat(np.cumsum(counts) - counts, counts)
+        pair_j = np.arange(len(pair_i), dtype=np.intp) - starts
+        pair_k = position(code[pair_i] + code[pair_j])
+        perm = np.argsort(pair_k, kind="stable")  # keeps i ascending within each k
+        self.pair_i, self.pair_j = pair_i[perm], pair_j[perm]
+        self.seg = np.concatenate(([0], np.cumsum(np.bincount(pair_k, minlength=size))))
+        # pair_end[s] counts the pairs of all outputs of degree <= s
+        self.pair_end = [int(self.seg[self.deg_start[s + 1]]) for s in range(order + 1)]
+        # deriv[pos] gathers the derivative along flat variable pos
+        lower = exps[: self.deg_start[order]]
+        self.deriv = [
+            (position(lower @ radix + radix[pos]), (lower[:, pos] + 1).astype(float))
+            for pos in range(width)
+        ]
+
+
+_TABLES: dict[int, _Tables] = {}
+
+
+def _tables(n: int, trunc: int) -> _Tables:
+    """Tables for dimension ``n`` of order ``trunc`` or higher."""
+    tables = _TABLES.get(n)
+    if tables is None or tables.order < trunc:
+        tables = _TABLES[n] = _Tables(n, trunc)
+    return tables
+
+
+def _zeros(n: int, trunc: int) -> np.ndarray:
+    return np.zeros(_tables(n, trunc).deg_start[trunc + 1], dtype=complex)
+
+
+class Jet:
+    """Truncated Taylor expansion ``sum(c[key] * dz**key_hol * dzb**key_anti)`` at a point.
+
+    ``Jet(n, trunc, coeffs)`` builds a jet from a mapping of flat keys to
+    coefficients; :attr:`coeffs` reads the nonzero ones back.  Jets are
+    immutable; arithmetic between two jets requires equal ``n`` and ``trunc``.
     """
 
-    n: int
-    trunc: int
-    coeffs: dict = field(default_factory=dict)
+    __slots__ = ("n", "trunc", "_vec", "_top", "_top_exact")
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError("chart dimension must be non-negative")
-        if self.trunc < 0:
-            raise ValueError("truncation order must be non-negative")
-        width = 2 * self.n
-        clean: dict[MultiIndex, complex] = {}
-        for key, val in self.coeffs.items():
-            if len(key) != width:
-                raise ValueError(f"coefficient key {key!r} does not have length {width}")
+    def __init__(self, n: int, trunc: int, coeffs: dict | None = None) -> None:
+        if n < 0 or trunc < 0:
+            raise ValueError("chart dimension and truncation order must be non-negative")
+        index, vec = _tables(n, trunc).index, _zeros(n, trunc)
+        for key, val in (coeffs or {}).items():
+            if len(key) != 2 * n:
+                raise ValueError(f"coefficient key {key!r} does not have length {2 * n}")
             if any(e < 0 for e in key):
                 raise ValueError(f"coefficient key {key!r} has a negative entry")
-            if sum(key) > self.trunc:
-                raise ValueError(
-                    f"coefficient key {key!r} exceeds truncation order {self.trunc}"
-                )
-            if val != 0:
-                clean[key] = complex(val)
-        object.__setattr__(self, "coeffs", clean)
+            if sum(key) > trunc:
+                raise ValueError(f"coefficient key {key!r} exceeds truncation order {trunc}")
+            vec[index[tuple(key)]] = val
+        self.n, self.trunc, self._vec, self._top, self._top_exact = n, trunc, vec, trunc, False
 
-    # -- constructors ------------------------------------------------------
+    @classmethod
+    def _of(cls, n: int, trunc: int, vec: np.ndarray, top: int) -> Jet:
+        """Unchecked jet around ``vec``; no coefficient above degree ``top`` is nonzero."""
+        jet = object.__new__(cls)
+        jet.n, jet.trunc, jet._vec, jet._top, jet._top_exact = n, trunc, vec, top, False
+        return jet
+
+    def _degree(self) -> int:
+        """Highest degree with a nonzero coefficient; ``-1`` for the zero jet."""
+        if not self._top_exact:
+            tables = _tables(self.n, self.trunc)
+            nonzero = self._vec[: tables.deg_start[self._top + 1]].nonzero()[0]
+            self._top = int(tables.deg[nonzero[-1]]) if nonzero.size else -1
+            self._top_exact = True
+        return self._top
 
     @classmethod
     def constant(cls, value: complex, n: int, trunc: int) -> Jet:
-        return cls(n, trunc, {(0,) * (2 * n): complex(value)})
+        vec = _zeros(n, trunc)
+        vec[0] = value
+        return cls._of(n, trunc, vec, 0)
 
     @classmethod
     def zero(cls, n: int, trunc: int) -> Jet:
-        return cls(n, trunc, {})
+        return cls._of(n, trunc, _zeros(n, trunc), -1)
 
     @classmethod
     def coordinate(cls, n: int, trunc: int, axis: int, base: complex, barred: bool = False) -> Jet:
         """Jet of the coordinate function ``z_axis`` (or ``zb_axis``) shifted to ``base``."""
         if not 0 <= axis < n:
             raise ValueError(f"axis {axis} out of range for dimension {n}")
-        coeffs = {(0,) * (2 * n): complex(base)}
+        jet = cls.constant(base, n, trunc)
         if trunc >= 1:
-            unit = [0] * (2 * n)
-            unit[axis + (n if barred else 0)] = 1
-            coeffs[tuple(unit)] = 1.0 + 0j
-        return cls(n, trunc, coeffs)
+            unit = tuple(int(i == axis + (n if barred else 0)) for i in range(2 * n))
+            jet._vec[_tables(n, trunc).index[unit]], jet._top = 1.0, 1
+        return jet
 
-    # -- inspection --------------------------------------------------------
+    @property
+    def coeffs(self) -> dict[MultiIndex, complex]:
+        """The nonzero coefficients, keyed by flat multi-index."""
+        keys = _tables(self.n, self.trunc).keys
+        return {keys[i]: complex(self._vec[i]) for i in np.flatnonzero(self._vec)}
 
     def value(self) -> complex:
         """Function value at the base point."""
-        return self.coeffs.get((0,) * (2 * self.n), 0j)
+        return complex(self._vec[0])
 
     def coeff(self, alpha: Sequence[int], beta: Sequence[int]) -> complex:
         """Taylor coefficient on ``dz**alpha * dzb**beta``."""
-        key = self._key(alpha, beta)
-        return self.coeffs.get(key, 0j)
+        return complex(self._vec[self._position(alpha, beta)])
 
     def derivative_at(self, alpha: Sequence[int], beta: Sequence[int]) -> complex:
-        """Value of the mixed partial derivative at the base point.
+        """Mixed partial derivative at the base point: ``alpha! * beta!`` times the coefficient."""
+        return self.coeff(alpha, beta) * multi_factorial(alpha) * multi_factorial(beta)
 
-        Equals ``alpha! * beta!`` times the corresponding coefficient.
-        """
-        key = self._key(alpha, beta)
-        return self.coeffs.get(key, 0j) * multi_factorial(alpha) * multi_factorial(beta)
-
-    def _key(self, alpha: Sequence[int], beta: Sequence[int]) -> MultiIndex:
+    def _position(self, alpha: Sequence[int], beta: Sequence[int]) -> int:
         if len(alpha) != self.n or len(beta) != self.n:
             raise ValueError("multi-indices must have length equal to the chart dimension")
         if any(e < 0 for e in alpha) or any(e < 0 for e in beta):
             raise ValueError("multi-index entries must be non-negative")
         if sum(alpha) + sum(beta) > self.trunc:
             raise ValueError("requested order exceeds the truncation order")
-        return tuple(alpha) + tuple(beta)
+        return _tables(self.n, self.trunc).index[tuple(alpha) + tuple(beta)]
 
     def max_abs(self) -> float:
-        """Largest coefficient magnitude; zero for the zero jet."""
-        return max((abs(v) for v in self.coeffs.values()), default=0.0)
+        """Largest coefficient magnitude: zero for the zero jet, ``inf`` if one is not finite."""
+        mag = float(np.abs(self._vec).max())
+        return mag if math.isfinite(mag) else math.inf
 
-    # -- structural operations ---------------------------------------------
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Jet):
+            return NotImplemented
+        same_ring = (self.n, self.trunc) == (other.n, other.trunc)
+        return same_ring and np.array_equal(self._vec, other._vec)
 
     def truncated(self, trunc: int) -> Jet:
         """Forget all coefficients of total degree above ``trunc``."""
-        if trunc > self.trunc:
-            raise ValueError("cannot extend a jet to a higher truncation order")
+        if not 0 <= trunc <= self.trunc:
+            raise ValueError(f"cannot truncate a jet of order {self.trunc} to order {trunc}")
         if trunc == self.trunc:
             return self
-        return Jet(self.n, trunc, {k: v for k, v in self.coeffs.items() if sum(k) <= trunc})
+        size = _tables(self.n, self.trunc).deg_start[trunc + 1]
+        return Jet._of(self.n, trunc, self._vec[:size].copy(), min(self._top, trunc))
 
     def deriv(self, axis: int) -> Jet:
         """Holomorphic partial derivative; the result loses one degree."""
@@ -181,74 +247,59 @@ class Jet:
             raise ValueError(f"axis {axis} out of range for dimension {self.n}")
         if self.trunc == 0:
             raise ValueError("cannot differentiate a jet of truncation order 0")
-        pos = axis + (self.n if barred else 0)
-        out: dict[MultiIndex, complex] = {}
-        for key, val in self.coeffs.items():
-            e = key[pos]
-            if e:
-                down = key[:pos] + (e - 1,) + key[pos + 1 :]
-                out[down] = val * e
-        return Jet(self.n, self.trunc - 1, out)
-
-    # -- ring operations -----------------------------------------------------
+        tables = _tables(self.n, self.trunc)
+        source, factor = tables.deriv[axis + (self.n if barred else 0)]
+        size = tables.deg_start[self.trunc]
+        vec = self._vec.take(source[:size]) * factor[:size]
+        return Jet._of(self.n, self.trunc - 1, vec, max(self._top - 1, -1))
 
     def _require_compatible(self, other: Jet) -> None:
-        if self.n != other.n or self.trunc != other.trunc:
-            raise ValueError(
-                f"incompatible jets: (n={self.n}, trunc={self.trunc}) vs "
-                f"(n={other.n}, trunc={other.trunc})"
-            )
+        if (self.n, self.trunc) != (other.n, other.trunc):
+            raise ValueError(f"incompatible jets: {self!r} vs {other!r}")
 
     def __add__(self, other):
         if isinstance(other, _SCALARS):
-            other = Jet.constant(other, self.n, self.trunc)
+            vec = self._vec.copy()
+            vec[0] += other
+            return Jet._of(self.n, self.trunc, vec, max(self._top, 0))
         if not isinstance(other, Jet):
             return NotImplemented
         self._require_compatible(other)
-        out = dict(self.coeffs)
-        for key, val in other.coeffs.items():
-            out[key] = out.get(key, 0j) + val
-        return Jet(self.n, self.trunc, out)
+        return Jet._of(self.n, self.trunc, self._vec + other._vec, max(self._top, other._top))
 
     __radd__ = __add__
 
     def __neg__(self) -> Jet:
-        return Jet(self.n, self.trunc, {k: -v for k, v in self.coeffs.items()})
+        return Jet._of(self.n, self.trunc, -self._vec, self._top)
 
     def __sub__(self, other):
-        if isinstance(other, _SCALARS):
-            other = Jet.constant(other, self.n, self.trunc)
-        if not isinstance(other, Jet):
-            return NotImplemented
-        return self.__add__(-other)
+        if isinstance(other, (*_SCALARS, Jet)):
+            return self.__add__(-other)
+        return NotImplemented
 
     def __rsub__(self, other):
-        if isinstance(other, _SCALARS):
-            return Jet.constant(other, self.n, self.trunc).__sub__(self)
-        return NotImplemented
+        return (-self).__add__(other) if isinstance(other, _SCALARS) else NotImplemented
 
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
-            return Jet(self.n, self.trunc, {k: v * other for k, v in self.coeffs.items()})
+            return Jet._of(self.n, self.trunc, self._vec * other, self._top)
         if not isinstance(other, Jet):
             return NotImplemented
         self._require_compatible(other)
-        trunc = self.trunc
-        right = sorted(((sum(k), k, v) for k, v in other.coeffs.items()), key=lambda t: t[0])
-        out: dict[MultiIndex, complex] = {}
-        for ka, va in self.coeffs.items():
-            budget = trunc - sum(ka)
-            for ob, kb, vb in right:
-                if ob > budget:
-                    break
-                key = tuple(map(_add, ka, kb))
-                out[key] = out.get(key, 0j) + va * vb
-        return Jet(self.n, trunc, out)
+        tables = _tables(self.n, self.trunc)
+        out = np.zeros(len(self._vec), dtype=complex)
+        top_a, top_b = self._degree(), other._degree()
+        top = min(self.trunc, top_a + top_b) if top_a >= 0 and top_b >= 0 else -1
+        if top >= 0:
+            # outputs above degree top_a + top_b are zero: visit only the pairs below
+            size, pairs = tables.deg_start[top + 1], tables.pair_end[top]
+            terms = self._vec.take(tables.pair_i[:pairs])
+            terms *= other._vec.take(tables.pair_j[:pairs])
+            out[:size] = np.add.reduceat(terms, tables.seg[:size])
+        return Jet._of(self.n, self.trunc, out, top)
 
     def __rmul__(self, other):
-        if isinstance(other, _SCALARS):
-            return self.__mul__(other)
-        return NotImplemented
+        return self.__mul__(other) if isinstance(other, _SCALARS) else NotImplemented
 
     def __truediv__(self, other):
         if isinstance(other, _SCALARS):
@@ -262,9 +313,7 @@ class Jet:
             raise TypeError("jet exponents must be integers")
         if exponent < 0:
             return self.reciprocal() ** (-exponent)
-        result = Jet.constant(1.0, self.n, self.trunc)
-        base = self
-        e = exponent
+        result, base, e = Jet.constant(1.0, self.n, self.trunc), self, exponent
         while e:
             if e & 1:
                 result = result * base
@@ -273,16 +322,13 @@ class Jet:
                 base = base * base
         return result
 
-    # -- analytic operations -------------------------------------------------
-
     def reciprocal(self) -> Jet:
         """Multiplicative inverse, solved order by order; needs a nonzero value."""
         c0 = self.value()
         if c0 == 0:
             raise ArithmeticError("reciprocal of a jet with zero constant term")
         neg_u = -(self / c0 - 1.0)
-        acc = Jet.constant(1.0, self.n, self.trunc)
-        pw = acc
+        acc = pw = Jet.constant(1.0, self.n, self.trunc)
         for _ in range(self.trunc):
             pw = pw * neg_u
             acc = acc + pw
@@ -292,9 +338,7 @@ class Jet:
         """Principal-branch logarithm; the value must stay off ``(-inf, 0]``."""
         c0 = self.value()
         if c0.imag == 0 and c0.real <= 0:
-            raise ArithmeticError(
-                "log of a jet whose value lies on the branch cut (-inf, 0]"
-            )
+            raise ArithmeticError("log of a jet whose value lies on the branch cut (-inf, 0]")
         u = self / c0 - 1.0
         acc = Jet.constant(cmath.log(c0), self.n, self.trunc)
         pw = Jet.constant(1.0, self.n, self.trunc)
@@ -305,91 +349,47 @@ class Jet:
 
     def exp(self) -> Jet:
         u = self - self.value()
-        acc = Jet.constant(1.0, self.n, self.trunc)
-        pw = acc
+        acc = pw = Jet.constant(1.0, self.n, self.trunc)
         for m in range(1, self.trunc + 1):
             pw = pw * u
             acc = acc + pw * (1.0 / math.factorial(m))
         return acc * cmath.exp(self.value())
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Jet(n={self.n}, trunc={self.trunc}, terms={len(self.coeffs)})"
-
-
-def _degree_slices(jet: Jet) -> dict[int, list[tuple[MultiIndex, complex]]]:
-    slices: dict[int, list[tuple[MultiIndex, complex]]] = {}
-    for key, val in jet.coeffs.items():
-        slices.setdefault(sum(key), []).append((key, val))
-    return slices
+    def __repr__(self) -> str:
+        return f"Jet(n={self.n}, trunc={self.trunc}, terms={np.count_nonzero(self._vec)})"
 
 
 def solve_linear_system(matrix: Sequence[Sequence[Jet]], rhs: Sequence[Jet]) -> list[Jet]:
-    """Solve ``matrix @ x = rhs`` over the jet ring, degree by degree.
-
-    All entries must share ``n`` and ``trunc``; the constant-term matrix
-    must be numerically invertible.  The solution is exact up to the shared
-    truncation order.
-    """
+    """Solve ``matrix @ x = rhs`` over the jet ring, degree by degree, exactly up to the
+    shared truncation order; the constant-term matrix must be numerically invertible."""
     size = len(rhs)
     if len(matrix) != size or any(len(row) != size for row in matrix):
         raise ValueError("system matrix must be square and match the right-hand side")
-    first = rhs[0]
-    n, trunc = first.n, first.trunc
-    for entry in (*[e for row in matrix for e in row], *rhs):
-        if entry.n != n or entry.trunc != trunc:
-            raise ValueError("all system entries must share chart dimension and truncation")
-
-    m0 = np.array([[matrix[i][j].value() for j in range(size)] for i in range(size)], dtype=complex)
+    n, trunc = rhs[0].n, rhs[0].trunc
+    if any((e.n, e.trunc) != (n, trunc) for e in [*rhs, *(e for row in matrix for e in row)]):
+        raise ValueError("all system entries must share chart dimension and truncation")
+    mat = np.array([[entry._vec for entry in row] for row in matrix])
     try:
-        m0_inv = np.linalg.inv(m0)
+        m0_inv = np.linalg.inv(mat[:, :, 0])
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError("constant term of the system matrix is singular") from exc
-
-    mat_slices = [[_degree_slices(matrix[i][j]) for j in range(size)] for i in range(size)]
-    rhs_slices = [_degree_slices(rhs[i]) for i in range(size)]
-    sol: list[dict[MultiIndex, complex]] = [{} for _ in range(size)]
-    sol_slices: list[dict[int, list[tuple[MultiIndex, complex]]]] = [{} for _ in range(size)]
-
+    tables = _tables(n, trunc)
+    x = np.zeros((size, tables.deg_start[trunc + 1]), dtype=complex)
     for degree in range(trunc + 1):
-        residual: list[dict[MultiIndex, complex]] = [{} for _ in range(size)]
-        for i in range(size):
-            for key, val in rhs_slices[i].get(degree, ()):
-                residual[i][key] = residual[i].get(key, 0j) + val
-            for j in range(size):
-                for mdeg, mslice in mat_slices[i][j].items():
-                    # only strictly positive matrix degrees hit already-known
-                    # solution degrees
-                    if not 1 <= mdeg <= degree:
-                        continue
-                    lower = sol_slices[j].get(degree - mdeg)
-                    if not lower:
-                        continue
-                    res_i = residual[i]
-                    for mk, mv in mslice:
-                        for sk, sv in lower:
-                            key = tuple(map(_add, mk, sk))
-                            res_i[key] = res_i.get(key, 0j) - mv * sv
-        keys = sorted(set().union(*residual))
-        for key in keys:
-            b = np.array([residual[i].get(key, 0j) for i in range(size)], dtype=complex)
-            x = m0_inv @ b
-            for j in range(size):
-                if x[j] != 0:
-                    sol[j][key] = x[j]
-                    sol_slices[j].setdefault(degree, []).append((key, x[j]))
-
-    return [Jet(n, trunc, sol[j]) for j in range(size)]
+        lo, hi = tables.deg_start[degree], tables.deg_start[degree + 1]
+        # pairs through the constant matrix term meet the still-zero block of x
+        seg = tables.seg[lo : hi + 1]
+        i, j = tables.pair_i[seg[0] : seg[-1]], tables.pair_j[seg[0] : seg[-1]]
+        terms = np.einsum("abp,bp->ap", mat[:, :, i], x[:, j])
+        residual = np.array([entry._vec[lo:hi] for entry in rhs])
+        residual -= np.add.reduceat(terms, seg[:-1] - seg[0], axis=1)
+        x[:, lo:hi] = m0_inv @ residual
+    return [Jet._of(n, trunc, x[k].copy(), trunc) for k in range(size)]
 
 
 def jet_matrix_inverse(matrix: Sequence[Sequence[Jet]]) -> list[list[Jet]]:
     """Inverse of a square jet matrix, exact up to the shared truncation."""
-    size = len(matrix)
-    sample = matrix[0][0]
-    columns = []
-    for m in range(size):
-        unit = [
-            Jet.constant(1.0 if k == m else 0.0, sample.n, sample.trunc)
-            for k in range(size)
-        ]
-        columns.append(solve_linear_system(matrix, unit))
+    size, n, trunc = len(matrix), matrix[0][0].n, matrix[0][0].trunc
+    units = [[Jet.constant(float(k == m), n, trunc) for k in range(size)] for m in range(size)]
+    columns = [solve_linear_system(matrix, unit) for unit in units]
     return [[columns[m][l] for m in range(size)] for l in range(size)]

@@ -30,6 +30,7 @@ oracle for the covariant formulas.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .geometry import ChartContext, as_chart_jet
@@ -160,7 +161,8 @@ def _solve_level(
 def _require_agreement(first: Jet, second: Jet, gamma: MultiIndex, r: int) -> None:
     scale = 1.0 + first.max_abs()
     gap = (first - second).max_abs()
-    if gap > CONSISTENCY_TOL * scale:
+    # max_abs is inf for a non-finite coefficient, and inf <= tol * inf holds
+    if not (gap <= CONSISTENCY_TOL * scale and math.isfinite(scale)):
         raise OracleConsistencyError(
             f"coefficient {gamma} of level {r} determined inconsistently "
             f"(relative gap {gap / scale:.3e}); the recursion admits a unique "

@@ -36,6 +36,7 @@ from .geometry import (
     curvature,
     jacobi_residual,
     metric_derivative_values,
+    worst_abs,
 )
 from .jets import iter_multi_indices_upto
 from .operators import (
@@ -327,7 +328,7 @@ def check_prop1(
     gd0 = [[ctx.g_dn[k][l].value() for l in range(n)] for k in range(n)]
     dgu, dgu_bar = metric_derivative_values(ctx)
 
-    first = 0.0
+    first = []
     for l in range(n):
         for q in range(n):
             for nn in range(n):
@@ -339,9 +340,9 @@ def check_prop1(
                         for b in range(n)
                     )
                     rhs = sum(dgu_bar[q][l][m] * dgu[m][nn][p] for m in range(n))
-                    first = max(first, abs(lhs - rhs))
+                    first.append(lhs - rhs)
 
-    second = 0.0
+    second = []
     for m in range(n):
         for q in range(n):
             for p in range(n):
@@ -353,12 +354,12 @@ def check_prop1(
                         for t in range(n)
                     )
                     rhs = sum(dgu_bar[nn][q][m] * dgu[p][nn][k] for nn in range(n))
-                    second = max(second, abs(lhs - rhs))
+                    second.append(lhs - rhs)
 
     bd = operator_breakdown(f, g, ctx)
     return [
-        CheckResult("prop1_first_identity", first, tol, label),
-        CheckResult("prop1_second_identity", second, tol, label),
+        CheckResult("prop1_first_identity", worst_abs(first), tol, label),
+        CheckResult("prop1_second_identity", worst_abs(second), tol, label),
         CheckResult("prop1_s_equals_stilde", abs(bd.s - bd.s_tilde), tol, label),
     ]
 
@@ -381,7 +382,7 @@ def check_structural(
     forms = abs(c2(f, g, ctx) - c2_expanded(f, g, ctx))
     data = curvature(ctx)
     gu0 = [[ctx.g_up[l][k].value() for k in range(n)] for l in range(n)]
-    raising = 0.0
+    raising = []
     for q in range(n):
         for p in range(n):
             for k in range(n):
@@ -391,11 +392,13 @@ def check_structural(
                         for c in range(n)
                         for b in range(n)
                     )
-                    raising = max(raising, abs(data.r_up[q][p][k][l] - raised))
+                    raising.append(data.r_up[q][p][k][l] - raised)
     return [
         CheckResult("c3_decomposition", decomposition, tols["c3_decomposition"], label),
         CheckResult("c2_expanded_equals_covariant", forms, tols["c2_forms"], label),
-        CheckResult("curvature_raising_consistency", raising, tols["curvature_raising"], label),
+        CheckResult(
+            "curvature_raising_consistency", worst_abs(raising), tols["curvature_raising"], label
+        ),
         CheckResult("jacobi_identity", jacobi_residual(ctx), tols["jacobi"], label),
     ]
 
@@ -410,7 +413,7 @@ def check_flat_vanishing(
     """On a flat chart the operators Q, R, S, S~ vanish exactly: every one
     of their terms carries a derivative of the constant inverse metric."""
     bd = operator_breakdown(f, g, ctx)
-    residual = max(abs(bd.q), abs(bd.r), abs(bd.s), abs(bd.s_tilde))
+    residual = worst_abs((bd.q, bd.r, bd.s, bd.s_tilde))
     return CheckResult("flat_qrss_vanish", residual, tol, label)
 
 
@@ -437,8 +440,8 @@ def check_gauge(
     shifted = build_chart(Add(Add(potential, h), k), ctx.z0, ctx.zb0, order=ctx.order, n=ctx.n)
     base_ops = build_left_mult(f, ctx, r_max=3)
     shifted_ops = build_left_mult(f, shifted, r_max=3)
-    residual = max(
-        abs(base_ops[r].apply(g, ctx) - shifted_ops[r].apply(g, shifted)) for r in (1, 2, 3)
+    residual = worst_abs(
+        base_ops[r].apply(g, ctx) - shifted_ops[r].apply(g, shifted) for r in (1, 2, 3)
     )
     return CheckResult("gauge_invariance", residual, tol, label)
 
@@ -477,7 +480,7 @@ def check_covariance(
     w0 = tuple(eval_value(e, z0, zb0) for e in forward)
     wb0 = tuple(eval_value(formal_conjugate(e), z0, zb0) for e in forward)
     back = tuple(eval_value(e, w0, wb0) for e in inverse)
-    if max(abs(a - b) for a, b in zip(back, z0)) > 1e-10:
+    if worst_abs(a - b for a, b in zip(back, z0)) > 1e-10:
         raise ValueError("inverse(forward(z0)) does not return to the base point")
     jacobian = [[eval_jet(e, z0, zb0, 1).derivative_at(_unit(n, k), (0,) * n) for k in range(n)] for e in forward]
     det = _det(jacobian)
@@ -490,9 +493,7 @@ def check_covariance(
     f_w = substitute(f, replacements)
     g_w = substitute(g, replacements)
 
-    residual = 0.0
-    for op in (c1, c2, c3, c3_tilde):
-        residual = max(residual, abs(op(f, g, ctx_z) - op(f_w, g_w, ctx_w)))
+    residual = worst_abs(op(f, g, ctx_z) - op(f_w, g_w, ctx_w) for op in (c1, c2, c3, c3_tilde))
     return CheckResult("covariance", residual, tol, label)
 
 
@@ -568,7 +569,7 @@ def check_finite_differences(
     zb0 = tuple(v.conjugate() for v in z0)
     jet = eval_jet(potential, z0, zb0, order)
     zero = (0,) * n
-    worst = 0.0
+    errors = []
     for k in range(n):
         e = _unit(n, k)
         analytic = jet.derivative_at(e, zero)
@@ -577,7 +578,7 @@ def check_finite_differences(
         numeric = (eval_value(potential, plus, zb0) - eval_value(potential, minus, zb0)) / (
             2 * step
         )
-        worst = max(worst, abs(analytic - numeric) / (1.0 + abs(analytic)))
+        errors.append(abs(analytic - numeric) / (1.0 + abs(analytic)))
 
         analytic_bar = jet.derivative_at(zero, e)
         plus_b = tuple(z + (step if i == k else 0) for i, z in enumerate(zb0))
@@ -585,8 +586,8 @@ def check_finite_differences(
         numeric_bar = (
             eval_value(potential, z0, plus_b) - eval_value(potential, z0, minus_b)
         ) / (2 * step)
-        worst = max(worst, abs(analytic_bar - numeric_bar) / (1.0 + abs(analytic_bar)))
-    return CheckResult("jet_finite_differences", worst, tol, label)
+        errors.append(abs(analytic_bar - numeric_bar) / (1.0 + abs(analytic_bar)))
+    return CheckResult("jet_finite_differences", worst_abs(errors), tol, label)
 
 
 # -- the default suite --------------------------------------------------------------

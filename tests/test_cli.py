@@ -106,6 +106,15 @@ def test_verify_json_deterministic(capsys):
         assert set(check) == {"name", "residual", "tolerance", "pass", "context"}
 
 
+def test_verify_json_with_random_n2_chart(capsys):
+    # the second random chart has n=2; its Jacobi residual once came out as a
+    # numpy scalar, which the JSON encoder rejects
+    code, out, _ = run_cli(capsys, "verify", "--trials", "2", "--seed", "3", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert any("n=2" in c["context"] and c["name"] == "jacobi_identity" for c in payload["checks"])
+
+
 def test_verify_impossible_tolerance_fails_honestly(capsys):
     code, out, _ = run_cli(capsys, "verify", "--trials", "0", "--tol", "1e-15")
     assert code == 1

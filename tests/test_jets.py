@@ -1,11 +1,14 @@
 """Jet ring and analytic-operation tests."""
 
+import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kahlerstar import jets as jets_module
 from kahlerstar.jets import (
     Jet,
     iter_multi_indices_upto,
@@ -250,3 +253,112 @@ def test_singular_system_rejected():
     zero = Jet.zero(1, 2)
     with pytest.raises(ArithmeticError):
         solve_linear_system([[zero, zero], [zero, zero]], [one, one])
+
+
+# -- dense kernel against a reference convolution ----------------------------
+
+
+def _reference_product(a, b):
+    """The truncated product as a double loop over the nonzero coefficients."""
+    out = {}
+    for ka, va in a.coeffs.items():
+        for kb, vb in b.coeffs.items():
+            key = tuple(x + y for x, y in zip(ka, kb))
+            if sum(key) <= a.trunc:
+                out[key] = out.get(key, 0j) + va * vb
+    return out
+
+
+def _operands(rng, n, trunc):
+    """Dense, sparse, zero and low-top-degree jets of one ring."""
+    dense = _random_jet(rng, n, trunc)
+    keys = list(iter_multi_indices_upto(2 * n, trunc))
+    sparse = Jet(n, trunc, {k: complex(rng.uniform(-1, 1), 0.3) for k in rng.sample(keys, min(4, len(keys)))})
+    low = Jet(n, trunc, {k: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for k in keys if sum(k) <= 2})
+    top_only = Jet(n, trunc, {k: 1.5 - 0.5j for k in keys if sum(k) == trunc})
+    return [dense, sparse, low, top_only, Jet.zero(n, trunc), Jet.constant(2.0 - 1.0j, n, trunc)]
+
+
+@pytest.mark.parametrize("n, trunc", [(1, 0), (1, 3), (1, 8), (2, 1), (2, 4), (2, 6), (3, 2), (3, 4)])
+def test_product_matches_reference_convolution(n, trunc):
+    rng = random.Random(100 * n + trunc)
+    operands = _operands(rng, n, trunc)
+    for a in operands:
+        for b in operands:
+            got = (a * b).coeffs
+            expected = _reference_product(a, b)
+            scale = max(1.0, a.max_abs() * b.max_abs())
+            for key in set(got) | set(expected):
+                assert abs(got.get(key, 0j) - expected.get(key, 0j)) <= 1e-12 * scale
+
+
+def test_product_independent_of_table_history():
+    rng = random.Random(23)
+    a = _random_jet(rng, n=2, trunc=4, unit_constant=True)
+    b = _random_jet(rng, n=2, trunc=4)
+    jets_module._TABLES.clear()
+    before = a * b  # on tables built for order 4
+    high_a, high_b = _random_jet(rng, n=2, trunc=7), _random_jet(rng, n=2, trunc=7)
+    _ = high_a * high_b  # replaces them by the order-7 tables
+    assert jets_module._tables(2, 4).order == 7
+    after = Jet(2, 4, a.coeffs) * Jet(2, 4, b.coeffs)
+    assert before == after
+    assert np.array_equal(before._vec, after._vec)
+
+
+def test_derivatives_match_reference():
+    rng = random.Random(29)
+    a = _random_jet(rng, n=2, trunc=4)
+    for axis in range(2):
+        for barred in (False, True):
+            d = a.deriv_bar(axis) if barred else a.deriv(axis)
+            pos = axis + (2 if barred else 0)
+            expected = {}
+            for key, val in a.coeffs.items():
+                if key[pos]:
+                    down = key[:pos] + (key[pos] - 1,) + key[pos + 1 :]
+                    expected[down] = val * key[pos]
+            assert d.trunc == 3
+            assert d.coeffs == expected
+
+
+# -- public constructor validation --------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "key",
+    [(1,), (0, 0, 0), (-1, 1), (1, -1), (2, 2), (0, 4)],
+    ids=["short", "long", "negative-hol", "negative-anti", "above-trunc", "above-trunc-anti"],
+)
+def test_constructor_rejects_bad_keys(key):
+    with pytest.raises(ValueError):
+        Jet(1, 3, {key: 1.0})
+
+
+def test_constructor_rejects_negative_sizes():
+    with pytest.raises(ValueError):
+        Jet(-1, 3, {})
+    with pytest.raises(ValueError):
+        Jet(1, -1, {})
+
+
+def test_constructor_round_trips_coefficients():
+    entries = {(0, 0, 0, 0): 1.0, (1, 0, 0, 2): 2.5j, (0, 1, 1, 0): -3.0, (0, 0, 1, 0): 0.0}
+    jet = Jet(2, 3, entries)
+    assert jet.coeffs == {k: complex(v) for k, v in entries.items() if v != 0}
+    assert jet.coeff((1, 0), (0, 2)) == 2.5j
+
+
+# -- non-finite coefficients --------------------------------------------------
+
+
+def test_nonfinite_product_is_not_small():
+    # the dense product multiplies structural zeros: inf * 0 gives NaN, and
+    # max_abs must report that as inf rather than drop it
+    a = jet_of(1, 2, {(0, 0): 1, (1, 0): math.inf})
+    b = jet_of(1, 2, {(0, 0): 1, (1, 0): 1})
+    with np.errstate(invalid="ignore"):
+        prod = a * b
+    assert any(math.isnan(abs(v)) for v in prod.coeffs.values())
+    assert prod.max_abs() == math.inf
+    assert jet_of(1, 2, {(0, 1): math.nan}).max_abs() == math.inf

@@ -5,13 +5,15 @@ A_3 = (dbar^3 f / 6) d^3, obtained by running the commutator recursion
 with a constant metric by hand.
 """
 
+import math
 import random
 
 import pytest
 
 from kahlerstar.geometry import build_chart
+from kahlerstar.jets import Jet
 from kahlerstar.operators import c1, c2, c3
-from kahlerstar.oracle import build_left_mult, oracle_cr
+from kahlerstar.oracle import OracleConsistencyError, _require_agreement, build_left_mult, oracle_cr
 
 FS = "log(1+z1*zb1)"
 
@@ -143,3 +145,12 @@ def test_gauge_invariance_random_n2():
     f, g = "zb1^2*z2+zb2^3", "z1^2+z2*z1*zb1"
     for r in range(1, 4):
         assert abs(oracle_cr(f, g, base, r) - oracle_cr(f, g, shifted, r)) < 1e-8
+
+
+def test_nonfinite_gap_is_inconsistent():
+    ok = Jet(1, 3, {(0, 0): 1.0, (1, 0): 0.5})
+    bad = Jet(1, 3, {(0, 0): 1.0, (1, 0): math.nan})
+    for first, second in ((ok, bad), (bad, ok), (bad, bad)):
+        with pytest.raises(OracleConsistencyError):
+            _require_agreement(first, second, (1,), 2)
+    _require_agreement(ok, ok, (1,), 2)

@@ -1,12 +1,14 @@
 """Verification-suite machinery tests (small, fast configurations)."""
 
+import math
 import random
 
 import pytest
 
+from kahlerstar import verify
 from kahlerstar.expressions import eval_value, parse, to_source
-from kahlerstar.geometry import build_chart
-from kahlerstar.operators import StarVariant
+from kahlerstar.geometry import build_chart, jacobi_residual, metric_derivative_values, worst_abs
+from kahlerstar.operators import OperatorBreakdown, StarVariant
 from kahlerstar.verify import (
     CheckResult,
     RandomChartSpec,
@@ -159,3 +161,33 @@ def test_finite_differences_on_presets():
     for potential, point in [("z1*zb1", (0.5,)), (FS, (0.3 + 0.2j,)), ("-(log(1-z1*zb1))", (0.2,))]:
         result = check_finite_differences(potential, point)
         assert result.passed, result
+
+
+# -- residuals that are not numbers must fail -----------------------------------
+
+
+def test_worst_abs_treats_nonfinite_as_infinite():
+    assert worst_abs([]) == 0.0
+    assert worst_abs([0.5, -2.0 + 0j, 1e-3j]) == 2.0
+    assert worst_abs([0.0, math.nan, 1.0]) == math.inf
+    assert worst_abs([complex(1.0, math.inf)]) == math.inf
+    assert max(0.0, math.nan) == 0.0  # why a plain running max is not used
+
+
+def test_nan_breakdown_fails_flat_vanishing(monkeypatch):
+    ctx = build_chart("z1*zb1", (0.3,), order=10)
+    poisoned = OperatorBreakdown(p=0.0, q=0.0, r=complex(math.nan, 0.0), s=0.0, s_tilde=0.0)
+    monkeypatch.setattr(verify, "operator_breakdown", lambda f, g, ctx: poisoned)
+    result = check_flat_vanishing(ctx, "zb1^2", "z1^2")
+    assert result.residual == math.inf
+    assert not result.passed
+
+
+def test_nan_metric_derivative_fails_jacobi():
+    ctx = build_chart("z1*zb1+z2*zb2", (0.2, -0.1j), order=10)
+    dgu, dgu_bar = metric_derivative_values(ctx)
+    nan_dgu = ((dgu[0][0], (dgu[0][1][0], complex(math.nan, 0.0))), dgu[1])
+    ctx._cache["metric_derivative_values"] = (nan_dgu, dgu_bar)
+    assert jacobi_residual(ctx) == math.inf
+    structural = {r.name: r for r in check_structural(ctx, "zb1*zb2", "z1^2")}
+    assert not structural["jacobi_identity"].passed
