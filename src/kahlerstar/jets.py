@@ -16,6 +16,8 @@ derivatives and the linear solver gather through are kept per ``n`` for the
 highest order seen.  Product pairs are sorted by output, then left factor, so
 a coefficient is summed in the same order whatever order the tables have
 (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 13).
+The product table has ``C(trunc + 4n, 4n)`` pairs; rings that need more than
+:data:`MAX_PRODUCT_PAIRS` are refused.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import numpy as np
 __all__ = [
     "MultiIndex",
     "Jet",
+    "MAX_PRODUCT_PAIRS",
     "iter_multi_indices",
     "iter_multi_indices_upto",
     "multi_factorial",
@@ -41,6 +44,10 @@ MultiIndex = tuple[int, ...]
 
 _SCALARS = (int, float, complex)
 
+#: largest product table built, about 60 MB while it is built; dimension 3 at
+#: order 10 needs 646 646 pairs, dimension 4 at order 10 would need 5 311 735
+MAX_PRODUCT_PAIRS = 1_000_000
+
 
 def iter_multi_indices(n: int, order: int) -> Iterator[MultiIndex]:
     """Yield every length-``n`` multi-index of total order ``order``.
@@ -50,6 +57,9 @@ def iter_multi_indices(n: int, order: int) -> Iterator[MultiIndex]:
     if n == 0:
         if order == 0:
             yield ()
+        return
+    if n == 1:
+        yield (order,)
         return
     for head in range(order + 1):
         for tail in iter_multi_indices(n - 1, order - head):
@@ -76,8 +86,16 @@ class _Tables:
     ``d`` starts at ``deg_start[d]``, the product pairs of output ``k`` at ``seg[k]``."""
 
     def __init__(self, n: int, order: int) -> None:
-        self.order = order
         width = 2 * n
+        pairs = math.comb(order + 2 * width, 2 * width)
+        if pairs > MAX_PRODUCT_PAIRS:
+            raise ValueError(
+                f"jets of dimension {n} and order {order} need {pairs} product pairs, "
+                f"more than the supported {MAX_PRODUCT_PAIRS}; lower the dimension or order"
+            )
+        if (order + 1) ** width > np.iinfo(np.int64).max:
+            raise ValueError(f"jets of dimension {n} and order {order} overflow the monomial codes")
+        self.order = order
         self.keys = list(iter_multi_indices_upto(width, order))
         self.index = {key: i for i, key in enumerate(self.keys)}
         size = len(self.keys)
@@ -127,50 +145,57 @@ def _zeros(n: int, trunc: int) -> np.ndarray:
 
 
 class Jet:
-    """Truncated Taylor expansion ``sum(c[key] * dz**key_hol * dzb**key_anti)`` at a point.
+    """Truncated Taylor expansion at a base point.
 
-    ``Jet(n, trunc, coeffs)`` builds a jet from a mapping of flat keys to
-    coefficients; :attr:`coeffs` reads the nonzero ones back.  Jets are
-    immutable; arithmetic between two jets requires equal ``n`` and ``trunc``.
+    ``Jet(n, trunc, coeffs)`` builds a jet from a mapping of flat keys
+    (holomorphic part followed by antiholomorphic part) to complex Taylor
+    coefficients; :attr:`coeffs` reads the nonzero ones back.  The
+    represented germ is ``sum(c[key] * dz**key_hol * dzb**key_anti)``.  Jets
+    are immutable; arithmetic between two jets requires equal ``n`` and
+    ``trunc``.
     """
 
-    __slots__ = ("n", "trunc", "_vec", "_top", "_top_exact")
+    __slots__ = ("n", "trunc", "_vec", "_degree_cache")
 
     def __init__(self, n: int, trunc: int, coeffs: dict | None = None) -> None:
-        if n < 0 or trunc < 0:
-            raise ValueError("chart dimension and truncation order must be non-negative")
+        if n < 0:
+            raise ValueError("chart dimension must be non-negative")
+        if trunc < 0:
+            raise ValueError("truncation order must be non-negative")
+        width = 2 * n
         index, vec = _tables(n, trunc).index, _zeros(n, trunc)
         for key, val in (coeffs or {}).items():
-            if len(key) != 2 * n:
-                raise ValueError(f"coefficient key {key!r} does not have length {2 * n}")
+            if len(key) != width:
+                raise ValueError(f"coefficient key {key!r} does not have length {width}")
             if any(e < 0 for e in key):
                 raise ValueError(f"coefficient key {key!r} has a negative entry")
             if sum(key) > trunc:
                 raise ValueError(f"coefficient key {key!r} exceeds truncation order {trunc}")
             vec[index[tuple(key)]] = val
-        self.n, self.trunc, self._vec, self._top, self._top_exact = n, trunc, vec, trunc, False
+        self.n, self.trunc, self._vec, self._degree_cache = n, trunc, vec, None
 
     @classmethod
-    def _of(cls, n: int, trunc: int, vec: np.ndarray, top: int) -> Jet:
-        """Unchecked jet around ``vec``; no coefficient above degree ``top`` is nonzero."""
+    def _of(cls, n: int, trunc: int, vec: np.ndarray, degree: int | None = None) -> Jet:
+        """Unchecked jet around ``vec``; ``degree``, if known, is its :meth:`_degree`."""
         jet = object.__new__(cls)
-        jet.n, jet.trunc, jet._vec, jet._top, jet._top_exact = n, trunc, vec, top, False
+        jet.n, jet.trunc, jet._vec, jet._degree_cache = n, trunc, vec, degree
         return jet
 
     def _degree(self) -> int:
         """Highest degree with a nonzero coefficient; ``-1`` for the zero jet."""
-        if not self._top_exact:
-            tables = _tables(self.n, self.trunc)
-            nonzero = self._vec[: tables.deg_start[self._top + 1]].nonzero()[0]
-            self._top = int(tables.deg[nonzero[-1]]) if nonzero.size else -1
-            self._top_exact = True
-        return self._top
+        if self._degree_cache is None:
+            nonzero = self._vec.nonzero()[0]
+            deg = _tables(self.n, self.trunc).deg
+            self._degree_cache = int(deg[nonzero[-1]]) if nonzero.size else -1
+        return self._degree_cache
+
+    # -- constructors ------------------------------------------------------
 
     @classmethod
     def constant(cls, value: complex, n: int, trunc: int) -> Jet:
         vec = _zeros(n, trunc)
         vec[0] = value
-        return cls._of(n, trunc, vec, 0)
+        return cls._of(n, trunc, vec, 0 if value != 0 else -1)
 
     @classmethod
     def zero(cls, n: int, trunc: int) -> Jet:
@@ -181,11 +206,15 @@ class Jet:
         """Jet of the coordinate function ``z_axis`` (or ``zb_axis``) shifted to ``base``."""
         if not 0 <= axis < n:
             raise ValueError(f"axis {axis} out of range for dimension {n}")
-        jet = cls.constant(base, n, trunc)
+        vec = _zeros(n, trunc)
+        vec[0] = base
         if trunc >= 1:
-            unit = tuple(int(i == axis + (n if barred else 0)) for i in range(2 * n))
-            jet._vec[_tables(n, trunc).index[unit]], jet._top = 1.0, 1
-        return jet
+            unit = [0] * (2 * n)
+            unit[axis + (n if barred else 0)] = 1
+            vec[_tables(n, trunc).index[tuple(unit)]] = 1.0
+        return cls._of(n, trunc, vec)
+
+    # -- inspection --------------------------------------------------------
 
     @property
     def coeffs(self) -> dict[MultiIndex, complex]:
@@ -202,7 +231,10 @@ class Jet:
         return complex(self._vec[self._position(alpha, beta)])
 
     def derivative_at(self, alpha: Sequence[int], beta: Sequence[int]) -> complex:
-        """Mixed partial derivative at the base point: ``alpha! * beta!`` times the coefficient."""
+        """Value of the mixed partial derivative at the base point.
+
+        Equals ``alpha! * beta!`` times the corresponding coefficient.
+        """
         return self.coeff(alpha, beta) * multi_factorial(alpha) * multi_factorial(beta)
 
     def _position(self, alpha: Sequence[int], beta: Sequence[int]) -> int:
@@ -225,14 +257,18 @@ class Jet:
         same_ring = (self.n, self.trunc) == (other.n, other.trunc)
         return same_ring and np.array_equal(self._vec, other._vec)
 
+    # -- structural operations ---------------------------------------------
+
     def truncated(self, trunc: int) -> Jet:
         """Forget all coefficients of total degree above ``trunc``."""
-        if not 0 <= trunc <= self.trunc:
-            raise ValueError(f"cannot truncate a jet of order {self.trunc} to order {trunc}")
+        if trunc > self.trunc:
+            raise ValueError("cannot extend a jet to a higher truncation order")
+        if trunc < 0:
+            raise ValueError("truncation order must be non-negative")
         if trunc == self.trunc:
             return self
         size = _tables(self.n, self.trunc).deg_start[trunc + 1]
-        return Jet._of(self.n, trunc, self._vec[:size].copy(), min(self._top, trunc))
+        return Jet._of(self.n, trunc, self._vec[:size].copy())
 
     def deriv(self, axis: int) -> Jet:
         """Holomorphic partial derivative; the result loses one degree."""
@@ -250,56 +286,69 @@ class Jet:
         tables = _tables(self.n, self.trunc)
         source, factor = tables.deriv[axis + (self.n if barred else 0)]
         size = tables.deg_start[self.trunc]
-        vec = self._vec.take(source[:size]) * factor[:size]
-        return Jet._of(self.n, self.trunc - 1, vec, max(self._top - 1, -1))
+        return Jet._of(self.n, self.trunc - 1, self._vec.take(source[:size]) * factor[:size])
+
+    # -- ring operations -----------------------------------------------------
 
     def _require_compatible(self, other: Jet) -> None:
-        if (self.n, self.trunc) != (other.n, other.trunc):
-            raise ValueError(f"incompatible jets: {self!r} vs {other!r}")
+        if self.n != other.n or self.trunc != other.trunc:
+            raise ValueError(
+                f"incompatible jets: (n={self.n}, trunc={self.trunc}) vs "
+                f"(n={other.n}, trunc={other.trunc})"
+            )
 
     def __add__(self, other):
         if isinstance(other, _SCALARS):
             vec = self._vec.copy()
             vec[0] += other
-            return Jet._of(self.n, self.trunc, vec, max(self._top, 0))
+            return Jet._of(self.n, self.trunc, vec)
         if not isinstance(other, Jet):
             return NotImplemented
         self._require_compatible(other)
-        return Jet._of(self.n, self.trunc, self._vec + other._vec, max(self._top, other._top))
+        return Jet._of(self.n, self.trunc, self._vec + other._vec)
 
     __radd__ = __add__
 
     def __neg__(self) -> Jet:
-        return Jet._of(self.n, self.trunc, -self._vec, self._top)
+        return Jet._of(self.n, self.trunc, -self._vec)
 
     def __sub__(self, other):
-        if isinstance(other, (*_SCALARS, Jet)):
-            return self.__add__(-other)
-        return NotImplemented
+        if isinstance(other, _SCALARS):
+            other = Jet.constant(other, self.n, self.trunc)
+        if not isinstance(other, Jet):
+            return NotImplemented
+        return self.__add__(-other)
 
     def __rsub__(self, other):
-        return (-self).__add__(other) if isinstance(other, _SCALARS) else NotImplemented
+        if isinstance(other, _SCALARS):
+            return Jet.constant(other, self.n, self.trunc).__sub__(self)
+        return NotImplemented
 
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
-            return Jet._of(self.n, self.trunc, self._vec * other, self._top)
+            return Jet._of(self.n, self.trunc, self._vec * other)
         if not isinstance(other, Jet):
             return NotImplemented
         self._require_compatible(other)
         tables = _tables(self.n, self.trunc)
         out = np.zeros(len(self._vec), dtype=complex)
         top_a, top_b = self._degree(), other._degree()
-        top = min(self.trunc, top_a + top_b) if top_a >= 0 and top_b >= 0 else -1
+        top = top_a + top_b if top_a >= 0 and top_b >= 0 else -1
         if top >= 0:
             # outputs above degree top_a + top_b are zero: visit only the pairs below
-            size, pairs = tables.deg_start[top + 1], tables.pair_end[top]
+            s = min(top, self.trunc)
+            size, pairs = tables.deg_start[s + 1], tables.pair_end[s]
             terms = self._vec.take(tables.pair_i[:pairs])
             terms *= other._vec.take(tables.pair_j[:pairs])
             out[:size] = np.add.reduceat(terms, tables.seg[:size])
-        return Jet._of(self.n, self.trunc, out, top)
+        # the product's lex-leading top coefficient is a single term, so a
+        # top within the truncation is the exact degree
+        return Jet._of(self.n, self.trunc, out, top if top <= self.trunc else None)
 
     def __rmul__(self, other):
-        return self.__mul__(other) if isinstance(other, _SCALARS) else NotImplemented
+        if isinstance(other, _SCALARS):
+            return self.__mul__(other)
+        return NotImplemented
 
     def __truediv__(self, other):
         if isinstance(other, _SCALARS):
@@ -313,7 +362,9 @@ class Jet:
             raise TypeError("jet exponents must be integers")
         if exponent < 0:
             return self.reciprocal() ** (-exponent)
-        result, base, e = Jet.constant(1.0, self.n, self.trunc), self, exponent
+        result = Jet.constant(1.0, self.n, self.trunc)
+        base = self
+        e = exponent
         while e:
             if e & 1:
                 result = result * base
@@ -322,13 +373,16 @@ class Jet:
                 base = base * base
         return result
 
+    # -- analytic operations -------------------------------------------------
+
     def reciprocal(self) -> Jet:
         """Multiplicative inverse, solved order by order; needs a nonzero value."""
         c0 = self.value()
         if c0 == 0:
             raise ArithmeticError("reciprocal of a jet with zero constant term")
         neg_u = -(self / c0 - 1.0)
-        acc = pw = Jet.constant(1.0, self.n, self.trunc)
+        acc = Jet.constant(1.0, self.n, self.trunc)
+        pw = acc
         for _ in range(self.trunc):
             pw = pw * neg_u
             acc = acc + pw
@@ -338,7 +392,9 @@ class Jet:
         """Principal-branch logarithm; the value must stay off ``(-inf, 0]``."""
         c0 = self.value()
         if c0.imag == 0 and c0.real <= 0:
-            raise ArithmeticError("log of a jet whose value lies on the branch cut (-inf, 0]")
+            raise ArithmeticError(
+                "log of a jet whose value lies on the branch cut (-inf, 0]"
+            )
         u = self / c0 - 1.0
         acc = Jet.constant(cmath.log(c0), self.n, self.trunc)
         pw = Jet.constant(1.0, self.n, self.trunc)
@@ -349,30 +405,39 @@ class Jet:
 
     def exp(self) -> Jet:
         u = self - self.value()
-        acc = pw = Jet.constant(1.0, self.n, self.trunc)
+        acc = Jet.constant(1.0, self.n, self.trunc)
+        pw = acc
         for m in range(1, self.trunc + 1):
             pw = pw * u
             acc = acc + pw * (1.0 / math.factorial(m))
         return acc * cmath.exp(self.value())
 
-    def __repr__(self) -> str:
-        return f"Jet(n={self.n}, trunc={self.trunc}, terms={np.count_nonzero(self._vec)})"
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"Jet(n={self.n}, trunc={self.trunc}, terms={len(self.coeffs)})"
 
 
 def solve_linear_system(matrix: Sequence[Sequence[Jet]], rhs: Sequence[Jet]) -> list[Jet]:
-    """Solve ``matrix @ x = rhs`` over the jet ring, degree by degree, exactly up to the
-    shared truncation order; the constant-term matrix must be numerically invertible."""
+    """Solve ``matrix @ x = rhs`` over the jet ring, degree by degree.
+
+    All entries must share ``n`` and ``trunc``; the constant-term matrix
+    must be numerically invertible.  The solution is exact up to the shared
+    truncation order.
+    """
     size = len(rhs)
     if len(matrix) != size or any(len(row) != size for row in matrix):
         raise ValueError("system matrix must be square and match the right-hand side")
-    n, trunc = rhs[0].n, rhs[0].trunc
-    if any((e.n, e.trunc) != (n, trunc) for e in [*rhs, *(e for row in matrix for e in row)]):
-        raise ValueError("all system entries must share chart dimension and truncation")
+    first = rhs[0]
+    n, trunc = first.n, first.trunc
+    for entry in (*[e for row in matrix for e in row], *rhs):
+        if entry.n != n or entry.trunc != trunc:
+            raise ValueError("all system entries must share chart dimension and truncation")
+
     mat = np.array([[entry._vec for entry in row] for row in matrix])
     try:
         m0_inv = np.linalg.inv(mat[:, :, 0])
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError("constant term of the system matrix is singular") from exc
+
     tables = _tables(n, trunc)
     x = np.zeros((size, tables.deg_start[trunc + 1]), dtype=complex)
     for degree in range(trunc + 1):
@@ -384,12 +449,18 @@ def solve_linear_system(matrix: Sequence[Sequence[Jet]], rhs: Sequence[Jet]) -> 
         residual = np.array([entry._vec[lo:hi] for entry in rhs])
         residual -= np.add.reduceat(terms, seg[:-1] - seg[0], axis=1)
         x[:, lo:hi] = m0_inv @ residual
-    return [Jet._of(n, trunc, x[k].copy(), trunc) for k in range(size)]
+    return [Jet._of(n, trunc, x[k].copy()) for k in range(size)]
 
 
 def jet_matrix_inverse(matrix: Sequence[Sequence[Jet]]) -> list[list[Jet]]:
     """Inverse of a square jet matrix, exact up to the shared truncation."""
-    size, n, trunc = len(matrix), matrix[0][0].n, matrix[0][0].trunc
-    units = [[Jet.constant(float(k == m), n, trunc) for k in range(size)] for m in range(size)]
-    columns = [solve_linear_system(matrix, unit) for unit in units]
+    size = len(matrix)
+    sample = matrix[0][0]
+    columns = []
+    for m in range(size):
+        unit = [
+            Jet.constant(1.0 if k == m else 0.0, sample.n, sample.trunc)
+            for k in range(size)
+        ]
+        columns.append(solve_linear_system(matrix, unit))
     return [[columns[m][l] for m in range(size)] for l in range(size)]

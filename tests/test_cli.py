@@ -115,6 +115,16 @@ def test_verify_json_with_random_n2_chart(capsys):
     assert any("n=2" in c["context"] and c["name"] == "jacobi_identity" for c in payload["checks"])
 
 
+def test_flat_dimension_beyond_jet_tables_fails_cleanly(capsys):
+    code, out, err = run_cli(
+        capsys, "eval", "--preset", "flat", "--n", "4", "--point", "0", "0", "0", "0",
+        "--f", "zb1", "--g", "z1",
+    )
+    assert code == 2
+    assert out == ""
+    assert "product pairs" in err
+
+
 def test_verify_impossible_tolerance_fails_honestly(capsys):
     code, out, _ = run_cli(capsys, "verify", "--trials", "0", "--tol", "1e-15")
     assert code == 1

@@ -273,13 +273,17 @@ def _operands(rng, n, trunc):
     """Dense, sparse, zero and low-top-degree jets of one ring."""
     dense = _random_jet(rng, n, trunc)
     keys = list(iter_multi_indices_upto(2 * n, trunc))
-    sparse = Jet(n, trunc, {k: complex(rng.uniform(-1, 1), 0.3) for k in rng.sample(keys, min(4, len(keys)))})
-    low = Jet(n, trunc, {k: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for k in keys if sum(k) <= 2})
+    picked = rng.sample(keys, min(4, len(keys)))
+    sparse = Jet(n, trunc, {k: complex(rng.uniform(-1, 1), 0.3) for k in picked})
+    low_keys = [k for k in keys if sum(k) <= 2]
+    low = Jet(n, trunc, {k: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for k in low_keys})
     top_only = Jet(n, trunc, {k: 1.5 - 0.5j for k in keys if sum(k) == trunc})
     return [dense, sparse, low, top_only, Jet.zero(n, trunc), Jet.constant(2.0 - 1.0j, n, trunc)]
 
 
-@pytest.mark.parametrize("n, trunc", [(1, 0), (1, 3), (1, 8), (2, 1), (2, 4), (2, 6), (3, 2), (3, 4)])
+@pytest.mark.parametrize(
+    "n, trunc", [(1, 0), (1, 3), (1, 8), (2, 1), (2, 4), (2, 6), (3, 2), (3, 4)]
+)
 def test_product_matches_reference_convolution(n, trunc):
     rng = random.Random(100 * n + trunc)
     operands = _operands(rng, n, trunc)
@@ -288,6 +292,24 @@ def test_product_matches_reference_convolution(n, trunc):
             got = (a * b).coeffs
             expected = _reference_product(a, b)
             scale = max(1.0, a.max_abs() * b.max_abs())
+            for key in set(got) | set(expected):
+                assert abs(got.get(key, 0j) - expected.get(key, 0j)) <= 1e-12 * scale
+
+
+def test_chained_products_match_reference():
+    # a product's cached degree feeds the next product: exact when the degrees
+    # fit the truncation, recomputed from the vector when they do not
+    rng = random.Random(31)
+    for a, b in [
+        (Jet.coordinate(2, 5, 0, 0.0), Jet.coordinate(2, 5, 1, 0.0, barred=True)),
+        (Jet(2, 5, {(1, 1, 1, 0): 0.5, (0, 0, 0, 1): 2.0}), Jet(2, 5, {(0, 1, 0, 2): 1.5j})),
+        (_random_jet(rng, 2, 5), _random_jet(rng, 2, 5)),
+    ]:
+        ab = a * b
+        for c in _operands(rng, 2, 5):
+            expected = _reference_product(Jet(2, 5, ab.coeffs), c)
+            got = (ab * c).coeffs
+            scale = max(1.0, ab.max_abs() * c.max_abs())
             for key in set(got) | set(expected):
                 assert abs(got.get(key, 0j) - expected.get(key, 0j)) <= 1e-12 * scale
 
@@ -347,6 +369,18 @@ def test_constructor_round_trips_coefficients():
     jet = Jet(2, 3, entries)
     assert jet.coeffs == {k: complex(v) for k, v in entries.items() if v != 0}
     assert jet.coeff((1, 0), (0, 2)) == 2.5j
+
+
+def test_oversized_rings_are_refused():
+    # dimension 3 at order 10 is the largest verify can run on
+    assert math.comb(10 + 12, 12) <= jets_module.MAX_PRODUCT_PAIRS < math.comb(11 + 12, 12)
+    assert Jet.zero(3, 10).max_abs() == 0.0
+    with pytest.raises(ValueError, match="product pairs"):
+        Jet.zero(3, 11)
+    with pytest.raises(ValueError, match="product pairs"):
+        Jet(4, 10, {})
+    with pytest.raises(ValueError, match="overflow"):
+        Jet.constant(1.0, 40, 1)  # few pairs, but 2**80 monomial codes
 
 
 # -- non-finite coefficients --------------------------------------------------
