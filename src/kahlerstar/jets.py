@@ -170,7 +170,9 @@ class Jet:
             if any(e < 0 for e in key):
                 raise ValueError(f"coefficient key {key!r} has a negative entry")
             if sum(key) > trunc:
-                raise ValueError(f"coefficient key {key!r} exceeds truncation order {trunc}")
+                raise ValueError(
+                    f"coefficient key {key!r} exceeds truncation order {trunc}"
+                )
             vec[index[tuple(key)]] = val
         self.n, self.trunc, self._vec, self._degree_cache = n, trunc, vec, None
 
@@ -341,8 +343,8 @@ class Jet:
             terms = self._vec.take(tables.pair_i[:pairs])
             terms *= other._vec.take(tables.pair_j[:pairs])
             out[:size] = np.add.reduceat(terms, tables.seg[:size])
-        # the product's lex-leading top coefficient is a single term, so a
-        # top within the truncation is the exact degree
+        # the product's lex-leading top coefficient is a single term, so a top
+        # within the truncation is the exact degree (a bound if that underflows)
         return Jet._of(self.n, self.trunc, out, top if top <= self.trunc else None)
 
     def __rmul__(self, other):
