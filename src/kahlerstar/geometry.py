@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .expressions import Expr, eval_jet, parse
-from .jets import Jet, jet_matrix_inverse
+from .jets import Jet, jet_matrix_inverse, unit_index
 
 __all__ = [
     "SingularMetricError",
@@ -79,7 +79,9 @@ class ChartContext:
     ``order``, the metric and its inverse at ``order - 2``, Christoffel
     symbols at ``order - 3``.  ``gamma_hol``/``gamma_anti`` hold the symbol
     values at the base point; the ``*_jets`` fields keep the full jets for
-    downstream differentiation.
+    downstream differentiation.  ``_cache`` holds jets derived on demand,
+    among them one read-only jet per distinct function passed to
+    :func:`as_chart_jet`, kept until the chart is dropped.
     """
 
     n: int
@@ -248,6 +250,14 @@ def _require_admissible_metric(g_dn, n) -> None:
             )
 
 
+def truncated_product(trunc: int, *jets: Jet) -> Jet:
+    """Product of ``jets``, each first truncated at ``trunc`` (none may be shorter)."""
+    out = jets[0].truncated(trunc)
+    for j in jets[1:]:
+        out = out * j.truncated(trunc)
+    return out
+
+
 # -- curvature -----------------------------------------------------------------
 
 
@@ -268,13 +278,6 @@ def curvature_jets(ctx: ChartContext, trunc: int) -> tuple:
     gd = ctx.g_dn
     dgu = [[[gu[l][k].deriv(p) for k in range(n)] for l in range(n)] for p in range(n)]
     dgu_bar = [[[gu[l][k].deriv_bar(q) for k in range(n)] for l in range(n)] for q in range(n)]
-
-    def tp(*jets):
-        out = jets[0].truncated(trunc)
-        for j in jets[1:]:
-            out = out * j.truncated(trunc)
-        return out
-
     r_up = [
         [
             [
@@ -282,7 +285,7 @@ def curvature_jets(ctx: ChartContext, trunc: int) -> tuple:
                     gu[q][p].deriv(k).deriv_bar(l).truncated(trunc)
                     - sum(
                         (
-                            tp(dgu_bar[l][q][m], dgu[k][nn][p], gd[m][nn])
+                            truncated_product(trunc, dgu_bar[l][q][m], dgu[k][nn][p], gd[m][nn])
                             for m in range(n)
                             for nn in range(n)
                         ),
@@ -302,7 +305,7 @@ def curvature_jets(ctx: ChartContext, trunc: int) -> tuple:
                 [
                     sum(
                         (
-                            tp(gu[q][a], gu[b][p], r_up[l][k][a][b])
+                            truncated_product(trunc, gu[q][a], gu[b][p], r_up[l][k][a][b])
                             for a in range(n)
                             for b in range(n)
                         ),
@@ -332,29 +335,18 @@ def curvature(ctx: ChartContext) -> CurvatureData:
     phi = ctx.phi
     gu0 = [[ctx.g_up[l][k].value() for k in range(n)] for l in range(n)]
 
-    def e(i):
-        v = [0] * n
-        v[i] = 1
-        return tuple(v)
-
-    def e2(i, j):
-        v = [0] * n
-        v[i] += 1
-        v[j] += 1
-        return tuple(v)
-
     r_dn = [
         [
             [
                 [
                     sum(
                         gu0[nn][m]
-                        * phi.derivative_at(e(m), e2(q, l))
-                        * phi.derivative_at(e2(p, k), e(nn))
+                        * phi.derivative_at(unit_index(n, m), unit_index(n, q, l))
+                        * phi.derivative_at(unit_index(n, p, k), unit_index(n, nn))
                         for m in range(n)
                         for nn in range(n)
                     )
-                    - phi.derivative_at(e2(p, k), e2(q, l))
+                    - phi.derivative_at(unit_index(n, p, k), unit_index(n, q, l))
                     for l in range(n)
                 ]
                 for k in range(n)
@@ -398,13 +390,12 @@ def covariant_derivative_jets(f_jet: Jet, ctx: ChartContext, *, barred: bool, up
     if t2 < 0:
         raise ValueError("jet order too small for second covariant derivatives")
 
-    def tp(t, a, b):
-        return a.truncated(min(t, a.trunc)) * b.truncated(min(t, b.trunc))
-
     d2 = [
         [
             d(d1[k], p).truncated(t2)
-            - sum((tp(t2, gamma[k][p][s], d1[s]) for s in range(n)), Jet.zero(n, t2))
+            - sum(
+                (truncated_product(t2, gamma[k][p][s], d1[s]) for s in range(n)), Jet.zero(n, t2)
+            )
             for p in range(n)
         ]
         for k in range(n)
@@ -420,8 +411,14 @@ def covariant_derivative_jets(f_jet: Jet, ctx: ChartContext, *, barred: bool, up
         [
             [
                 d(d2[k][p], s).truncated(t3)
-                - sum((tp(t3, gamma[k][s][a], d2[a][p]) for a in range(n)), Jet.zero(n, t3))
-                - sum((tp(t3, gamma[p][s][a], d2[k][a]) for a in range(n)), Jet.zero(n, t3))
+                - sum(
+                    (truncated_product(t3, gamma[k][s][a], d2[a][p]) for a in range(n)),
+                    Jet.zero(n, t3),
+                )
+                - sum(
+                    (truncated_product(t3, gamma[p][s][a], d2[k][a]) for a in range(n)),
+                    Jet.zero(n, t3),
+                )
                 for s in range(n)
             ]
             for p in range(n)
@@ -456,14 +453,25 @@ def covariant_derivatives(f: Expr | str | Jet, ctx: ChartContext, up_to: int = 3
 
 
 def as_chart_jet(f, ctx: ChartContext) -> Jet:
-    """Coerce an expression, source string or jet to a jet at the chart point."""
+    """Coerce an expression, source string or jet to a jet at the chart point.
+
+    An expression is evaluated once per chart: its jet is kept, read-only,
+    in the chart's cache under the (parsed) expression, so every operator
+    applied to the same function shares one jet.
+    """
     if isinstance(f, Jet):
         if f.n != ctx.n:
             raise ValueError("jet dimension does not match the chart")
         return f
     if isinstance(f, str):
         f = parse(f, ctx.n)
-    return eval_jet(f, ctx.z0, ctx.zb0, ctx.order)
+    key = ("jet", f)
+    jet = ctx._cache.get(key)
+    if jet is None:
+        jet = eval_jet(f, ctx.z0, ctx.zb0, ctx.order)
+        jet._vec.flags.writeable = False
+        ctx._cache[key] = jet
+    return jet
 
 
 # -- scalar identities -----------------------------------------------------------
@@ -480,18 +488,13 @@ def metric_derivative_values(ctx: ChartContext):
         return ctx._cache[key]
     n = ctx.n
 
-    def e(i):
-        v = [0] * n
-        v[i] = 1
-        return tuple(v)
-
     zero = (0,) * n
     dgu = tuple(
-        tuple(tuple(ctx.g_up[l][k].derivative_at(e(p), zero) for k in range(n)) for l in range(n))
+        tuple(tuple(ctx.g_up[l][k].derivative_at(unit_index(n, p), zero) for k in range(n)) for l in range(n))
         for p in range(n)
     )
     dgu_bar = tuple(
-        tuple(tuple(ctx.g_up[l][k].derivative_at(zero, e(q)) for k in range(n)) for l in range(n))
+        tuple(tuple(ctx.g_up[l][k].derivative_at(zero, unit_index(n, q)) for k in range(n)) for l in range(n))
         for q in range(n)
     )
     ctx._cache[key] = (dgu, dgu_bar)

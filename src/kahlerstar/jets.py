@@ -34,6 +34,7 @@ __all__ = [
     "MAX_PRODUCT_PAIRS",
     "iter_multi_indices",
     "iter_multi_indices_upto",
+    "unit_index",
     "multi_factorial",
     "multi_binomial",
     "solve_linear_system",
@@ -70,6 +71,14 @@ def iter_multi_indices_upto(n: int, max_order: int) -> Iterator[MultiIndex]:
     """Yield every length-``n`` multi-index of total order ``<= max_order``."""
     for order in range(max_order + 1):
         yield from iter_multi_indices(n, order)
+
+
+def unit_index(n: int, *axes: int) -> MultiIndex:
+    """Length-``n`` multi-index with one unit added per entry of ``axes``."""
+    v = [0] * n
+    for axis in axes:
+        v[axis] += 1
+    return tuple(v)
 
 
 def multi_factorial(mi: Sequence[int]) -> int:

@@ -28,8 +28,9 @@ from .geometry import (
     covariant_derivative_jets,
     curvature_jets,
     metric_derivative_values,
+    truncated_product,
 )
-from .jets import Jet
+from .jets import Jet, unit_index
 
 __all__ = [
     "StarVariant",
@@ -111,25 +112,20 @@ class PoissonCheck:
 # -- contraction helpers -------------------------------------------------------
 
 
-def _tp(trunc: int, *jets: Jet) -> Jet:
-    for j in jets:
-        if j.trunc < trunc:
-            raise ValueError("ingredient jet order too small for requested truncation")
-    out = jets[0].truncated(trunc)
-    for j in jets[1:]:
-        out = out * j.truncated(trunc)
-    return out
-
-
 def _pair_jets(f, g, ctx: ChartContext) -> tuple[Jet, Jet]:
     return as_chart_jet(f, ctx), as_chart_jet(g, ctx)
 
 
-def _anti_derivs(f_jet: Jet, ctx: ChartContext, up_to: int):
+def _anti_derivs(f_jet: Jet, ctx: ChartContext, up_to: int, trunc: int):
+    """Antiholomorphic covariant derivatives of orders 1..up_to, exact to degree ``trunc``:
+    they read ``f_jet`` only up to degree ``trunc + up_to``, so the rest is cut off first."""
+    f_jet = f_jet.truncated(min(trunc + up_to, f_jet.trunc))
     return covariant_derivative_jets(f_jet, ctx, barred=True, up_to=up_to)
 
 
-def _hol_derivs(g_jet: Jet, ctx: ChartContext, up_to: int):
+def _hol_derivs(g_jet: Jet, ctx: ChartContext, up_to: int, trunc: int):
+    """Holomorphic counterpart of :func:`_anti_derivs`."""
+    g_jet = g_jet.truncated(min(trunc + up_to, g_jet.trunc))
     return covariant_derivative_jets(g_jet, ctx, barred=False, up_to=up_to)
 
 
@@ -146,7 +142,7 @@ def _r1_jets(ctx: ChartContext, trunc: int):
         tuple(
             sum(
                 (
-                    _tp(trunc, gu[nn][m], r_up[l][p][m][q], r_up[q][k][p][nn])
+                    truncated_product(trunc, gu[nn][m], r_up[l][p][m][q], r_up[q][k][p][nn])
                     for m in range(n)
                     for nn in range(n)
                     for p in range(n)
@@ -168,10 +164,10 @@ def _r1_jets(ctx: ChartContext, trunc: int):
 def c1_jet(f, g, ctx: ChartContext, trunc: int = 0) -> Jet:
     fj, gj = _pair_jets(f, g, ctx)
     n = ctx.n
-    f1 = _anti_derivs(fj, ctx, 1)[1]
-    g1 = _hol_derivs(gj, ctx, 1)[1]
+    f1 = _anti_derivs(fj, ctx, 1, trunc)[1]
+    g1 = _hol_derivs(gj, ctx, 1, trunc)[1]
     return sum(
-        (_tp(trunc, ctx.g_up[l][k], f1[l], g1[k]) for l in range(n) for k in range(n)),
+        (truncated_product(trunc, ctx.g_up[l][k], f1[l], g1[k]) for l in range(n) for k in range(n)),
         Jet.zero(n, trunc),
     )
 
@@ -184,22 +180,23 @@ def c1(f, g, ctx: ChartContext) -> complex:
 def c2_jet(f, g, ctx: ChartContext, trunc: int = 0) -> Jet:
     fj, gj = _pair_jets(f, g, ctx)
     n = ctx.n
-    f2 = _anti_derivs(fj, ctx, 2)[2]
-    g2 = _hol_derivs(gj, ctx, 2)[2]
+    f2 = _anti_derivs(fj, ctx, 2, trunc)[2]
+    g2 = _hol_derivs(gj, ctx, 2, trunc)[2]
     gu = ctx.g_up
+    zero = Jet.zero(n, trunc)
     # raise the two antiholomorphic indices of f2 one at a time
     t1 = [
         [
-            sum((_tp(trunc, gu[l][k], f2[l][q]) for l in range(n)), Jet.zero(n, trunc))
+            sum((truncated_product(trunc, gu[l][k], f2[l][q]) for l in range(n)), zero)
             for q in range(n)
         ]
         for k in range(n)
     ]
-    acc = Jet.zero(n, trunc)
+    acc = zero
     for k in range(n):
         for p in range(n):
-            up = sum((_tp(trunc, gu[q][p], t1[k][q]) for q in range(n)), Jet.zero(n, trunc))
-            acc = acc + _tp(trunc, up, g2[k][p])
+            up = sum((truncated_product(trunc, gu[q][p], t1[k][q]) for q in range(n)), zero)
+            acc = acc + truncated_product(trunc, up, g2[k][p])
     return acc * 0.5
 
 
@@ -218,18 +215,13 @@ def c2_expanded(f, g, ctx: ChartContext) -> complex:
     fj, gj = _pair_jets(f, g, ctx)
     n = ctx.n
 
-    def e(i):
-        v = [0] * n
-        v[i] = 1
-        return tuple(v)
-
     zero = (0,) * n
     gu0 = [[ctx.g_up[l][k].value() for k in range(n)] for l in range(n)]
     dgu, dgu_bar = metric_derivative_values(ctx)
-    f1 = [fj.derivative_at(zero, e(l)) for l in range(n)]
-    g1 = [gj.derivative_at(e(k), zero) for k in range(n)]
-    f2 = [[fj.derivative_at(zero, tuple(map(sum, zip(e(l), e(q))))) for q in range(n)] for l in range(n)]
-    g2 = [[gj.derivative_at(tuple(map(sum, zip(e(k), e(p)))), zero) for p in range(n)] for k in range(n)]
+    f1 = [fj.derivative_at(zero, unit_index(n, l)) for l in range(n)]
+    g1 = [gj.derivative_at(unit_index(n, k), zero) for k in range(n)]
+    f2 = [[fj.derivative_at(zero, unit_index(n, l, q)) for q in range(n)] for l in range(n)]
+    g2 = [[gj.derivative_at(unit_index(n, k, p), zero) for p in range(n)] for k in range(n)]
 
     total = 0j
     for l in range(n):
@@ -249,8 +241,8 @@ def c2_expanded(f, g, ctx: ChartContext) -> complex:
 def c3_jet(f, g, ctx: ChartContext, trunc: int = 0) -> Jet:
     fj, gj = _pair_jets(f, g, ctx)
     n = ctx.n
-    f_derivs = _anti_derivs(fj, ctx, 3)
-    g_derivs = _hol_derivs(gj, ctx, 3)
+    f_derivs = _anti_derivs(fj, ctx, 3, trunc)
+    g_derivs = _hol_derivs(gj, ctx, 3, trunc)
     f2, f3 = f_derivs[2], f_derivs[3]
     g2, g3 = g_derivs[2], g_derivs[3]
     gu = ctx.g_up
@@ -260,14 +252,20 @@ def c3_jet(f, g, ctx: ChartContext, trunc: int = 0) -> Jet:
     # triple term: raise the three antiholomorphic indices of f3 successively
     t1 = [
         [
-            [sum((_tp(trunc, gu[l][k], f3[l][q][t]) for l in range(n)), zero) for t in range(n)]
+            [
+                sum((truncated_product(trunc, gu[l][k], f3[l][q][t]) for l in range(n)), zero)
+                for t in range(n)
+            ]
             for q in range(n)
         ]
         for k in range(n)
     ]
     t2 = [
         [
-            [sum((_tp(trunc, gu[q][p], t1[k][q][t]) for q in range(n)), zero) for t in range(n)]
+            [
+                sum((truncated_product(trunc, gu[q][p], t1[k][q][t]) for q in range(n)), zero)
+                for t in range(n)
+            ]
             for p in range(n)
         ]
         for k in range(n)
@@ -276,17 +274,23 @@ def c3_jet(f, g, ctx: ChartContext, trunc: int = 0) -> Jet:
     for k in range(n):
         for p in range(n):
             for s in range(n):
-                raised = sum((_tp(trunc, gu[t][s], t2[k][p][t]) for t in range(n)), zero)
-                triple = triple + _tp(trunc, raised, g3[k][p][s])
+                raised = sum(
+                    (truncated_product(trunc, gu[t][s], t2[k][p][t]) for t in range(n)), zero
+                )
+                triple = triple + truncated_product(trunc, raised, g3[k][p][s])
 
     curv = zero
     for k in range(n):
         for p in range(n):
             inner = sum(
-                (_tp(trunc, r_raised[l][k][q][p], f2[l][q]) for l in range(n) for q in range(n)),
+                (
+                    truncated_product(trunc, r_raised[l][k][q][p], f2[l][q])
+                    for l in range(n)
+                    for q in range(n)
+                ),
                 zero,
             )
-            curv = curv + _tp(trunc, inner, g2[k][p])
+            curv = curv + truncated_product(trunc, inner, g2[k][p])
 
     return triple * (1.0 / 6.0) + curv * 0.25
 
@@ -299,8 +303,8 @@ def c3(f, g, ctx: ChartContext) -> complex:
 def _p_jet(f, g, ctx: ChartContext, trunc: int = 0) -> Jet:
     fj, gj = _pair_jets(f, g, ctx)
     n = ctx.n
-    f3 = _anti_derivs(fj, ctx, 3)[3]
-    g3 = _hol_derivs(gj, ctx, 3)[3]
+    f3 = _anti_derivs(fj, ctx, 3, trunc)[3]
+    g3 = _hol_derivs(gj, ctx, 3, trunc)[3]
     gu = ctx.g_up
     acc = Jet.zero(n, trunc)
     for l in range(n):
@@ -309,7 +313,7 @@ def _p_jet(f, g, ctx: ChartContext, trunc: int = 0) -> Jet:
                 for p in range(n):
                     for t in range(n):
                         for s in range(n):
-                            acc = acc + _tp(
+                            acc = acc + truncated_product(
                                 trunc, gu[l][k], gu[q][p], gu[t][s], f3[l][q][t], g3[k][p][s]
                             )
     return acc
@@ -318,15 +322,17 @@ def _p_jet(f, g, ctx: ChartContext, trunc: int = 0) -> Jet:
 def _q_jet(f, g, ctx: ChartContext, trunc: int = 0) -> Jet:
     fj, gj = _pair_jets(f, g, ctx)
     n = ctx.n
-    f2 = _anti_derivs(fj, ctx, 2)[2]
-    g2 = _hol_derivs(gj, ctx, 2)[2]
+    f2 = _anti_derivs(fj, ctx, 2, trunc)[2]
+    g2 = _hol_derivs(gj, ctx, 2, trunc)[2]
     _, r_raised = curvature_jets(ctx, trunc)
     acc = Jet.zero(n, trunc)
     for l in range(n):
         for k in range(n):
             for q in range(n):
                 for p in range(n):
-                    acc = acc + _tp(trunc, r_raised[l][k][q][p], f2[l][q], g2[k][p])
+                    acc = acc + truncated_product(
+                        trunc, r_raised[l][k][q][p], f2[l][q], g2[k][p]
+                    )
     return -acc
 
 
@@ -334,11 +340,11 @@ def r_operator_jet(f, g, ctx: ChartContext, trunc: int = 0) -> Jet:
     """One-differentiable curvature-square operator."""
     fj, gj = _pair_jets(f, g, ctx)
     n = ctx.n
-    f1 = _anti_derivs(fj, ctx, 1)[1]
-    g1 = _hol_derivs(gj, ctx, 1)[1]
+    f1 = _anti_derivs(fj, ctx, 1, trunc)[1]
+    g1 = _hol_derivs(gj, ctx, 1, trunc)[1]
     r1 = _r1_jets(ctx, trunc)
     return sum(
-        (_tp(trunc, r1[l][k], f1[l], g1[k]) for l in range(n) for k in range(n)),
+        (truncated_product(trunc, r1[l][k], f1[l], g1[k]) for l in range(n) for k in range(n)),
         Jet.zero(n, trunc),
     )
 
@@ -352,16 +358,11 @@ def _s_values(f, g, ctx: ChartContext) -> tuple[complex, complex]:
     fj, gj = _pair_jets(f, g, ctx)
     n = ctx.n
 
-    def e(i):
-        v = [0] * n
-        v[i] = 1
-        return tuple(v)
-
     zero = (0,) * n
     gd0 = [[ctx.g_dn[k][l].value() for l in range(n)] for k in range(n)]
     dgu, dgu_bar = metric_derivative_values(ctx)
-    f1 = [fj.derivative_at(zero, e(l)) for l in range(n)]
-    g1 = [gj.derivative_at(e(k), zero) for k in range(n)]
+    f1 = [fj.derivative_at(zero, unit_index(n, l)) for l in range(n)]
+    g1 = [gj.derivative_at(unit_index(n, k), zero) for k in range(n)]
 
     s = 0j
     s_tilde = 0j
@@ -426,7 +427,7 @@ def star_product_jets(
     fj, gj = _pair_jets(f, g, ctx)
     order3 = c3_tilde_jet if variant is StarVariant.MODIFIED else c3_jet
     return (
-        _tp(trunc, fj, gj),
+        truncated_product(trunc, fj, gj),
         c1_jet(fj, gj, ctx, trunc),
         c2_jet(fj, gj, ctx, trunc),
         order3(fj, gj, ctx, trunc),
@@ -451,18 +452,13 @@ def poisson_antisymmetry(f, g, ctx: ChartContext) -> PoissonCheck:
     n = ctx.n
     anti = c1(fj, gj, ctx) - c1(gj, fj, ctx)
 
-    def e(i):
-        v = [0] * n
-        v[i] = 1
-        return tuple(v)
-
     zero = (0,) * n
     gu0 = [[ctx.g_up[l][k].value() for k in range(n)] for l in range(n)]
     bracket = 0j
     for l in range(n):
         for k in range(n):
             bracket += gu0[l][k] * (
-                fj.derivative_at(zero, e(l)) * gj.derivative_at(e(k), zero)
-                - gj.derivative_at(zero, e(l)) * fj.derivative_at(e(k), zero)
+                fj.derivative_at(zero, unit_index(n, l)) * gj.derivative_at(unit_index(n, k), zero)
+                - gj.derivative_at(zero, unit_index(n, l)) * fj.derivative_at(unit_index(n, k), zero)
             )
     return PoissonCheck(antisymmetrized=anti, bracket=bracket)

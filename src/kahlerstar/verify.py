@@ -13,6 +13,8 @@ import math
 import random
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .expressions import (
     Add,
     Expr,
@@ -38,7 +40,7 @@ from .geometry import (
     metric_derivative_values,
     worst_abs,
 )
-from .jets import iter_multi_indices_upto
+from .jets import iter_multi_indices_upto, unit_index
 from .operators import (
     StarVariant,
     c1,
@@ -482,8 +484,8 @@ def check_covariance(
     back = tuple(eval_value(e, w0, wb0) for e in inverse)
     if worst_abs(a - b for a, b in zip(back, z0)) > 1e-10:
         raise ValueError("inverse(forward(z0)) does not return to the base point")
-    jacobian = [[eval_jet(e, z0, zb0, 1).derivative_at(_unit(n, k), (0,) * n) for k in range(n)] for e in forward]
-    det = _det(jacobian)
+    jacobian = [[eval_jet(e, z0, zb0, 1).derivative_at(unit_index(n, k), (0,) * n) for k in range(n)] for e in forward]
+    det = np.linalg.det(np.array(jacobian))
     if abs(det) < 1e-10:
         raise ValueError("coordinate map is not biholomorphic near the point (singular Jacobian)")
 
@@ -495,25 +497,6 @@ def check_covariance(
 
     residual = worst_abs(op(f, g, ctx_z) - op(f_w, g_w, ctx_w) for op in (c1, c2, c3, c3_tilde))
     return CheckResult("covariance", residual, tol, label)
-
-
-def _unit(n: int, k: int):
-    v = [0] * n
-    v[k] = 1
-    return tuple(v)
-
-
-def _det(m) -> complex:
-    size = len(m)
-    if size == 1:
-        return m[0][0]
-    if size == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    total = 0j
-    for j in range(size):
-        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-        total += (-1) ** j * m[0][j] * _det(minor)
-    return total
 
 
 def oracle_agreement_checks(
@@ -571,7 +554,7 @@ def check_finite_differences(
     zero = (0,) * n
     errors = []
     for k in range(n):
-        e = _unit(n, k)
+        e = unit_index(n, k)
         analytic = jet.derivative_at(e, zero)
         plus = tuple(z + (step if i == k else 0) for i, z in enumerate(z0))
         minus = tuple(z - (step if i == k else 0) for i, z in enumerate(z0))

@@ -12,8 +12,10 @@ import random
 import numpy as np
 import pytest
 
+from kahlerstar.expressions import parse
 from kahlerstar.geometry import (
     SingularMetricError,
+    as_chart_jet,
     build_chart,
     covariant_derivatives,
     curvature,
@@ -206,3 +208,11 @@ def test_covariant_tensors_symmetric():
 def test_jacobi_residual_vanishes(potential, point):
     ctx = build_chart(potential, (point,), order=8)
     assert jacobi_residual(ctx) <= 1e-12
+
+
+def test_chart_jets_are_shared_and_read_only():
+    ctx = build_chart(FS, (0.4 - 0.3j,), order=8)
+    jet = as_chart_jet("z1*zb1^2", ctx)
+    assert as_chart_jet(parse("z1*zb1^2", 1), ctx) is jet
+    with pytest.raises(ValueError):
+        jet._vec[0] = 1.0

@@ -11,20 +11,31 @@ import random
 
 import pytest
 
-from kahlerstar.geometry import build_chart
+from kahlerstar import geometry
+from kahlerstar.expressions import parse
+from kahlerstar.geometry import as_chart_jet, build_chart
 from kahlerstar.operators import (
     NuPolynomial,
     StarVariant,
+    _p_jet,
+    _q_jet,
     c1,
+    c1_jet,
     c2,
     c2_expanded,
+    c2_jet,
     c3,
+    c3_jet,
     c3_tilde,
+    c3_tilde_jet,
     operator_breakdown,
     poisson_antisymmetry,
     r_operator,
+    r_operator_jet,
     star_product,
 )
+from kahlerstar.oracle import build_left_mult
+from kahlerstar.verify import RandomChartSpec, random_chart
 
 FS = "log(1+z1*zb1)"
 
@@ -196,3 +207,49 @@ def test_nu_polynomial_truncating_product():
     assert (a + b).c == (2 + 0j, 0j, 1 + 0j, 0j)
     with pytest.raises(ValueError):
         NuPolynomial((1, 2, 3))
+
+
+def test_each_function_is_evaluated_once_per_chart(monkeypatch):
+    ctx = build_chart(FS, (0.3 - 0.1j,), order=10)
+    other = build_chart(FS, (0.2j,), order=10)
+    evaluated = []
+    real_eval_jet = geometry.eval_jet
+
+    def counting_eval_jet(expr, *args):
+        evaluated.append(expr)
+        return real_eval_jet(expr, *args)
+
+    monkeypatch.setattr(geometry, "eval_jet", counting_eval_jet)
+    f_src, g_src = "zb1^2 + z1*zb1^3", "z1^3 - 2*z1*zb1"
+    for f, g in ((f_src, g_src), (parse(f_src, 1), parse(g_src, 1))):
+        star_product(f, g, ctx, StarVariant.MODIFIED)
+        for op in (c1, c2, c3, c3_tilde, operator_breakdown):
+            op(f, g, ctx)
+        build_left_mult(f, ctx)[3].apply(g, ctx)
+    assert evaluated == [parse(f_src, 1), parse(g_src, 1)]
+
+    c3(f_src, g_src, other)
+    assert len(evaluated) == 4
+    for chart in (ctx, other):
+        for src in (f_src, g_src):
+            fresh = real_eval_jet(parse(src, 1), chart.z0, chart.zb0, chart.order)
+            assert as_chart_jet(src, chart) == fresh
+
+
+@pytest.fixture(scope="module")
+def random_n2():
+    return random_chart(RandomChartSpec(n=2, seed=3))[1]
+
+
+@pytest.mark.parametrize(
+    "op", [c1_jet, c2_jet, c3_jet, c3_tilde_jet, r_operator_jet, _p_jet, _q_jet],
+    ids=lambda op: op.__name__,
+)
+def test_operator_truncation_coherence(random_n2, op):
+    f, g = "zb1^2*z2 + zb2^3 + z1*zb1*zb2", "z1^3*zb2 + z2^2*z1 + z1*zb1"
+    full = op(f, g, random_n2, 4)
+    for t in range(5):
+        expected = full.truncated(t)
+        scale = expected.max_abs()
+        assert scale > 0
+        assert (op(f, g, random_n2, t) - expected).max_abs() <= 1e-12 * scale
