@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from typing import Sequence
 
-from .jets import Jet
+from .jets import Jet, unit_index
 
 __all__ = [
     "Expr",
@@ -70,6 +70,22 @@ class Expr:
     __slots__ = ()
 
 
+def _node(cls):
+    """Frozen dataclass of a node with subtrees that hashes them once: charts memoise jets
+    under the expression, and the generated hash would walk the whole tree on every lookup."""
+    cls = dataclass(frozen=True)(cls)
+
+    def __hash__(self) -> int:
+        fields = self.__dict__
+        cached = fields.get("_hash")
+        if cached is None:
+            cached = fields["_hash"] = hash(tuple(fields.values()))
+        return cached
+
+    cls.__hash__ = __hash__
+    return cls
+
+
 @dataclass(frozen=True)
 class Literal(Expr):
     value: complex
@@ -81,47 +97,47 @@ class Var(Expr):
     barred: bool
 
 
-@dataclass(frozen=True)
+@_node
 class Add(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Sub(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Mul(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Div(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Neg(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Pow(Expr):
     base: Expr
     exponent: int
 
 
-@dataclass(frozen=True)
+@_node
 class Log(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Exp(Expr):
     arg: Expr
 
@@ -372,49 +388,63 @@ def to_source(expr: Expr) -> str:
 def eval_jet(expr: Expr, z0: Sequence[complex], zb0: Sequence[complex], order: int) -> Jet:
     """Jet of ``expr`` at the base point ``(z0, zb0)``, truncated at ``order``.
 
-    Raises :class:`EvaluationError` when the expression is not analytic at
-    the point (division by zero, log argument on the branch cut).
+    Monomial subtrees (literals, variables, products, negations, powers >= 0)
+    fold into one ``(coeff, powers)`` pair written by :meth:`Jet.monomial`, so a
+    polynomial costs no jet product.  Raises :class:`EvaluationError` when the
+    expression is not analytic at the point (pole, branch cut) or overflows.
     """
     n = len(z0)
     if len(zb0) != n:
         raise ValueError("z0 and zb0 must have the same length")
-    z0 = tuple(complex(v) for v in z0)
-    zb0 = tuple(complex(v) for v in zb0)
+    base = tuple(complex(v) for v in (*z0, *zb0))
 
-    def rec(node: Expr) -> Jet:
-        if isinstance(node, Literal):
-            return Jet.constant(node.value, n, order)
-        if isinstance(node, Var):
-            if node.index > n:
-                raise EvaluationError(
-                    f"variable index {node.index} exceeds the chart dimension {n}"
-                )
-            base = zb0[node.index - 1] if node.barred else z0[node.index - 1]
-            return Jet.coordinate(n, order, node.index - 1, base, barred=node.barred)
-        if isinstance(node, Add):
-            return rec(node.left) + rec(node.right)
-        if isinstance(node, Sub):
-            return rec(node.left) - rec(node.right)
-        if isinstance(node, Mul):
-            return rec(node.left) * rec(node.right)
-        if isinstance(node, Neg):
-            return -rec(node.arg)
+    def jet(part) -> Jet:
+        return part if isinstance(part, Jet) else Jet.monomial(n, order, *part, base)
+
+    def rec(node: Expr):
+        """Jet of ``node``, or ``(coeff, powers)`` while ``node`` is a monomial."""
         try:
-            if isinstance(node, Div):
-                return rec(node.left) * rec(node.right).reciprocal()
+            if isinstance(node, Add):
+                return jet(rec(node.left)) + jet(rec(node.right))
+            if isinstance(node, Mul):
+                left, right = rec(node.left), rec(node.right)
+                if isinstance(left, Jet) or isinstance(right, Jet):
+                    return jet(left) * jet(right)
+                return left[0] * right[0], tuple(a + b for a, b in zip(left[1], right[1]))
+            if isinstance(node, Var):
+                if node.index > n:
+                    raise EvaluationError(
+                        f"variable index {node.index} exceeds the chart dimension {n}"
+                    )
+                return 1.0, unit_index(2 * n, node.index - 1 + (n if node.barred else 0))
             if isinstance(node, Pow):
-                return rec(node.base) ** node.exponent
+                arg, k = rec(node.base), node.exponent
+                if isinstance(arg, Jet) or k < 0:
+                    return jet(arg) ** k
+                return arg[0] ** k, tuple(p * k for p in arg[1])
+            if isinstance(node, Literal):
+                return node.value, unit_index(2 * n)
+            if isinstance(node, Sub):
+                return jet(rec(node.left)) - jet(rec(node.right))
+            if isinstance(node, Neg):
+                arg = rec(node.arg)
+                return -arg if isinstance(arg, Jet) else (-arg[0], arg[1])
+            if isinstance(node, Div):
+                return jet(rec(node.left)) * jet(rec(node.right)).reciprocal()
             if isinstance(node, Log):
-                return rec(node.arg).log()
+                return jet(rec(node.arg)).log()
             if isinstance(node, Exp):
-                return rec(node.arg).exp()
+                return jet(rec(node.arg)).exp()
         except EvaluationError:
             raise
         except ArithmeticError as exc:
             raise EvaluationError(f"{exc} in '{to_source(node)}'") from exc
         raise TypeError(f"not an expression node: {node!r}")
 
-    return rec(expr)
+    try:
+        return jet(rec(expr))
+    except OverflowError as exc:  # a monomial's value beyond the float range
+        raise EvaluationError(f"{exc} in '{to_source(expr)}'") from exc
 
 
 def eval_value(expr: Expr, z0: Sequence[complex], zb0: Sequence[complex]) -> complex:

@@ -16,6 +16,8 @@ derivatives and the linear solver gather through are kept per ``n`` for the
 highest order seen.  Product pairs are sorted by output, then left factor, so
 a coefficient is summed in the same order whatever order the tables have
 (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 13).
+:meth:`Jet.monomial` writes the jet of a shifted monomial by the binomial
+theorem: one gather over the basis exponents, no jet product.
 The product table has ``C(trunc + 4n, 4n)`` pairs; rings that need more than
 :data:`MAX_PRODUCT_PAIRS` are refused.
 """
@@ -109,6 +111,7 @@ class _Tables:
         self.index = {key: i for i, key in enumerate(self.keys)}
         size = len(self.keys)
         exps = np.array(self.keys, dtype=np.intp).reshape(size, width)
+        self.exps = exps
         self.deg = exps.sum(axis=1)
         self.deg_start = [int(i) for i in np.searchsorted(self.deg, np.arange(order + 2))]
         # base-(order+1) digits encode a monomial; a product's code is the sum of codes
@@ -213,17 +216,31 @@ class Jet:
         return cls._of(n, trunc, _zeros(n, trunc), -1)
 
     @classmethod
+    def monomial(cls, n: int, trunc: int, coeff: complex, powers: Sequence[int], base) -> Jet:
+        """Jet of ``coeff * prod_v x_v**powers[v]`` around ``base``, both over the ``2n`` flat
+        variables: by the binomial theorem ``coeff * prod_v C(p_v, e_v) * base_v**(p_v - e_v)``
+        on ``dx**e``, exactly 0 where some ``e_v > p_v``; a lower order is a bitwise prefix."""
+        if len(powers) != 2 * n or len(base) != 2 * n or min(powers, default=0) < 0:
+            raise ValueError(f"a monomial needs {2 * n} non-negative powers and base values")
+        factors = np.array(
+            [[math.comb(p, e) * x ** (p - e) if e <= p else 0 for e in range(trunc + 1)]
+             for p, x in zip(powers, base)], dtype=complex).reshape(2 * n, trunc + 1)
+        vec, tables = _zeros(n, trunc), _tables(n, trunc)
+        size = tables.deg_start[min(sum(powers), trunc) + 1]  # zero above its degree
+        # one reduction per coefficient, the same whatever the size (a length-1
+        # elementwise product may round differently from a longer one)
+        gathered = factors[np.arange(2 * n), tables.exps[:size]]
+        vec[:size] = gathered.prod(axis=1, initial=complex(coeff))
+        return cls._of(n, trunc, vec)
+
+    @classmethod
     def coordinate(cls, n: int, trunc: int, axis: int, base: complex, barred: bool = False) -> Jet:
         """Jet of the coordinate function ``z_axis`` (or ``zb_axis``) shifted to ``base``."""
         if not 0 <= axis < n:
             raise ValueError(f"axis {axis} out of range for dimension {n}")
-        vec = _zeros(n, trunc)
-        vec[0] = base
-        if trunc >= 1:
-            unit = [0] * (2 * n)
-            unit[axis + (n if barred else 0)] = 1
-            vec[_tables(n, trunc).index[tuple(unit)]] = 1.0
-        return cls._of(n, trunc, vec)
+        flat = axis + (n if barred else 0)
+        point = [base if v == flat else 0j for v in range(2 * n)]
+        return cls.monomial(n, trunc, 1.0, unit_index(2 * n, flat), point)
 
     # -- inspection --------------------------------------------------------
 

@@ -1,6 +1,8 @@
 """Command-line interface tests (invoked in-process through main)."""
 
 import json
+import runpy
+import sys
 
 import pytest
 
@@ -160,3 +162,20 @@ def test_compare_low_jet_order_rejected(capsys):
 def test_usage_error(capsys):
     assert main(["eval"]) == 2  # neither preset nor potential
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["eval", "--preset", "flat", "--n", "1", "--point", "0", "--f", "zb1", "--g", "z1"], 0),
+        (["eval", "--preset", "flat", "--n", "1", "--point", "0", "--f", "z1 +* 2", "--g", "z1"], 2),
+    ],
+    ids=["ok", "syntax-error"],
+)
+def test_python_m_kahlerstar(monkeypatch, capsys, argv, expected):
+    monkeypatch.setattr(sys, "argv", ["kahlerstar", *argv])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_module("kahlerstar", run_name="__main__")
+    assert exit_info.value.code == expected
+    out = capsys.readouterr().out
+    assert ("C1=1+0i" in out) == (expected == 0)

@@ -27,6 +27,8 @@ from kahlerstar.expressions import (
     substitute,
     to_source,
 )
+from kahlerstar.jets import Jet
+from kahlerstar.verify import RandomChartSpec, random_polynomial, random_potential
 
 
 def test_parse_product_of_variables():
@@ -180,3 +182,95 @@ def test_print_parse_roundtrip():
         normalized = parse(to_source(_random_ast(rng, 2, 3)), 2)
         src = to_source(normalized)
         assert parse(src, 2) == normalized, src
+
+
+# -- polynomials in closed form -------------------------------------------------
+
+
+def _reference_jet(expr, z0, zb0, order):
+    """Tree walk with jet arithmetic only: constants, coordinates, + - * / **."""
+    n = len(z0)
+    zero = (0,) * (2 * n)
+
+    def rec(node):
+        if isinstance(node, Literal):
+            return Jet(n, order, {zero: node.value})
+        if isinstance(node, Var):
+            v = node.index - 1 + (n if node.barred else 0)
+            entries = {zero: (zb0 if node.barred else z0)[node.index - 1]}
+            if order >= 1:
+                entries[tuple(int(w == v) for w in range(2 * n))] = 1.0
+            return Jet(n, order, entries)
+        if isinstance(node, Add):
+            return rec(node.left) + rec(node.right)
+        if isinstance(node, Sub):
+            return rec(node.left) - rec(node.right)
+        if isinstance(node, Mul):
+            return rec(node.left) * rec(node.right)
+        if isinstance(node, Neg):
+            return -rec(node.arg)
+        if isinstance(node, Pow):
+            return rec(node.base) ** node.exponent
+        raise TypeError(node)
+
+    return rec(expr)
+
+
+@pytest.fixture
+def jet_products(monkeypatch):
+    """Counts calls of ``Jet.__mul__`` and ``Jet.__pow__``."""
+    calls = []
+    for name in ("__mul__", "__pow__"):
+        original = getattr(Jet, name)
+
+        def counted(self, other, _original=original, _name=name):
+            calls.append(_name)
+            return _original(self, other)
+
+        monkeypatch.setattr(Jet, name, counted)
+    return calls
+
+
+def test_polynomials_evaluate_without_jet_products(jet_products, monkeypatch):
+    z0, zb0 = (0.21 - 0.13j, -0.08 + 0.27j), (0.21 + 0.13j, -0.08 - 0.27j)
+    rng = random.Random(5)
+    polynomials = [
+        random_potential(RandomChartSpec(n=2, seed=11)),
+        random_polynomial(rng, 2),
+        random_polynomial(rng, 2, kind="holomorphic"),
+        parse("-(z1^2*zb2)*3i - (2*z2)^3 + zb1^0*0.5", 2),
+    ]
+    # random_potential builds a chart to test positive definiteness
+    jet_products.clear()
+    got = [eval_jet(p, z0, zb0, 8) for p in polynomials]
+    assert jet_products == []
+    monkeypatch.undo()
+    for p, jet in zip(polynomials, got):
+        expected = _reference_jet(p, z0, zb0, 8)
+        assert (jet - expected).max_abs() <= 1e-12 * max(1.0, expected.max_abs())
+
+
+def test_eval_keeps_edge_cases():
+    assert parse_complex("(1+2i)^2*i-3") == (1 + 2j) ** 2 * 1j - 3
+    assert eval_value(parse("0^0", 1), (0,), (0,)) == 1
+    assert eval_jet(parse("z1^0", 1), (0,), (0,), 3) == Jet.constant(1.0, 1, 3)
+    with pytest.raises(EvaluationError, match="exceeds the chart dimension 1"):
+        eval_jet(Mul(Literal(2.0), Var(2, True)), (0,), (0,), 3)
+    with pytest.raises(EvaluationError, match="reciprocal"):
+        eval_jet(parse("1/z1", 1), (0,), (0,), 3)
+    with pytest.raises(EvaluationError, match="reciprocal"):
+        eval_jet(parse("z1^-1", 1), (0,), (0,), 3)
+
+
+def test_eval_overflowing_monomial_raises():
+    with pytest.raises(EvaluationError, match="z1\\^400"):
+        eval_jet(parse("z1^400", 1), (1e10,), (0,), 2)
+    with pytest.raises(EvaluationError):
+        eval_jet(parse("z1*zb1 + (100000000000000000000*z1)^20", 1), (1e10,), (0,), 2)
+
+
+def test_value_equal_trees_hash_once_and_alike():
+    a, b = parse("z1*zb1^2 + 3*z2", 2), parse("z1*zb1^2 + 3*z2", 2)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert vars(a)["_hash"] == hash(a)  # kept on the node after the first hash
+    assert {a: 1}[b] == 1

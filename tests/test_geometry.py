@@ -216,3 +216,15 @@ def test_chart_jets_are_shared_and_read_only():
     assert as_chart_jet(parse("z1*zb1^2", 1), ctx) is jet
     with pytest.raises(ValueError):
         jet._vec[0] = 1.0
+
+
+def test_flat_metric_jets_are_exact():
+    # the binomial theorem leaves every non-constant coefficient exactly zero,
+    # which the flat_qrss_vanish check's exact 0.0 bound relies on
+    ctx = build_chart("z1*zb1+z2*zb2", (0.37 - 0.4j, -0.2 + 0.5j), order=10)
+    for matrix in (ctx.g_dn, ctx.g_up):
+        for k in range(2):
+            for l in range(2):
+                vec = matrix[k][l]._vec
+                assert np.all(vec[1:] == 0.0)
+                assert vec[0] == (1.0 if k == l else 0.0)

@@ -396,3 +396,65 @@ def test_nonfinite_product_is_not_small():
     assert any(math.isnan(abs(v)) for v in prod.coeffs.values())
     assert prod.max_abs() == math.inf
     assert jet_of(1, 2, {(0, 1): math.nan}).max_abs() == math.inf
+
+
+# -- monomials in closed form -------------------------------------------------
+
+
+def _monomial_by_products(n, trunc, coeff, powers, base):
+    """``coeff * prod_v x_v**p_v`` as repeated products of degree-1 jets."""
+    zero = (0,) * (2 * n)
+    result = Jet(n, trunc, {zero: coeff})
+    for v, (p, x) in enumerate(zip(powers, base)):
+        entries = {zero: x}
+        if trunc >= 1:
+            entries[tuple(int(w == v) for w in range(2 * n))] = 1.0
+        linear = Jet(n, trunc, entries)
+        for _ in range(p):
+            result = result * linear
+    return result
+
+
+def _monomial_cases(rng, n, trunc):
+    """Powers that are 0, below the truncation and above it, at base 0 and off it."""
+    shapes = [
+        [0] * (2 * n),
+        [rng.randint(0, max(trunc - 1, 0)) for _ in range(2 * n)],
+        [rng.choice([0, 1, trunc + 1, trunc + 2]) for _ in range(2 * n)],
+    ]
+    bases = [
+        [0j] * (2 * n),
+        [complex(rng.uniform(-0.9, 0.9), rng.uniform(-0.9, 0.9)) for _ in range(2 * n)],
+    ]
+    coeff = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+    return [(coeff, powers, base) for powers in shapes for base in bases]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_monomial_matches_repeated_products(n):
+    rng = random.Random(61 + n)
+    for trunc in range(9):
+        for coeff, powers, base in _monomial_cases(rng, n, trunc):
+            got = Jet.monomial(n, trunc, coeff, powers, base)
+            expected = _monomial_by_products(n, trunc, coeff, powers, base)
+            scale = max(1.0, expected.max_abs())
+            assert (got - expected).max_abs() <= 1e-12 * scale, (trunc, powers, base)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_monomial_truncation_is_a_prefix(n):
+    rng = random.Random(67 + n)
+    for coeff, powers, base in _monomial_cases(rng, n, 6):
+        high = Jet.monomial(n, 8, coeff, powers, base)
+        for trunc in range(9):
+            low = Jet.monomial(n, trunc, coeff, powers, base)
+            assert np.array_equal(low._vec, high.truncated(trunc)._vec)
+
+
+def test_monomial_rejects_bad_shapes():
+    with pytest.raises(ValueError):
+        Jet.monomial(1, 3, 1.0, (1,), (0j, 0j))
+    with pytest.raises(ValueError):
+        Jet.monomial(1, 3, 1.0, (1, 1), (0j,))
+    with pytest.raises(ValueError):
+        Jet.monomial(1, 3, 1.0, (1, -1), (0j, 0j))
