@@ -13,7 +13,7 @@ import sys
 from dataclasses import asdict, dataclass
 
 from .expressions import EvaluationError, ExpressionError, parse, parse_complex
-from .geometry import SingularMetricError, build_chart
+from .geometry import SingularMetricError, build_chart, require_dimension
 from .operators import (
     StarVariant,
     c1,
@@ -95,7 +95,7 @@ def _resolve_chart(cfg: RunConfig):
         n = preset_dimension(cfg.preset, cfg.n)
         potential = preset_potential(cfg.preset, n)
     elif cfg.potential:
-        n = cfg.n
+        n = require_dimension(cfg.n)
         potential = parse(cfg.potential, n)
     else:
         raise ValueError("one of --preset or --potential is required")

@@ -17,6 +17,12 @@ point.  Index conventions used throughout (axes are 0-based):
 - ``r_dn[p][q][k][l]`` is the all-lower tensor (holomorphic ``p, k``,
   antiholomorphic ``q, l``); ``r_raised[l][k][q][p]`` has all four raised,
   ordered (antiholomorphic, holomorphic, antiholomorphic, holomorphic).
+
+Every jet tensor is one complex array, the coefficient axis first and the
+indices above after it (``g_up_array[:, l, k]`` is the jet of ``g_up[l][k]``).
+Derivatives are :func:`kahlerstar.jets.gradient` gathers and every product is
+a :func:`kahlerstar.jets.contract` call; no tensor is assembled component by
+component.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .expressions import Expr, eval_jet, parse
-from .jets import Jet, jet_matrix_inverse, unit_index
+from .jets import Jet, contract, gradient, jet_matrix_inverse, truncate, unit_index
 
 __all__ = [
     "SingularMetricError",
@@ -36,6 +42,7 @@ __all__ = [
     "CurvatureData",
     "CovDerivTable",
     "build_chart",
+    "require_dimension",
     "curvature",
     "covariant_derivatives",
     "jacobi_residual",
@@ -67,6 +74,13 @@ def worst_abs(values) -> float:
     return worst
 
 
+def require_dimension(n: int) -> int:
+    """``n`` if it is a chart dimension, that is at least 1; ``ValueError`` otherwise."""
+    if n < 1:
+        raise ValueError("chart dimension must be at least 1")
+    return n
+
+
 class SingularMetricError(ArithmeticError):
     """The metric at the base point is singular or not positive definite."""
 
@@ -77,10 +91,12 @@ class ChartContext:
 
     Jets are carried at their maximal exact order: the potential at
     ``order``, the metric and its inverse at ``order - 2``, Christoffel
-    symbols at ``order - 3``.  ``gamma_hol``/``gamma_anti`` hold the symbol
-    values at the base point; the ``*_jets`` fields keep the full jets for
-    downstream differentiation.  ``_cache`` holds jets derived on demand,
-    among them one read-only jet per distinct function passed to
+    symbols at ``order - 3``.  Each tensor is one read-only jet-tensor array
+    (``*_array``: coefficient axis first, then the indices in the order of
+    the module docs); ``g_dn``, ``g_up`` and ``gamma_*_jets`` are nested
+    tuples of jets viewing the same arrays, and ``gamma_hol``/``gamma_anti``
+    hold the symbol values at the base point.  ``_cache`` holds jets derived
+    on demand, among them one read-only jet per distinct function passed to
     :func:`as_chart_jet`, kept until the chart is dropped.
     """
 
@@ -96,18 +112,19 @@ class ChartContext:
     gamma_anti: tuple
     gamma_hol_jets: tuple
     gamma_anti_jets: tuple
+    # the jet views above compare the same coefficients; arrays have no truth value
+    g_dn_array: np.ndarray = field(compare=False)
+    g_up_array: np.ndarray = field(compare=False)
+    gamma_hol_array: np.ndarray = field(compare=False)
+    gamma_anti_array: np.ndarray = field(compare=False)
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def metric_values(self) -> np.ndarray:
         """Metric matrix at the base point, rows holomorphic."""
-        return np.array(
-            [[self.g_dn[k][l].value() for l in range(self.n)] for k in range(self.n)]
-        )
+        return self.g_dn_array[0].copy()
 
     def inverse_metric_values(self) -> np.ndarray:
-        return np.array(
-            [[self.g_up[l][k].value() for k in range(self.n)] for l in range(self.n)]
-        )
+        return self.g_up_array[0].copy()
 
 
 @dataclass(frozen=True)
@@ -150,8 +167,7 @@ def build_chart(
     diagonal of a real-analytic chart.  Requires ``order >= 6`` so that all
     third-order operator ingredients stay exact.
     """
-    if n is None:
-        n = len(z0)
+    n = require_dimension(len(z0) if n is None else n)
     if len(z0) != n:
         raise ValueError("base point dimension does not match the chart dimension")
     if order < MIN_CHART_ORDER:
@@ -162,46 +178,16 @@ def build_chart(
     zb0 = tuple(v.conjugate() for v in z0) if zb0 is None else tuple(complex(v) for v in zb0)
 
     phi = eval_jet(potential, z0, zb0, order)
-
-    g_dn = [[phi.deriv(k).deriv_bar(l) for l in range(n)] for k in range(n)]
-    _require_admissible_metric(g_dn, n)
-    g_up = jet_matrix_inverse(g_dn)
-
-    tg = order - 3
-    phi3_hol = [
-        [[phi.deriv(k).deriv(p).deriv_bar(t) for t in range(n)] for p in range(n)]
-        for k in range(n)
-    ]
-    phi3_anti = [
-        [[phi.deriv(s).deriv_bar(q).deriv_bar(l) for l in range(n)] for q in range(n)]
-        for s in range(n)
-    ]
-    gamma_hol_jets = [
-        [
-            [
-                sum(
-                    (phi3_hol[k][p][t] * g_up[t][s].truncated(tg) for t in range(n)),
-                    Jet.zero(n, tg),
-                )
-                for s in range(n)
-            ]
-            for p in range(n)
-        ]
-        for k in range(n)
-    ]
-    gamma_anti_jets = [
-        [
-            [
-                sum(
-                    (g_up[t][s].truncated(tg) * phi3_anti[s][q][l] for s in range(n)),
-                    Jet.zero(n, tg),
-                )
-                for t in range(n)
-            ]
-            for q in range(n)
-        ]
-        for l in range(n)
-    ]
+    tm, tg = order - 2, order - 3
+    g_dn = _read_only(gradient(gradient(phi._vec, n, order), n, order - 1, barred=True))
+    _require_admissible_metric(g_dn[0])
+    g_dn_jets = _views(g_dn, n, tm)
+    g_up_rows = jet_matrix_inverse(g_dn_jets)
+    g_up = _read_only(np.array([[jet._vec for jet in row] for row in g_up_rows]).transpose(2, 0, 1))
+    # gamma_hol[k,p,s] = d_k d_p dbar_t phi g_up[t,s]
+    # gamma_anti[l,q,t] = g_up[t,s] d_s dbar_q dbar_l phi
+    gamma_hol = _read_only(contract("ktp,ts->kps", gradient(g_dn, n, tm), g_up, n, tg))
+    gamma_anti = _read_only(contract("ts,sql->lqt", g_up, gradient(g_dn, n, tm, True), n, tg))
 
     return ChartContext(
         n=n,
@@ -210,13 +196,34 @@ def build_chart(
         order=order,
         potential=potential,
         phi=phi,
-        g_dn=_freeze(g_dn),
-        g_up=_freeze(g_up),
-        gamma_hol=_freeze_values(gamma_hol_jets),
-        gamma_anti=_freeze_values(gamma_anti_jets),
-        gamma_hol_jets=_freeze(gamma_hol_jets),
-        gamma_anti_jets=_freeze(gamma_anti_jets),
+        g_dn=g_dn_jets,
+        g_up=_views(g_up, n, tm),
+        gamma_hol=_values(gamma_hol),
+        gamma_anti=_values(gamma_anti),
+        gamma_hol_jets=_views(gamma_hol, n, tg),
+        gamma_anti_jets=_views(gamma_anti, n, tg),
+        g_dn_array=g_dn,
+        g_up_array=g_up,
+        gamma_hol_array=gamma_hol,
+        gamma_anti_array=gamma_anti,
     )
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _views(a: np.ndarray, n: int, trunc: int):
+    """Nested tuples of jets viewing the components of the jet tensor ``a``."""
+    if a.ndim == 1:
+        return Jet._of(n, trunc, a)
+    return tuple(_views(a[:, i], n, trunc) for i in range(a.shape[1]))
+
+
+def _values(a: np.ndarray):
+    """Nested tuples of the base-point values of the jet tensor ``a``."""
+    return _freeze(a[0].tolist())
 
 
 def _freeze(nested):
@@ -225,15 +232,8 @@ def _freeze(nested):
     return nested
 
 
-def _freeze_values(nested):
-    if isinstance(nested, list):
-        return tuple(_freeze_values(x) for x in nested)
-    return nested.value()
-
-
-def _require_admissible_metric(g_dn, n) -> None:
-    m = np.array([[g_dn[k][l].value() for l in range(n)] for k in range(n)])
-    hermitian_defect = np.max(np.abs(m - m.conj().T)) if n else 0.0
+def _require_admissible_metric(m: np.ndarray) -> None:
+    hermitian_defect = np.max(np.abs(m - m.conj().T))
     if hermitian_defect < 1e-9:
         smallest = np.min(np.linalg.eigvalsh((m + m.conj().T) / 2.0))
         if smallest < EIGENVALUE_FLOOR:
@@ -250,19 +250,11 @@ def _require_admissible_metric(g_dn, n) -> None:
             )
 
 
-def truncated_product(trunc: int, *jets: Jet) -> Jet:
-    """Product of ``jets``, each first truncated at ``trunc`` (none may be shorter)."""
-    out = jets[0].truncated(trunc)
-    for j in jets[1:]:
-        out = out * j.truncated(trunc)
-    return out
-
-
 # -- curvature -----------------------------------------------------------------
 
 
 def curvature_jets(ctx: ChartContext, trunc: int) -> tuple:
-    """Jets of ``r_up`` and ``r_raised`` at truncation ``trunc`` (cached).
+    """Jet tensors ``r_up`` and ``r_raised`` at truncation ``trunc`` (cached, read-only).
 
     ``r_up`` follows the inverse-metric formula: the mixed second
     derivative of ``g_up`` minus the metric-contracted product of its first
@@ -271,55 +263,20 @@ def curvature_jets(ctx: ChartContext, trunc: int) -> tuple:
     key = ("curvature_jets", trunc)
     if key in ctx._cache:
         return ctx._cache[key]
-    n = ctx.n
+    n, tm = ctx.n, ctx.order - 2
     if trunc > ctx.order - 4:
         raise ValueError("jet order too small for curvature jets at this truncation")
-    gu = ctx.g_up
-    gd = ctx.g_dn
-    dgu = [[[gu[l][k].deriv(p) for k in range(n)] for l in range(n)] for p in range(n)]
-    dgu_bar = [[[gu[l][k].deriv_bar(q) for k in range(n)] for l in range(n)] for q in range(n)]
-    r_up = [
-        [
-            [
-                [
-                    gu[q][p].deriv(k).deriv_bar(l).truncated(trunc)
-                    - sum(
-                        (
-                            truncated_product(trunc, dgu_bar[l][q][m], dgu[k][nn][p], gd[m][nn])
-                            for m in range(n)
-                            for nn in range(n)
-                        ),
-                        Jet.zero(n, trunc),
-                    )
-                    for l in range(n)
-                ]
-                for k in range(n)
-            ]
-            for p in range(n)
-        ]
-        for q in range(n)
-    ]
-    r_raised = [
-        [
-            [
-                [
-                    sum(
-                        (
-                            truncated_product(trunc, gu[q][a], gu[b][p], r_up[l][k][a][b])
-                            for a in range(n)
-                            for b in range(n)
-                        ),
-                        Jet.zero(n, trunc),
-                    )
-                    for p in range(n)
-                ]
-                for q in range(n)
-            ]
-            for k in range(n)
-        ]
-        for l in range(n)
-    ]
-    result = (_freeze(r_up), _freeze(r_raised))
+    gu = ctx.g_up_array
+    dgu = gradient(gu, n, tm)  # [a, b, k] = d_k g_up[a, b]
+    dgu_bar = gradient(gu, n, tm, barred=True)  # [a, b, l] = dbar_l g_up[a, b]
+    ddgu = gradient(dgu, n, tm - 1, barred=True)  # [q, p, k, l]
+    # r_up[q,p,k,l] = d_k dbar_l g_up[q,p] - dbar_l g_up[q,m] g_dn[m,nn] d_k g_up[nn,p]
+    lowered = contract("qml,mn->qnl", dgu_bar, ctx.g_dn_array, n, trunc)
+    r_up = truncate(ddgu, n, trunc) - contract("qnl,npk->qpkl", lowered, dgu, n, trunc)
+    # r_raised[l,k,q,p] = g_up[q,a] g_up[b,p] r_up[l,k,a,b]
+    half = contract("lkab,bp->lkap", r_up, gu, n, trunc)
+    r_raised = contract("qa,lkap->lkqp", gu, half, n, trunc)
+    result = (_read_only(r_up), _read_only(r_raised))
     ctx._cache[key] = result
     return result
 
@@ -333,7 +290,7 @@ def curvature(ctx: ChartContext) -> CurvatureData:
     """
     n = ctx.n
     phi = ctx.phi
-    gu0 = [[ctx.g_up[l][k].value() for k in range(n)] for l in range(n)]
+    gu0 = ctx.g_up_array[0]
 
     r_dn = [
         [
@@ -355,77 +312,49 @@ def curvature(ctx: ChartContext) -> CurvatureData:
         ]
         for p in range(n)
     ]
-    r_up_jets, r_raised_jets = curvature_jets(ctx, 0)
-    r_up = _freeze_values([[[[r_up_jets[q][p][k][l] for l in range(n)] for k in range(n)] for p in range(n)] for q in range(n)])
-    r_raised = _freeze_values([[[[r_raised_jets[l][k][q][p] for p in range(n)] for q in range(n)] for k in range(n)] for l in range(n)])
-    return CurvatureData(r_dn=_freeze(r_dn), r_up=r_up, r_raised=r_raised)
+    r_up, r_raised = curvature_jets(ctx, 0)
+    return CurvatureData(r_dn=_freeze(r_dn), r_up=_values(r_up), r_raised=_values(r_raised))
 
 
 # -- covariant derivatives -------------------------------------------------------
 
 
 def covariant_derivative_jets(f_jet: Jet, ctx: ChartContext, *, barred: bool, up_to: int = 3):
-    """Jets of the pure covariant derivatives of a function, orders 1..up_to.
+    """Jet tensors of the pure covariant derivatives of a function, orders 1..up_to.
 
-    Returns a list indexed by order; entry ``r`` is the rank-``r`` nested
-    tuple of jets.  Each differentiation consumes one jet degree; the
-    Christoffel corrections cap intermediate orders at the Christoffel jet
-    order.
+    Returns a list indexed by order; entry ``r`` is the read-only rank-``r``
+    tensor with ``[k, p, s] = ∇_s∇_p∇_k f``.  Each differentiation, a gather
+    on the coefficient axis, consumes one jet degree; the Christoffel
+    corrections cap intermediate orders at the Christoffel jet order.
     """
     if not 1 <= up_to <= 3:
         raise ValueError("covariant derivative order must be between 1 and 3")
     n = ctx.n
-    gamma = ctx.gamma_anti_jets if barred else ctx.gamma_hol_jets
-    d = Jet.deriv_bar if barred else Jet.deriv
+    gamma = ctx.gamma_anti_array if barred else ctx.gamma_hol_array
 
     t1 = f_jet.trunc - 1
     if t1 < 0:
         raise ValueError("jet order too small for covariant derivatives")
-    d1 = [d(f_jet, k) for k in range(n)]
-    out = [None, tuple(d1)]
-    if up_to == 1:
-        return out
-
+    d1 = gradient(f_jet._vec, n, f_jet.trunc, barred)
+    out = [None, d1]
     t2 = min(t1 - 1, ctx.order - 3)
-    if t2 < 0:
-        raise ValueError("jet order too small for second covariant derivatives")
-
-    d2 = [
-        [
-            d(d1[k], p).truncated(t2)
-            - sum(
-                (truncated_product(t2, gamma[k][p][s], d1[s]) for s in range(n)), Jet.zero(n, t2)
-            )
-            for p in range(n)
-        ]
-        for k in range(n)
-    ]
-    out.append(_freeze(d2))
-    if up_to == 2:
-        return out
-
-    t3 = t2 - 1
-    if t3 < 0:
-        raise ValueError("jet order too small for third covariant derivatives")
-    d3 = [
-        [
-            [
-                d(d2[k][p], s).truncated(t3)
-                - sum(
-                    (truncated_product(t3, gamma[k][s][a], d2[a][p]) for a in range(n)),
-                    Jet.zero(n, t3),
-                )
-                - sum(
-                    (truncated_product(t3, gamma[p][s][a], d2[k][a]) for a in range(n)),
-                    Jet.zero(n, t3),
-                )
-                for s in range(n)
-            ]
-            for p in range(n)
-        ]
-        for k in range(n)
-    ]
-    out.append(_freeze(d3))
+    if up_to >= 2:
+        if t2 < 0:
+            raise ValueError("jet order too small for second covariant derivatives")
+        d2 = truncate(gradient(d1, n, t1, barred), n, t2) - contract("kps,s->kp", gamma, d1, n, t2)
+        out.append(d2)
+    if up_to == 3:
+        t3 = t2 - 1
+        if t3 < 0:
+            raise ValueError("jet order too small for third covariant derivatives")
+        d3 = (
+            truncate(gradient(d2, n, t2, barred), n, t3)
+            - contract("ksa,ap->kps", gamma, d2, n, t3)
+            - contract("psa,ka->kps", gamma, d2, n, t3)
+        )
+        out.append(d3)
+    for tensor in out[1:]:
+        tensor.flags.writeable = False
     return out
 
 
@@ -434,21 +363,10 @@ def covariant_derivatives(f: Expr | str | Jet, ctx: ChartContext, up_to: int = 3
     f_jet = as_chart_jet(f, ctx)
     hol = covariant_derivative_jets(f_jet, ctx, barred=False, up_to=up_to)
     anti = covariant_derivative_jets(f_jet, ctx, barred=True, up_to=up_to)
-
-    def val(level):
-        if level is None:
-            return None
-        if isinstance(level, Jet):
-            return level.value()
-        return tuple(val(x) for x in level)
-
+    hol += [None] * (3 - up_to)
+    anti += [None] * (3 - up_to)
     return CovDerivTable(
-        hol1=val(hol[1]),
-        hol2=val(hol[2]) if up_to >= 2 else None,
-        hol3=val(hol[3]) if up_to >= 3 else None,
-        anti1=val(anti[1]),
-        anti2=val(anti[2]) if up_to >= 2 else None,
-        anti3=val(anti[3]) if up_to >= 3 else None,
+        *(None if t is None else _values(t) for t in (*hol[1:], *anti[1:]))
     )
 
 

@@ -18,6 +18,14 @@ a coefficient is summed in the same order whatever order the tables have
 (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 13).
 :meth:`Jet.monomial` writes the jet of a shifted monomial by the binomial
 theorem: one gather over the basis exponents, no jet product.
+
+A jet *tensor* is one complex array with the coefficient axis first and one
+axis per component index after it.  :func:`contract` is the one product of
+jet tensors: it gathers the product pairs along the coefficient axis, runs
+:func:`numpy.einsum` over the component indices and sums each output's pairs;
+:meth:`Jet.__mul__` is its rank-0 case through the same routine.
+:func:`gradient` differentiates a tensor along every variable of one kind,
+a gather on the coefficient axis.
 The product table has ``C(trunc + 4n, 4n)`` pairs; rings that need more than
 :data:`MAX_PRODUCT_PAIRS` are refused.
 """
@@ -41,6 +49,9 @@ __all__ = [
     "multi_binomial",
     "solve_linear_system",
     "jet_matrix_inverse",
+    "contract",
+    "gradient",
+    "truncate",
 ]
 
 MultiIndex = tuple[int, ...]
@@ -133,12 +144,12 @@ class _Tables:
         self.seg = np.concatenate(([0], np.cumsum(np.bincount(pair_k, minlength=size))))
         # pair_end[s] counts the pairs of all outputs of degree <= s
         self.pair_end = [int(self.seg[self.deg_start[s + 1]]) for s in range(order + 1)]
-        # deriv[pos] gathers the derivative along flat variable pos
+        # row pos of deriv_src/deriv_fac gathers the derivative along flat variable pos
         lower = exps[: self.deg_start[order]]
-        self.deriv = [
-            (position(lower @ radix + radix[pos]), (lower[:, pos] + 1).astype(float))
-            for pos in range(width)
-        ]
+        self.deriv_src = np.array(
+            [position(lower @ radix + radix[pos]) for pos in range(width)], dtype=np.intp
+        ).reshape(width, len(lower))
+        self.deriv_fac = (lower.T + 1).astype(float)
 
 
 _TABLES: dict[int, _Tables] = {}
@@ -154,6 +165,59 @@ def _tables(n: int, trunc: int) -> _Tables:
 
 def _zeros(n: int, trunc: int) -> np.ndarray:
     return np.zeros(_tables(n, trunc).deg_start[trunc + 1], dtype=complex)
+
+
+def _convolve(tables: _Tables, s: int, a: np.ndarray, b: np.ndarray, spec: str | None = None):
+    """Coefficients of degree ``<= s`` of the product of ``a`` and ``b`` along the
+    coefficient axis: gather each product pair, multiply (or contract the component
+    indices by the einsum ``spec``, pair axis last) and sum the pairs of each output.
+
+    The pairs are gathered onto the last axis, so that einsum's inner loop runs along
+    them rather than along a component axis of length ``n`` (5-6x faster at n=2 with
+    hundreds of pairs); the result is a coefficient-first view of a component-major array.
+    """
+    pairs = tables.pair_end[s]
+    left = a.transpose((*range(1, a.ndim), 0)).take(tables.pair_i[:pairs], axis=-1)
+    right = b.transpose((*range(1, b.ndim), 0)).take(tables.pair_j[:pairs], axis=-1)
+    if spec is None:
+        left *= right
+        terms = left
+    else:
+        terms = np.einsum(spec, left, right)
+    sums = np.add.reduceat(terms, tables.seg[: tables.deg_start[s + 1]], axis=-1)
+    return sums.transpose((sums.ndim - 1, *range(sums.ndim - 1)))
+
+
+def contract(spec: str, a: np.ndarray, b: np.ndarray, n: int, trunc: int) -> np.ndarray:
+    """Truncated product of two jet tensors of dimension ``n``, contracted over their
+    component indices by the einsum ``spec`` (component indices only, as in
+    ``"lk,lq->kq"``): the coefficients of degree ``<= trunc`` of ``sum a * b``, read from
+    the operands' coefficient prefixes, so either operand may be of higher order."""
+    tables = _tables(n, trunc)
+    if min(len(a), len(b)) < tables.deg_start[trunc + 1]:
+        raise ValueError("cannot extend a jet to a higher truncation order")
+    inputs, output = spec.split("->")
+    left, right = inputs.split(",")
+    return _convolve(tables, trunc, a, b, f"{left}...,{right}...->{output}...")
+
+
+def truncate(a: np.ndarray, n: int, trunc: int) -> np.ndarray:
+    """The coefficients of degree ``<= trunc`` of a jet tensor (a view)."""
+    return a[: _tables(n, trunc).deg_start[trunc + 1]]
+
+
+def gradient(a: np.ndarray, n: int, trunc: int, barred: bool = False) -> np.ndarray:
+    """Partial derivatives of a jet tensor of order ``trunc`` along the ``n`` holomorphic
+    (or antiholomorphic) variables: a tensor of order ``trunc - 1`` whose last index is
+    the variable, gathered along the coefficient axis."""
+    if trunc < 1:
+        raise ValueError("cannot differentiate a jet of truncation order 0")
+    tables = _tables(n, trunc)
+    size, first = tables.deg_start[trunc], n if barred else 0
+    factor = tables.deriv_fac[first : first + n, :size].T
+    out = a.take(tables.deriv_src[first : first + n, :size].T, axis=0)
+    out *= factor.reshape(factor.shape + (1,) * (a.ndim - 1))
+    return out.transpose((0, *range(2, out.ndim), 1))
 
 
 class Jet:
@@ -312,9 +376,9 @@ class Jet:
         if self.trunc == 0:
             raise ValueError("cannot differentiate a jet of truncation order 0")
         tables = _tables(self.n, self.trunc)
-        source, factor = tables.deriv[axis + (self.n if barred else 0)]
-        size = tables.deg_start[self.trunc]
-        return Jet._of(self.n, self.trunc - 1, self._vec.take(source[:size]) * factor[:size])
+        pos, size = axis + (self.n if barred else 0), tables.deg_start[self.trunc]
+        vec = self._vec.take(tables.deriv_src[pos, :size]) * tables.deriv_fac[pos, :size]
+        return Jet._of(self.n, self.trunc - 1, vec)
 
     # -- ring operations -----------------------------------------------------
 
@@ -365,10 +429,7 @@ class Jet:
         if top >= 0:
             # outputs above degree top_a + top_b are zero: visit only the pairs below
             s = min(top, self.trunc)
-            size, pairs = tables.deg_start[s + 1], tables.pair_end[s]
-            terms = self._vec.take(tables.pair_i[:pairs])
-            terms *= other._vec.take(tables.pair_j[:pairs])
-            out[:size] = np.add.reduceat(terms, tables.seg[:size])
+            out[: tables.deg_start[s + 1]] = _convolve(tables, s, self._vec, other._vec)
         # the product's lex-leading top coefficient is a single term, so a top
         # within the truncation is the exact degree (a bound if that underflows)
         return Jet._of(self.n, self.trunc, out, top if top <= self.trunc else None)

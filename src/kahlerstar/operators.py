@@ -15,6 +15,10 @@ covariant derivatives::
 The modified third-order operator adds one twelfth of the curvature-square
 one-differentiable operator ``R``, which makes the whole product
 expressible through the inverse metric alone.
+
+Every contraction is a chain of :func:`kahlerstar.jets.contract` calls on
+the chart's jet-tensor arrays.  The covariant derivatives of a function are
+built once per chart, side and truncation and kept in the chart's cache.
 """
 
 from __future__ import annotations
@@ -28,9 +32,8 @@ from .geometry import (
     covariant_derivative_jets,
     curvature_jets,
     metric_derivative_values,
-    truncated_product,
 )
-from .jets import Jet, unit_index
+from .jets import Jet, contract, unit_index
 
 __all__ = [
     "StarVariant",
@@ -116,46 +119,40 @@ def _pair_jets(f, g, ctx: ChartContext) -> tuple[Jet, Jet]:
     return as_chart_jet(f, ctx), as_chart_jet(g, ctx)
 
 
-def _anti_derivs(f_jet: Jet, ctx: ChartContext, up_to: int, trunc: int):
-    """Antiholomorphic covariant derivatives of orders 1..up_to, exact to degree ``trunc``:
-    they read ``f_jet`` only up to degree ``trunc + up_to``, so the rest is cut off first."""
-    f_jet = f_jet.truncated(min(trunc + up_to, f_jet.trunc))
-    return covariant_derivative_jets(f_jet, ctx, barred=True, up_to=up_to)
+def _derivs(jet: Jet, ctx: ChartContext, barred: bool, up_to: int, trunc: int) -> list:
+    """Covariant derivative tensors of ``jet`` exact to degree ``trunc``, orders 1..up_to
+    or deeper.  One bundle per (jet, side, truncation) is built per chart, as deep as
+    ``jet`` and the chart allow (third order at most); it reads ``jet`` only up to degree
+    ``trunc`` plus its depth.  Each entry keeps its jet, so a recycled ``id`` cannot alias."""
+    key = ("cov", id(jet), barred, trunc)
+    entry = ctx._cache.get(key)
+    if entry is None or entry[0] is not jet or len(entry[1]) <= up_to:
+        depth = max(up_to, min(3, jet.trunc - trunc, ctx.order - 1 - trunc))
+        source = jet.truncated(min(trunc + depth, jet.trunc))
+        entry = (jet, covariant_derivative_jets(source, ctx, barred=barred, up_to=depth))
+        ctx._cache[key] = entry
+    return entry[1]
 
 
-def _hol_derivs(g_jet: Jet, ctx: ChartContext, up_to: int, trunc: int):
-    """Holomorphic counterpart of :func:`_anti_derivs`."""
-    g_jet = g_jet.truncated(min(trunc + up_to, g_jet.trunc))
-    return covariant_derivative_jets(g_jet, ctx, barred=False, up_to=up_to)
+def _pairing(tensor, f_tensor, g_tensor, ctx: ChartContext, trunc: int) -> Jet:
+    """``tensor[l, k] f[l] g[k]`` as a jet of order ``trunc``."""
+    n = ctx.n
+    half = contract("lk,l->k", tensor, f_tensor, n, trunc)
+    return Jet._of(n, trunc, contract("k,k->", half, g_tensor, n, trunc))
 
 
 def _r1_jets(ctx: ChartContext, trunc: int):
-    """Curvature-square tensor ``r1[l][k]`` contracting the one-differentiable
-    operator; cached per context and truncation."""
+    """Curvature-square tensor ``r1[l, k] = g_up[nn, m] r_up[l, p, m, q] r_up[q, k, p, nn]``
+    contracting the one-differentiable operator; cached per context and truncation."""
     key = ("r1_jets", trunc)
-    if key in ctx._cache:
-        return ctx._cache[key]
-    n = ctx.n
-    r_up, _ = curvature_jets(ctx, trunc)
-    gu = ctx.g_up
-    r1 = tuple(
-        tuple(
-            sum(
-                (
-                    truncated_product(trunc, gu[nn][m], r_up[l][p][m][q], r_up[q][k][p][nn])
-                    for m in range(n)
-                    for nn in range(n)
-                    for p in range(n)
-                    for q in range(n)
-                ),
-                Jet.zero(n, trunc),
-            )
-            for k in range(n)
-        )
-        for l in range(n)
-    )
-    ctx._cache[key] = r1
-    return r1
+    if key not in ctx._cache:
+        n = ctx.n
+        r_up, _ = curvature_jets(ctx, trunc)
+        half = contract("nm,lpmq->nlpq", ctx.g_up_array, r_up, n, trunc)
+        r1 = contract("nlpq,qkpn->lk", half, r_up, n, trunc)
+        r1.flags.writeable = False
+        ctx._cache[key] = r1
+    return ctx._cache[key]
 
 
 # -- first and second order ------------------------------------------------------
@@ -163,13 +160,9 @@ def _r1_jets(ctx: ChartContext, trunc: int):
 
 def c1_jet(f, g, ctx: ChartContext, trunc: int = 0) -> Jet:
     fj, gj = _pair_jets(f, g, ctx)
-    n = ctx.n
-    f1 = _anti_derivs(fj, ctx, 1, trunc)[1]
-    g1 = _hol_derivs(gj, ctx, 1, trunc)[1]
-    return sum(
-        (truncated_product(trunc, ctx.g_up[l][k], f1[l], g1[k]) for l in range(n) for k in range(n)),
-        Jet.zero(n, trunc),
-    )
+    f1 = _derivs(fj, ctx, True, 1, trunc)[1]
+    g1 = _derivs(gj, ctx, False, 1, trunc)[1]
+    return _pairing(ctx.g_up_array, f1, g1, ctx, trunc)
 
 
 def c1(f, g, ctx: ChartContext) -> complex:
@@ -179,25 +172,13 @@ def c1(f, g, ctx: ChartContext) -> complex:
 
 def c2_jet(f, g, ctx: ChartContext, trunc: int = 0) -> Jet:
     fj, gj = _pair_jets(f, g, ctx)
-    n = ctx.n
-    f2 = _anti_derivs(fj, ctx, 2, trunc)[2]
-    g2 = _hol_derivs(gj, ctx, 2, trunc)[2]
-    gu = ctx.g_up
-    zero = Jet.zero(n, trunc)
+    n, gu = ctx.n, ctx.g_up_array
+    f2 = _derivs(fj, ctx, True, 2, trunc)[2]
+    g2 = _derivs(gj, ctx, False, 2, trunc)[2]
     # raise the two antiholomorphic indices of f2 one at a time
-    t1 = [
-        [
-            sum((truncated_product(trunc, gu[l][k], f2[l][q]) for l in range(n)), zero)
-            for q in range(n)
-        ]
-        for k in range(n)
-    ]
-    acc = zero
-    for k in range(n):
-        for p in range(n):
-            up = sum((truncated_product(trunc, gu[q][p], t1[k][q]) for q in range(n)), zero)
-            acc = acc + truncated_product(trunc, up, g2[k][p])
-    return acc * 0.5
+    raised = contract("lk,lq->kq", gu, f2, n, trunc)
+    raised = contract("qp,kq->kp", gu, raised, n, trunc)
+    return Jet._of(n, trunc, contract("kp,kp->", raised, g2, n, trunc)) * 0.5
 
 
 def c2(f, g, ctx: ChartContext) -> complex:
@@ -238,61 +219,34 @@ def c2_expanded(f, g, ctx: ChartContext) -> complex:
 # -- third order ------------------------------------------------------------------
 
 
+def _triple(fj: Jet, gj: Jet, ctx: ChartContext, trunc: int) -> Jet:
+    """``g_up[l, k] g_up[q, p] g_up[t, s] f_/l̄q̄t̄ g_/kps``: the operator P, and six
+    times the first term of C3."""
+    n, gu = ctx.n, ctx.g_up_array
+    f3 = _derivs(fj, ctx, True, 3, trunc)[3]
+    g3 = _derivs(gj, ctx, False, 3, trunc)[3]
+    # raise the three antiholomorphic indices of f3 successively
+    raised = contract("lk,lqt->kqt", gu, f3, n, trunc)
+    raised = contract("qp,kqt->kpt", gu, raised, n, trunc)
+    raised = contract("ts,kpt->kps", gu, raised, n, trunc)
+    return Jet._of(n, trunc, contract("kps,kps->", raised, g3, n, trunc))
+
+
+def _curvature_term(fj: Jet, gj: Jet, ctx: ChartContext, trunc: int) -> Jet:
+    """``r_raised[l, k, q, p] f_/l̄q̄ g_/kp``: minus the operator Q, and four times the
+    second term of C3."""
+    n = ctx.n
+    f2 = _derivs(fj, ctx, True, 2, trunc)[2]
+    g2 = _derivs(gj, ctx, False, 2, trunc)[2]
+    _, r_raised = curvature_jets(ctx, trunc)
+    inner = contract("lkqp,lq->kp", r_raised, f2, n, trunc)
+    return Jet._of(n, trunc, contract("kp,kp->", inner, g2, n, trunc))
+
+
 def c3_jet(f, g, ctx: ChartContext, trunc: int = 0) -> Jet:
     fj, gj = _pair_jets(f, g, ctx)
-    n = ctx.n
-    f_derivs = _anti_derivs(fj, ctx, 3, trunc)
-    g_derivs = _hol_derivs(gj, ctx, 3, trunc)
-    f2, f3 = f_derivs[2], f_derivs[3]
-    g2, g3 = g_derivs[2], g_derivs[3]
-    gu = ctx.g_up
-    _, r_raised = curvature_jets(ctx, max(trunc, 0))
-
-    zero = Jet.zero(n, trunc)
-    # triple term: raise the three antiholomorphic indices of f3 successively
-    t1 = [
-        [
-            [
-                sum((truncated_product(trunc, gu[l][k], f3[l][q][t]) for l in range(n)), zero)
-                for t in range(n)
-            ]
-            for q in range(n)
-        ]
-        for k in range(n)
-    ]
-    t2 = [
-        [
-            [
-                sum((truncated_product(trunc, gu[q][p], t1[k][q][t]) for q in range(n)), zero)
-                for t in range(n)
-            ]
-            for p in range(n)
-        ]
-        for k in range(n)
-    ]
-    triple = zero
-    for k in range(n):
-        for p in range(n):
-            for s in range(n):
-                raised = sum(
-                    (truncated_product(trunc, gu[t][s], t2[k][p][t]) for t in range(n)), zero
-                )
-                triple = triple + truncated_product(trunc, raised, g3[k][p][s])
-
-    curv = zero
-    for k in range(n):
-        for p in range(n):
-            inner = sum(
-                (
-                    truncated_product(trunc, r_raised[l][k][q][p], f2[l][q])
-                    for l in range(n)
-                    for q in range(n)
-                ),
-                zero,
-            )
-            curv = curv + truncated_product(trunc, inner, g2[k][p])
-
-    return triple * (1.0 / 6.0) + curv * 0.25
+    triple = _triple(fj, gj, ctx, trunc)
+    return triple * (1.0 / 6.0) + _curvature_term(fj, gj, ctx, trunc) * 0.25
 
 
 def c3(f, g, ctx: ChartContext) -> complex:
@@ -301,52 +255,19 @@ def c3(f, g, ctx: ChartContext) -> complex:
 
 
 def _p_jet(f, g, ctx: ChartContext, trunc: int = 0) -> Jet:
-    fj, gj = _pair_jets(f, g, ctx)
-    n = ctx.n
-    f3 = _anti_derivs(fj, ctx, 3, trunc)[3]
-    g3 = _hol_derivs(gj, ctx, 3, trunc)[3]
-    gu = ctx.g_up
-    acc = Jet.zero(n, trunc)
-    for l in range(n):
-        for k in range(n):
-            for q in range(n):
-                for p in range(n):
-                    for t in range(n):
-                        for s in range(n):
-                            acc = acc + truncated_product(
-                                trunc, gu[l][k], gu[q][p], gu[t][s], f3[l][q][t], g3[k][p][s]
-                            )
-    return acc
+    return _triple(*_pair_jets(f, g, ctx), ctx, trunc)
 
 
 def _q_jet(f, g, ctx: ChartContext, trunc: int = 0) -> Jet:
-    fj, gj = _pair_jets(f, g, ctx)
-    n = ctx.n
-    f2 = _anti_derivs(fj, ctx, 2, trunc)[2]
-    g2 = _hol_derivs(gj, ctx, 2, trunc)[2]
-    _, r_raised = curvature_jets(ctx, trunc)
-    acc = Jet.zero(n, trunc)
-    for l in range(n):
-        for k in range(n):
-            for q in range(n):
-                for p in range(n):
-                    acc = acc + truncated_product(
-                        trunc, r_raised[l][k][q][p], f2[l][q], g2[k][p]
-                    )
-    return -acc
+    return -_curvature_term(*_pair_jets(f, g, ctx), ctx, trunc)
 
 
 def r_operator_jet(f, g, ctx: ChartContext, trunc: int = 0) -> Jet:
     """One-differentiable curvature-square operator."""
     fj, gj = _pair_jets(f, g, ctx)
-    n = ctx.n
-    f1 = _anti_derivs(fj, ctx, 1, trunc)[1]
-    g1 = _hol_derivs(gj, ctx, 1, trunc)[1]
-    r1 = _r1_jets(ctx, trunc)
-    return sum(
-        (truncated_product(trunc, r1[l][k], f1[l], g1[k]) for l in range(n) for k in range(n)),
-        Jet.zero(n, trunc),
-    )
+    f1 = _derivs(fj, ctx, True, 1, trunc)[1]
+    g1 = _derivs(gj, ctx, False, 1, trunc)[1]
+    return _pairing(_r1_jets(ctx, trunc), f1, g1, ctx, trunc)
 
 
 def r_operator(f, g, ctx: ChartContext) -> complex:
@@ -427,7 +348,7 @@ def star_product_jets(
     fj, gj = _pair_jets(f, g, ctx)
     order3 = c3_tilde_jet if variant is StarVariant.MODIFIED else c3_jet
     return (
-        truncated_product(trunc, fj, gj),
+        fj.truncated(trunc) * gj.truncated(trunc),
         c1_jet(fj, gj, ctx, trunc),
         c2_jet(fj, gj, ctx, trunc),
         order3(fj, gj, ctx, trunc),

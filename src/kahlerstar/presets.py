@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from .expressions import Expr, parse
+from .geometry import require_dimension
 
 __all__ = ["PRESET_NAMES", "preset_potential", "preset_dimension"]
 
@@ -17,6 +18,7 @@ def preset_potential(name: str, n: int = 1) -> Expr:
     enforced naturally by the branch cut of the logarithm.
     """
     if name == "flat":
+        require_dimension(n)
         return parse("+".join(f"z{k}*zb{k}" for k in range(1, n + 1)), n)
     if name == "fubini-study":
         _require_dim(name, n)
@@ -30,7 +32,7 @@ def preset_potential(name: str, n: int = 1) -> Expr:
 def preset_dimension(name: str, n: int | None) -> int:
     """Resolve the chart dimension for a preset, validating curved ones."""
     if name == "flat":
-        return 1 if n is None else n
+        return 1 if n is None else require_dimension(n)
     if name in PRESET_NAMES:
         if n not in (None, 1):
             raise ValueError(f"preset {name!r} is one-dimensional")

@@ -179,3 +179,12 @@ def test_python_m_kahlerstar(monkeypatch, capsys, argv, expected):
     assert exit_info.value.code == expected
     out = capsys.readouterr().out
     assert ("C1=1+0i" in out) == (expected == 0)
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+@pytest.mark.parametrize("chart", [["--potential", "1"], ["--preset", "flat"]], ids=["potential", "flat"])
+def test_chart_dimension_below_one_is_refused(capsys, chart, n):
+    code, out, err = run_cli(capsys, "eval", *chart, "--n", n, "--f", "1", "--g", "1")
+    assert code == 2
+    assert out == ""
+    assert "chart dimension must be at least 1" in err

@@ -228,3 +228,14 @@ def test_flat_metric_jets_are_exact():
                 vec = matrix[k][l]._vec
                 assert np.all(vec[1:] == 0.0)
                 assert vec[0] == (1.0 if k == l else 0.0)
+
+
+def test_chart_tensors_are_read_only_views_and_charts_compare_by_value():
+    ctx = build_chart(FS, (0.4 - 0.3j,), order=8)
+    assert np.shares_memory(ctx.g_up[0][0]._vec, ctx.g_up_array)
+    assert np.shares_memory(ctx.gamma_hol_jets[0][0][0]._vec, ctx.gamma_hol_array)
+    for array in (ctx.g_dn_array, ctx.g_up_array, ctx.gamma_hol_array, ctx.gamma_anti_array):
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+    assert ctx == build_chart(FS, (0.4 - 0.3j,), order=8)
+    assert ctx != build_chart(FS, (0.3 - 0.3j,), order=8)

@@ -1,5 +1,6 @@
 """Jet ring and analytic-operation tests."""
 
+import itertools
 import math
 import random
 
@@ -9,13 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kahlerstar import jets as jets_module
+from kahlerstar.geometry import build_chart, curvature_jets
 from kahlerstar.jets import (
     Jet,
+    contract,
     iter_multi_indices_upto,
     jet_matrix_inverse,
     multi_binomial,
     solve_linear_system,
 )
+from kahlerstar.operators import _q_jet, _r1_jets, r_operator_jet
 
 
 def jet_of(n, trunc, entries):
@@ -458,3 +462,85 @@ def test_monomial_rejects_bad_shapes():
         Jet.monomial(1, 3, 1.0, (1, 1), (0j,))
     with pytest.raises(ValueError):
         Jet.monomial(1, 3, 1.0, (1, -1), (0j, 0j))
+
+
+# -- contraction of jet tensors -------------------------------------------------
+
+
+def _reference_contract(spec, a, b, n, trunc):
+    """``contract`` as a nested loop of jet products over every index assignment."""
+    inputs, output = spec.split("->")
+    left, right = inputs.split(",")
+    letters = sorted(set(left + right))
+    size = len(Jet.zero(n, trunc)._vec)
+
+    def component(tensor, index):
+        return Jet._of(n, trunc, tensor[(slice(None), *index)][:size].copy())
+
+    out = {}
+    for values in itertools.product(range(n), repeat=len(letters)):
+        at = dict(zip(letters, values))
+        key = tuple(at[c] for c in output)
+        term = component(a, [at[c] for c in left]) * component(b, [at[c] for c in right])
+        out[key] = out.get(key, Jet.zero(n, trunc)) + term
+    return out
+
+
+def _tensor(rng, n, trunc, rank):
+    """Random jet tensor with exact zeros: whole zero components and zero coefficients."""
+    size = len(Jet.zero(n, trunc)._vec)
+    shape = (size,) + (n,) * rank
+    values = np.array([complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(math.prod(shape))])
+    values[[rng.random() < 0.2 for _ in range(values.size)]] = 0.0
+    tensor = values.reshape(shape)
+    if rank and n > 1:
+        tensor[(slice(None),) + (0,) * rank] = 0.0
+    return tensor
+
+
+CONTRACT_SPECS = (
+    ",->",
+    ",abc->abc",
+    "k,l->kl",
+    "k,k->",
+    "lk,l->k",
+    "lk,lqt->kqt",
+    "lkqp,lq->kp",
+    "abcde,e->abcd",
+    "nlpq,qkpn->lk",
+)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_contract_matches_nested_jet_products(n):
+    rng = random.Random(71 + n)
+    for trunc in range(5):
+        for spec in CONTRACT_SPECS:
+            left, right = spec.split("->")[0].split(",")
+            # operands of a higher order than the result: contract reads their prefixes
+            a = _tensor(rng, n, trunc + 1, len(left))
+            b = _tensor(rng, n, trunc + 2, len(right))
+            got = contract(spec, a, b, n, trunc)
+            expected = _reference_contract(spec, a, b, n, trunc)
+            assert got.shape == (len(Jet.zero(n, trunc)._vec),) + (n,) * len(spec.split("->")[1])
+            scale = max(1.0, max(jet.max_abs() for jet in expected.values()))
+            for index, jet in expected.items():
+                gap = np.abs(got[(slice(None), *index)] - jet._vec).max()
+                assert gap <= 1e-12 * scale, (spec, trunc, index)
+
+
+def test_contract_refuses_short_operands():
+    a = np.ones((len(Jet.zero(2, 2)._vec), 2), dtype=complex)
+    with pytest.raises(ValueError):
+        contract("k,k->", a, a, 2, 3)
+
+
+def test_flat_curvature_terms_are_exact_zeros():
+    ctx = build_chart("z1*zb1+z2*zb2", (0.4 - 0.3j, 0.2 + 0.5j), order=10)
+    f, g = "zb1^3*z2 + zb2^2*zb1 + z1", "z1^2*z2^2 + z2*zb1 + zb2"
+    for trunc in range(5):
+        r_up, r_raised = curvature_jets(ctx, trunc)
+        tensors = [r_up, r_raised, _r1_jets(ctx, trunc)]
+        tensors += [op(f, g, ctx, trunc)._vec for op in (_q_jet, r_operator_jet)]
+        for tensor in tensors:
+            assert np.all(tensor == 0.0)

@@ -7,11 +7,13 @@ the inverse metric is 1, Christoffel symbols vanish and the only curvature
 component equals 2.
 """
 
+import dataclasses
 import random
+import sys
 
 import pytest
 
-from kahlerstar import geometry
+from kahlerstar import geometry, operators
 from kahlerstar.expressions import parse
 from kahlerstar.geometry import as_chart_jet, build_chart
 from kahlerstar.operators import (
@@ -19,6 +21,7 @@ from kahlerstar.operators import (
     StarVariant,
     _p_jet,
     _q_jet,
+    _s_values,
     c1,
     c1_jet,
     c2,
@@ -33,8 +36,9 @@ from kahlerstar.operators import (
     r_operator,
     r_operator_jet,
     star_product,
+    star_product_jets,
 )
-from kahlerstar.oracle import build_left_mult
+from kahlerstar.oracle import build_left_mult, oracle_cr
 from kahlerstar.verify import RandomChartSpec, random_chart
 
 FS = "log(1+z1*zb1)"
@@ -253,3 +257,95 @@ def test_operator_truncation_coherence(random_n2, op):
         scale = expected.max_abs()
         assert scale > 0
         assert (op(f, g, random_n2, t) - expected).max_abs() <= 1e-12 * scale
+
+
+# -- covariant-derivative bundles and the independence of the checks -------------
+
+
+def _patch_everywhere(monkeypatch, name, replacement):
+    """Replace ``geometry.<name>`` in every kahlerstar namespace that holds it."""
+    original = getattr(geometry, name)
+    for module_name, module in list(sys.modules.items()):
+        if module_name == "kahlerstar" or module_name.startswith("kahlerstar."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
+def test_derivative_bundles_are_built_once(monkeypatch):
+    ctx = random_chart(RandomChartSpec(n=2, seed=4))[1]
+    f, g = "zb1^2*z2 + zb2^3 + z1*zb1*zb2", "z1^3*zb2 + z2^2*z1 + z1*zb1"
+    built = []
+    original = geometry.covariant_derivative_jets
+
+    def counting(jet, *args, **kwargs):
+        built.append((kwargs["barred"], jet.trunc))
+        return original(jet, *args, **kwargs)
+
+    _patch_everywhere(monkeypatch, "covariant_derivative_jets", counting)
+    star_product_jets(f, g, ctx, StarVariant.MODIFIED, 4)
+    operator_breakdown(f, g, ctx)
+    # one bundle per (function, side, truncation), each read to depth 3 (the parent
+    # built 14 here: two per operator)
+    assert sorted(built) == [(False, 3), (False, 7), (True, 3), (True, 7)]
+    star_product_jets(f, g, ctx, StarVariant.STANDARD, 4)
+    for op in (c1, c2, c3, c3_tilde, r_operator):
+        op(f, g, ctx)
+    assert len(built) == 4
+
+
+def test_derivative_bundles_are_read_only():
+    ctx = build_chart(FS, (0.3 - 0.1j,), order=10)
+    for barred in (False, True):
+        bundle = geometry.covariant_derivative_jets(as_chart_jet("z1^3*zb1^2", ctx), ctx, barred=barred)
+        for tensor in bundle[1:]:
+            assert not tensor.flags.writeable
+            with pytest.raises(ValueError):
+                tensor[0] = 1.0
+
+
+@pytest.mark.parametrize("same_id", [False, True], ids=["real-id", "every-id-recycled"])
+def test_dropped_jets_never_share_a_bundle(monkeypatch, same_id):
+    sources = [f"zb1^{1 + i % 4} + {i}*z1*zb1^2" for i in range(40)]
+    fresh = build_chart(FS, (0.3 - 0.1j,), order=10)
+    g = as_chart_jet("z1^3 + z1*zb1", fresh)
+    expected = [c3_tilde_jet(as_chart_jet(src, fresh) * (1.0 + i), g, fresh, 2)
+                for i, src in enumerate(sources)]
+    if same_id:
+        # the worst case of id reuse: every jet the memo sees has the same id
+        monkeypatch.setattr(operators, "id", lambda obj: 0, raising=False)
+    ctx = build_chart(FS, (0.3 - 0.1j,), order=10)
+    g = as_chart_jet("z1^3 + z1*zb1", ctx)
+    for i, src in enumerate(sources):
+        scaled = as_chart_jet(src, ctx) * (1.0 + i)  # dropped below, so its id is free again
+        assert c3_tilde_jet(scaled, g, ctx, 2) == expected[i]
+        del scaled
+
+
+class _Refused:
+    """Stands in for a chart field that the independent checks must never read."""
+
+    def _refuse(self, *args, **kwargs):
+        raise AssertionError("an independent check read the covariant route")
+
+    __getattr__ = __getitem__ = __iter__ = __len__ = __array__ = _refuse
+
+
+def test_checks_do_not_use_the_covariant_route(monkeypatch):
+    ctx = random_chart(RandomChartSpec(n=2, seed=6))[1]
+    f, g = "zb1^2*z2 + zb2^3 + z1*zb1*zb2 + zb1", "z1^3*zb2 + z2^2*z1 + z1*zb1 + z2"
+
+    def run(chart):
+        return c2_expanded(f, g, chart), _s_values(f, g, chart), [oracle_cr(f, g, chart, r) for r in (1, 2, 3)]
+
+    expected = run(ctx)
+    for name in ("covariant_derivative_jets", "curvature_jets", "curvature"):
+        _patch_everywhere(monkeypatch, name, _Refused()._refuse)
+    gammas = {
+        name: _Refused()
+        for name in ("gamma_hol", "gamma_anti", "gamma_hol_jets", "gamma_anti_jets",
+                     "gamma_hol_array", "gamma_anti_array")
+    }
+    assert run(dataclasses.replace(ctx, **gammas, _cache={})) == expected
+    with pytest.raises(AssertionError):
+        c2(f, g, dataclasses.replace(ctx, **gammas, _cache={}))

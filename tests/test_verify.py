@@ -191,3 +191,12 @@ def test_nan_metric_derivative_fails_jacobi():
     assert jacobi_residual(ctx) == math.inf
     structural = {r.name: r for r in check_structural(ctx, "zb1*zb2", "z1^2")}
     assert not structural["jacobi_identity"].passed
+
+
+def test_dimension_three_chart_passes_every_check():
+    # reaches the oracle's redundant cross-check over three axes and the
+    # O(n^8) loops of the prop1 identities and of S, which n <= 2 never run
+    potential, ctx, rng = random_chart(RandomChartSpec(n=3, seed=5))
+    results = verify._chart_checks(potential, ctx, rng, "random seed=5 n=3")
+    assert len(results) == 27
+    assert [r.name for r in results if not r.passed] == []
