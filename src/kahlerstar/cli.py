@@ -1,14 +1,15 @@
 """Command-line interface: evaluate products, verify identities, compare oracles.
 
 Exit codes: 0 success, 1 check failure, 2 usage or parse error, 3 numerical
-precondition failure (singular metric, pole or branch violation at the
-base point).
+precondition failure (singular or non-finite metric, pole or branch violation
+at the base point).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass
 
@@ -158,6 +159,10 @@ def _cmd_eval(cfg: RunConfig) -> int:
 def _cmd_verify(cfg: RunConfig) -> int:
     if cfg.jet_order < min_oracle_order(3):
         raise ValueError(f"verify requires --jet-order of at least {min_oracle_order(3)}")
+    if cfg.trials < 0:
+        raise ValueError("verify requires --trials of at least 0")
+    if not math.isfinite(cfg.epsilon):
+        raise ValueError("verify requires a finite --epsilon")
     results = run_suite(
         trials=cfg.trials,
         seed=cfg.seed,

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from decimal import Decimal
 from typing import Sequence
 
@@ -465,34 +465,29 @@ def substitute(expr: Expr, replacements: Sequence[Expr]) -> Expr:
         raise ValueError("replacement list must cover all 2n variables")
     n = len(replacements) // 2
 
-    def rec(node: Expr) -> Expr:
+    def leaf(node: Expr) -> Expr:
         if isinstance(node, Literal):
             return node
-        if isinstance(node, Var):
-            if node.index > n:
-                raise ValueError(
-                    f"replacement list of length {2 * n} does not cover variable index {node.index}"
-                )
-            return replacements[node.index - 1 + (n if node.barred else 0)]
-        if isinstance(node, Add):
-            return Add(rec(node.left), rec(node.right))
-        if isinstance(node, Sub):
-            return Sub(rec(node.left), rec(node.right))
-        if isinstance(node, Mul):
-            return Mul(rec(node.left), rec(node.right))
-        if isinstance(node, Div):
-            return Div(rec(node.left), rec(node.right))
-        if isinstance(node, Neg):
-            return Neg(rec(node.arg))
-        if isinstance(node, Pow):
-            return Pow(rec(node.base), node.exponent)
-        if isinstance(node, Log):
-            return Log(rec(node.arg))
-        if isinstance(node, Exp):
-            return Exp(rec(node.arg))
-        raise TypeError(f"not an expression node: {node!r}")
+        if node.index > n:
+            raise ValueError(
+                f"replacement list of length {2 * n} does not cover variable index {node.index}"
+            )
+        return replacements[node.index - 1 + (n if node.barred else 0)]
 
-    return rec(expr)
+    return _map_leaves(expr, leaf)
+
+
+def _map_leaves(expr: Expr, leaf) -> Expr:
+    """``expr`` rebuilt with every literal and variable ``node`` replaced by ``leaf(node)``;
+    the fields annotated ``Expr`` are the subtrees, every other field is copied."""
+    if isinstance(expr, (Literal, Var)):
+        return leaf(expr)
+    if not isinstance(expr, Expr):
+        raise TypeError(f"not an expression node: {expr!r}")
+    return type(expr)(*(
+        _map_leaves(getattr(expr, f.name), leaf) if f.type == "Expr" else getattr(expr, f.name)
+        for f in fields(expr)
+    ))
 
 
 def classify(expr: Expr) -> HolomorphyClass:
@@ -529,24 +524,10 @@ def formal_conjugate(expr: Expr) -> Expr:
     For a holomorphic expression this produces the antiholomorphic
     expression whose diagonal restriction is the complex conjugate.
     """
-    if isinstance(expr, Literal):
-        return Literal(expr.value.conjugate())
-    if isinstance(expr, Var):
-        return Var(expr.index, not expr.barred)
-    if isinstance(expr, Add):
-        return Add(formal_conjugate(expr.left), formal_conjugate(expr.right))
-    if isinstance(expr, Sub):
-        return Sub(formal_conjugate(expr.left), formal_conjugate(expr.right))
-    if isinstance(expr, Mul):
-        return Mul(formal_conjugate(expr.left), formal_conjugate(expr.right))
-    if isinstance(expr, Div):
-        return Div(formal_conjugate(expr.left), formal_conjugate(expr.right))
-    if isinstance(expr, Neg):
-        return Neg(formal_conjugate(expr.arg))
-    if isinstance(expr, Pow):
-        return Pow(formal_conjugate(expr.base), expr.exponent)
-    if isinstance(expr, Log):
-        return Log(formal_conjugate(expr.arg))
-    if isinstance(expr, Exp):
-        return Exp(formal_conjugate(expr.arg))
-    raise TypeError(f"not an expression node: {expr!r}")
+
+    def leaf(node: Expr) -> Expr:
+        if isinstance(node, Literal):
+            return Literal(node.value.conjugate())
+        return Var(node.index, not node.barred)
+
+    return _map_leaves(expr, leaf)

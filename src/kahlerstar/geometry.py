@@ -8,9 +8,9 @@ point.  Index conventions used throughout (axes are 0-based):
   potential).
 - ``g_up[l][k]``  is the inverse, contracting so that
   ``sum_l g_dn[k][l] * g_up[l][m] = delta_km``.
-- ``gamma_hol[k][p][s]`` is the holomorphic Christoffel symbol with lower
-  indices ``k, p`` (symmetric) and upper index ``s``; ``gamma_anti`` is
-  the barred counterpart.
+- ``gamma_hol_array[:, k, p, s]`` is the jet of the holomorphic Christoffel
+  symbol with lower indices ``k, p`` (symmetric) and upper index ``s``;
+  ``gamma_anti_array`` is the barred counterpart.
 - ``r_up[q][p][k][l]`` is the curvature tensor with upper antiholomorphic
   index ``q``, upper holomorphic ``p``, lower holomorphic ``k`` and lower
   antiholomorphic ``l``.
@@ -22,7 +22,9 @@ Every jet tensor is one complex array, the coefficient axis first and the
 indices above after it (``g_up_array[:, l, k]`` is the jet of ``g_up[l][k]``).
 Derivatives are :func:`kahlerstar.jets.gradient` gathers and every product is
 a :func:`kahlerstar.jets.contract` call; no tensor is assembled component by
-component.
+component.  The identities at the base point (``r_dn``, the Jacobi identity)
+are one :func:`numpy.einsum` per term over the arrays of base-point partial
+derivatives that :func:`kahlerstar.jets.derivative_values` reads.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .expressions import Expr, eval_jet, parse
-from .jets import Jet, contract, gradient, jet_matrix_inverse, truncate, unit_index
+from .jets import Jet, contract, derivative_values, gradient, jet_matrix_inverse, truncate
 
 __all__ = [
     "SingularMetricError",
@@ -82,7 +84,7 @@ def require_dimension(n: int) -> int:
 
 
 class SingularMetricError(ArithmeticError):
-    """The metric at the base point is singular or not positive definite."""
+    """The metric at the base point is singular, not positive definite or not finite."""
 
 
 @dataclass(frozen=True)
@@ -93,11 +95,10 @@ class ChartContext:
     ``order``, the metric and its inverse at ``order - 2``, Christoffel
     symbols at ``order - 3``.  Each tensor is one read-only jet-tensor array
     (``*_array``: coefficient axis first, then the indices in the order of
-    the module docs); ``g_dn``, ``g_up`` and ``gamma_*_jets`` are nested
-    tuples of jets viewing the same arrays, and ``gamma_hol``/``gamma_anti``
-    hold the symbol values at the base point.  ``_cache`` holds jets derived
-    on demand, among them one read-only jet per distinct function passed to
-    :func:`as_chart_jet`, kept until the chart is dropped.
+    the module docs; ``[0]`` is the value at the base point); ``g_dn`` and
+    ``g_up`` are nested tuples of jets viewing the metric arrays.  ``_cache``
+    holds jets derived on demand, among them one read-only jet per distinct
+    function passed to :func:`as_chart_jet`, kept until the chart is dropped.
     """
 
     n: int
@@ -108,10 +109,6 @@ class ChartContext:
     phi: Jet
     g_dn: tuple
     g_up: tuple
-    gamma_hol: tuple
-    gamma_anti: tuple
-    gamma_hol_jets: tuple
-    gamma_anti_jets: tuple
     # the jet views above compare the same coefficients; arrays have no truth value
     g_dn_array: np.ndarray = field(compare=False)
     g_up_array: np.ndarray = field(compare=False)
@@ -129,11 +126,11 @@ class ChartContext:
 
 @dataclass(frozen=True)
 class CurvatureData:
-    """Curvature components at the base point (index order as module docs)."""
+    """Curvature components at the base point as read-only arrays (index order as module docs)."""
 
-    r_dn: tuple
-    r_up: tuple
-    r_raised: tuple
+    r_dn: np.ndarray
+    r_up: np.ndarray
+    r_raised: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -141,16 +138,16 @@ class CovDerivTable:
     """Covariant derivatives of one function at the base point.
 
     ``hol1[k] = ∇_k f`` up to ``hol3[k][p][s] = ∇_s∇_p∇_k f`` and the
-    barred counterparts; each tensor is fully symmetric.  Orders beyond the
-    requested one are ``None``.
+    barred counterparts, as read-only arrays; each tensor is fully symmetric.
+    Orders beyond the requested one are ``None``.
     """
 
-    hol1: tuple
-    hol2: tuple | None
-    hol3: tuple | None
-    anti1: tuple
-    anti2: tuple | None
-    anti3: tuple | None
+    hol1: np.ndarray
+    hol2: np.ndarray | None
+    hol3: np.ndarray | None
+    anti1: np.ndarray
+    anti2: np.ndarray | None
+    anti3: np.ndarray | None
 
 
 def build_chart(
@@ -198,10 +195,6 @@ def build_chart(
         phi=phi,
         g_dn=g_dn_jets,
         g_up=_views(g_up, n, tm),
-        gamma_hol=_values(gamma_hol),
-        gamma_anti=_values(gamma_anti),
-        gamma_hol_jets=_views(gamma_hol, n, tg),
-        gamma_anti_jets=_views(gamma_anti, n, tg),
         g_dn_array=g_dn,
         g_up_array=g_up,
         gamma_hol_array=gamma_hol,
@@ -221,18 +214,9 @@ def _views(a: np.ndarray, n: int, trunc: int):
     return tuple(_views(a[:, i], n, trunc) for i in range(a.shape[1]))
 
 
-def _values(a: np.ndarray):
-    """Nested tuples of the base-point values of the jet tensor ``a``."""
-    return _freeze(a[0].tolist())
-
-
-def _freeze(nested):
-    if isinstance(nested, list):
-        return tuple(_freeze(x) for x in nested)
-    return nested
-
-
 def _require_admissible_metric(m: np.ndarray) -> None:
+    if not np.all(np.isfinite(m)):
+        raise SingularMetricError("metric at the base point is not finite")
     hermitian_defect = np.max(np.abs(m - m.conj().T))
     if hermitian_defect < 1e-9:
         smallest = np.min(np.linalg.eigvalsh((m + m.conj().T) / 2.0))
@@ -288,32 +272,17 @@ def curvature(ctx: ChartContext) -> CurvatureData:
     inverse-metric jets.  Their mutual consistency under index raising is a
     verifiable property, not an identity of the construction.
     """
-    n = ctx.n
-    phi = ctx.phi
-    gu0 = ctx.g_up_array[0]
-
-    r_dn = [
-        [
-            [
-                [
-                    sum(
-                        gu0[nn][m]
-                        * phi.derivative_at(unit_index(n, m), unit_index(n, q, l))
-                        * phi.derivative_at(unit_index(n, p, k), unit_index(n, nn))
-                        for m in range(n)
-                        for nn in range(n)
-                    )
-                    - phi.derivative_at(unit_index(n, p, k), unit_index(n, q, l))
-                    for l in range(n)
-                ]
-                for k in range(n)
-            ]
-            for q in range(n)
-        ]
-        for p in range(n)
-    ]
+    n, phi = ctx.n, ctx.phi._vec
+    # r_dn[p,q,k,l] = g_up[nn,m] d_m dbar_q dbar_l phi d_p d_k dbar_nn phi
+    #                 - d_p d_k dbar_q dbar_l phi
+    r_dn = np.einsum(
+        "nm,mql,pkn->pqkl",
+        ctx.g_up_array[0],
+        derivative_values(phi, n, 1, 2),
+        derivative_values(phi, n, 2, 1),
+    ) - derivative_values(phi, n, 2, 2).transpose(0, 2, 1, 3)
     r_up, r_raised = curvature_jets(ctx, 0)
-    return CurvatureData(r_dn=_freeze(r_dn), r_up=_values(r_up), r_raised=_values(r_raised))
+    return CurvatureData(r_dn=_read_only(r_dn), r_up=r_up[0], r_raised=r_raised[0])
 
 
 # -- covariant derivatives -------------------------------------------------------
@@ -365,9 +334,7 @@ def covariant_derivatives(f: Expr | str | Jet, ctx: ChartContext, up_to: int = 3
     anti = covariant_derivative_jets(f_jet, ctx, barred=True, up_to=up_to)
     hol += [None] * (3 - up_to)
     anti += [None] * (3 - up_to)
-    return CovDerivTable(
-        *(None if t is None else _values(t) for t in (*hol[1:], *anti[1:]))
-    )
+    return CovDerivTable(*(None if t is None else t[0] for t in (*hol[1:], *anti[1:])))
 
 
 def as_chart_jet(f, ctx: ChartContext) -> Jet:
@@ -398,25 +365,18 @@ def as_chart_jet(f, ctx: ChartContext) -> Jet:
 def metric_derivative_values(ctx: ChartContext):
     """Base-point values of first derivatives of the inverse metric (cached).
 
-    Returns ``(dgu, dgu_bar)`` with ``dgu[p][l][k]`` the holomorphic
-    derivative along ``p`` of ``g_up[l][k]`` and ``dgu_bar`` the barred one.
+    Returns read-only arrays ``(dgu, dgu_bar)`` with ``dgu[p, l, k]`` the
+    holomorphic derivative along ``p`` of ``g_up[l][k]`` and ``dgu_bar`` the
+    barred one.
     """
     key = "metric_derivative_values"
-    if key in ctx._cache:
-        return ctx._cache[key]
-    n = ctx.n
-
-    zero = (0,) * n
-    dgu = tuple(
-        tuple(tuple(ctx.g_up[l][k].derivative_at(unit_index(n, p), zero) for k in range(n)) for l in range(n))
-        for p in range(n)
-    )
-    dgu_bar = tuple(
-        tuple(tuple(ctx.g_up[l][k].derivative_at(zero, unit_index(n, q)) for k in range(n)) for l in range(n))
-        for q in range(n)
-    )
-    ctx._cache[key] = (dgu, dgu_bar)
-    return dgu, dgu_bar
+    if key not in ctx._cache:
+        n, gu = ctx.n, ctx.g_up_array
+        ctx._cache[key] = tuple(
+            _read_only(derivative_values(gu, n, *orders).transpose(2, 0, 1))
+            for orders in ((1, 0), (0, 1))
+        )
+    return ctx._cache[key]
 
 
 def jacobi_residual(ctx: ChartContext) -> float:
@@ -426,18 +386,11 @@ def jacobi_residual(ctx: ChartContext) -> float:
     scanned over all free indices; for a metric derived from a potential
     the exact value is zero, so this measures roundoff only.
     """
-    n = ctx.n
-    gu0 = ctx.inverse_metric_values()
+    gu0 = ctx.g_up_array[0]
     dgu, dgu_bar = metric_derivative_values(ctx)
-    gaps = []
-    for l in range(n):
-        for nn in range(n):
-            for m in range(n):
-                hol = sum(gu0[l][k] * dgu[k][nn][m] - gu0[nn][k] * dgu[k][l][m] for k in range(n))
-                gaps.append(hol)
-    for k in range(n):
-        for nn in range(n):
-            for m in range(n):
-                anti = sum(gu0[l][k] * dgu_bar[l][nn][m] - gu0[l][m] * dgu_bar[l][nn][k] for l in range(n))
-                gaps.append(anti)
-    return worst_abs(gaps)
+    # hol[l,nn,m] = g_up[l,k] d_k g_up[nn,m], to be antisymmetric in (l, nn)
+    hol = np.einsum("lk,knm->lnm", gu0, dgu)
+    # anti[k,nn,m] = g_up[l,k] dbar_l g_up[nn,m], to be antisymmetric in (k, m)
+    anti = np.einsum("lk,lnm->knm", gu0, dgu_bar)
+    gaps = (hol - hol.transpose(1, 0, 2), anti - anti.transpose(2, 1, 0))
+    return worst_abs(np.concatenate(gaps, axis=None))

@@ -25,7 +25,8 @@ jet tensors: it gathers the product pairs along the coefficient axis, runs
 :func:`numpy.einsum` over the component indices and sums each output's pairs;
 :meth:`Jet.__mul__` is its rank-0 case through the same routine.
 :func:`gradient` differentiates a tensor along every variable of one kind,
-a gather on the coefficient axis.
+a gather on the coefficient axis; :func:`derivative_values` reads the
+base-point partial derivatives of a tensor as one array.
 The product table has ``C(trunc + 4n, 4n)`` pairs; rings that need more than
 :data:`MAX_PRODUCT_PAIRS` are refused.
 """
@@ -33,6 +34,7 @@ The product table has ``C(trunc + 4n, 4n)`` pairs; rings that need more than
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from typing import Iterator, Sequence
 
@@ -52,6 +54,7 @@ __all__ = [
     "contract",
     "gradient",
     "truncate",
+    "derivative_values",
 ]
 
 MultiIndex = tuple[int, ...]
@@ -218,6 +221,19 @@ def gradient(a: np.ndarray, n: int, trunc: int, barred: bool = False) -> np.ndar
     out = a.take(tables.deriv_src[first : first + n, :size].T, axis=0)
     out *= factor.reshape(factor.shape + (1,) * (a.ndim - 1))
     return out.transpose((0, *range(2, out.ndim), 1))
+
+
+def derivative_values(a: np.ndarray, n: int, hol: int, anti: int) -> np.ndarray:
+    """Base-point partial derivatives ``∂_{k1..k_hol} ∂̄_{l1..l_anti}`` of a jet tensor of
+    dimension ``n``: an array of its component axes followed by the ``hol + anti``
+    derivative axes, each ``alpha! beta!`` times a coefficient as in :meth:`Jet.derivative_at`."""
+    index, pos, fac = _tables(n, hol + anti).index, [], []
+    for axes in itertools.product(range(n), repeat=hol + anti):
+        alpha, beta = unit_index(n, *axes[:hol]), unit_index(n, *axes[hol:])
+        pos.append(index[alpha + beta])
+        fac.append(multi_factorial(alpha) * multi_factorial(beta))
+    values = a[pos].transpose((*range(1, a.ndim), 0)) * np.array(fac, dtype=float)
+    return values.reshape(a.shape[1:] + (n,) * (hol + anti))
 
 
 class Jet:

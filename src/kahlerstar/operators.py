@@ -19,12 +19,17 @@ expressible through the inverse metric alone.
 Every contraction is a chain of :func:`kahlerstar.jets.contract` calls on
 the chart's jet-tensor arrays.  The covariant derivatives of a function are
 built once per chart, side and truncation and kept in the chart's cache.
+The raw-derivative forms (:func:`c2_expanded`, S and S-tilde, the Poisson
+bracket) are one :func:`numpy.einsum` per term over base-point partial
+derivatives read by :func:`kahlerstar.jets.derivative_values`.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+
+import numpy as np
 
 from .geometry import (
     ChartContext,
@@ -33,7 +38,7 @@ from .geometry import (
     curvature_jets,
     metric_derivative_values,
 )
-from .jets import Jet, contract, unit_index
+from .jets import Jet, contract, derivative_values
 
 __all__ = [
     "StarVariant",
@@ -194,26 +199,17 @@ def c2_expanded(f, g, ctx: ChartContext) -> complex:
     consistency check.
     """
     fj, gj = _pair_jets(f, g, ctx)
-    n = ctx.n
-
-    zero = (0,) * n
-    gu0 = [[ctx.g_up[l][k].value() for k in range(n)] for l in range(n)]
+    n, gu0 = ctx.n, ctx.g_up_array[0]
     dgu, dgu_bar = metric_derivative_values(ctx)
-    f1 = [fj.derivative_at(zero, unit_index(n, l)) for l in range(n)]
-    g1 = [gj.derivative_at(unit_index(n, k), zero) for k in range(n)]
-    f2 = [[fj.derivative_at(zero, unit_index(n, l, q)) for q in range(n)] for l in range(n)]
-    g2 = [[gj.derivative_at(unit_index(n, k, p), zero) for p in range(n)] for k in range(n)]
-
-    total = 0j
-    for l in range(n):
-        for k in range(n):
-            for q in range(n):
-                for p in range(n):
-                    total += gu0[q][p] * gu0[l][k] * f2[l][q] * g2[k][p]
-                    total += gu0[q][p] * dgu[p][l][k] * f2[l][q] * g1[k]
-                    total += dgu_bar[l][q][p] * gu0[l][k] * f1[q] * g2[k][p]
-                    total += dgu_bar[l][q][p] * dgu[p][l][k] * f1[q] * g1[k]
-    return 0.5 * total
+    f1, f2 = (derivative_values(fj._vec, n, 0, r) for r in (1, 2))
+    g1, g2 = (derivative_values(gj._vec, n, r, 0) for r in (1, 2))
+    total = (
+        np.einsum("qp,lk,lq,kp->", gu0, gu0, f2, g2)
+        + np.einsum("qp,plk,lq,k->", gu0, dgu, f2, g1)
+        + np.einsum("lqp,lk,q,kp->", dgu_bar, gu0, f1, g2)
+        + np.einsum("lqp,plk,q,k->", dgu_bar, dgu, f1, g1)
+    )
+    return 0.5 * complex(total)
 
 
 # -- third order ------------------------------------------------------------------
@@ -255,7 +251,16 @@ def c3(f, g, ctx: ChartContext) -> complex:
 
 
 def _p_jet(f, g, ctx: ChartContext, trunc: int = 0) -> Jet:
-    return _triple(*_pair_jets(f, g, ctx), ctx, trunc)
+    """The operator P by a second route: the holomorphic indices of ``g_/kps`` are
+    raised first, so that comparing P with :func:`_triple` through C3 tests both."""
+    fj, gj = _pair_jets(f, g, ctx)
+    n, gu = ctx.n, ctx.g_up_array
+    f3 = _derivs(fj, ctx, True, 3, trunc)[3]
+    g3 = _derivs(gj, ctx, False, 3, trunc)[3]
+    raised = contract("lk,kps->lps", gu, g3, n, trunc)
+    raised = contract("qp,lps->lqs", gu, raised, n, trunc)
+    raised = contract("ts,lqs->lqt", gu, raised, n, trunc)
+    return Jet._of(n, trunc, contract("lqt,lqt->", raised, f3, n, trunc))
 
 
 def _q_jet(f, g, ctx: ChartContext, trunc: int = 0) -> Jet:
@@ -277,44 +282,13 @@ def r_operator(f, g, ctx: ChartContext) -> complex:
 def _s_values(f, g, ctx: ChartContext) -> tuple[complex, complex]:
     """Values of the locally defined operator S and of its rewriting S-tilde."""
     fj, gj = _pair_jets(f, g, ctx)
-    n = ctx.n
-
-    zero = (0,) * n
-    gd0 = [[ctx.g_dn[k][l].value() for l in range(n)] for k in range(n)]
+    n, gd0 = ctx.n, ctx.g_dn_array[0]
     dgu, dgu_bar = metric_derivative_values(ctx)
-    f1 = [fj.derivative_at(zero, unit_index(n, l)) for l in range(n)]
-    g1 = [gj.derivative_at(unit_index(n, k), zero) for k in range(n)]
-
-    s = 0j
-    s_tilde = 0j
-    idx = range(n)
-    for m in idx:
-        for nn in idx:
-            for q in idx:
-                for l in idx:
-                    for ss in idx:
-                        for p in idx:
-                            for t in idx:
-                                for k in idx:
-                                    s += (
-                                        gd0[m][nn]
-                                        * dgu_bar[q][l][ss]
-                                        * dgu[ss][nn][p]
-                                        * dgu_bar[t][q][m]
-                                        * dgu[p][t][k]
-                                        * f1[l]
-                                        * g1[k]
-                                    )
-                                    s_tilde += (
-                                        dgu_bar[q][l][m]
-                                        * dgu[m][nn][p]
-                                        * dgu_bar[nn][q][ss]
-                                        * dgu[p][t][k]
-                                        * gd0[ss][t]
-                                        * f1[l]
-                                        * g1[k]
-                                    )
-    return s, s_tilde
+    f1 = derivative_values(fj._vec, n, 0, 1)
+    g1 = derivative_values(gj._vec, n, 1, 0)
+    s = np.einsum("mn,qls,snp,tqm,ptk,l,k->", gd0, dgu_bar, dgu, dgu_bar, dgu, f1, g1)
+    s_tilde = np.einsum("qlm,mnp,nqs,ptk,st,l,k->", dgu_bar, dgu, dgu_bar, dgu, gd0, f1, g1)
+    return complex(s), complex(s_tilde)
 
 
 def operator_breakdown(f, g, ctx: ChartContext) -> OperatorBreakdown:
@@ -370,16 +344,9 @@ def poisson_antisymmetry(f, g, ctx: ChartContext) -> PoissonCheck:
     convention for the imaginary prefactor of the bracket is asserted.
     """
     fj, gj = _pair_jets(f, g, ctx)
-    n = ctx.n
+    n, gu0 = ctx.n, ctx.g_up_array[0]
     anti = c1(fj, gj, ctx) - c1(gj, fj, ctx)
-
-    zero = (0,) * n
-    gu0 = [[ctx.g_up[l][k].value() for k in range(n)] for l in range(n)]
-    bracket = 0j
-    for l in range(n):
-        for k in range(n):
-            bracket += gu0[l][k] * (
-                fj.derivative_at(zero, unit_index(n, l)) * gj.derivative_at(unit_index(n, k), zero)
-                - gj.derivative_at(zero, unit_index(n, l)) * fj.derivative_at(unit_index(n, k), zero)
-            )
-    return PoissonCheck(antisymmetrized=anti, bracket=bracket)
+    f_bar, f_hol = derivative_values(fj._vec, n, 0, 1), derivative_values(fj._vec, n, 1, 0)
+    g_bar, g_hol = derivative_values(gj._vec, n, 0, 1), derivative_values(gj._vec, n, 1, 0)
+    bracket = np.einsum("lk,l,k->", gu0, f_bar, g_hol) - np.einsum("lk,l,k->", gu0, g_bar, f_hol)
+    return PoissonCheck(antisymmetrized=anti, bracket=complex(bracket))

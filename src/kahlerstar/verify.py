@@ -40,7 +40,7 @@ from .geometry import (
     metric_derivative_values,
     worst_abs,
 )
-from .jets import iter_multi_indices_upto, unit_index
+from .jets import derivative_values, iter_multi_indices_upto, unit_index
 from .operators import (
     StarVariant,
     c1,
@@ -325,43 +325,17 @@ def check_prop1(
 ) -> list[CheckResult]:
     """The two contracted metric-derivative identities behind the proof that
     the auxiliary operators agree up to regular terms, plus ``S == S~``."""
-    n = ctx.n
-    gu0 = [[ctx.g_up[l][k].value() for k in range(n)] for l in range(n)]
-    gd0 = [[ctx.g_dn[k][l].value() for l in range(n)] for k in range(n)]
+    gu0, gd0 = ctx.g_up_array[0], ctx.g_dn_array[0]
     dgu, dgu_bar = metric_derivative_values(ctx)
-
-    first = []
-    for l in range(n):
-        for q in range(n):
-            for nn in range(n):
-                for p in range(n):
-                    lhs = sum(
-                        gu0[nn][m] * dgu_bar[q][l][a] * dgu[m][b][p] * gd0[a][b]
-                        for m in range(n)
-                        for a in range(n)
-                        for b in range(n)
-                    )
-                    rhs = sum(dgu_bar[q][l][m] * dgu[m][nn][p] for m in range(n))
-                    first.append(lhs - rhs)
-
-    second = []
-    for m in range(n):
-        for q in range(n):
-            for p in range(n):
-                for k in range(n):
-                    lhs = sum(
-                        gu0[nn][m] * dgu_bar[nn][q][s] * dgu[p][t][k] * gd0[s][t]
-                        for nn in range(n)
-                        for s in range(n)
-                        for t in range(n)
-                    )
-                    rhs = sum(dgu_bar[nn][q][m] * dgu[p][nn][k] for nn in range(n))
-                    second.append(lhs - rhs)
+    first = np.einsum("nm,qla,mbp,ab->lqnp", gu0, dgu_bar, dgu, gd0)
+    first -= np.einsum("qlm,mnp->lqnp", dgu_bar, dgu)
+    second = np.einsum("nm,nqs,ptk,st->mqpk", gu0, dgu_bar, dgu, gd0)
+    second -= np.einsum("nqm,pnk->mqpk", dgu_bar, dgu)
 
     bd = operator_breakdown(f, g, ctx)
     return [
-        CheckResult("prop1_first_identity", worst_abs(first), tol, label),
-        CheckResult("prop1_second_identity", worst_abs(second), tol, label),
+        CheckResult("prop1_first_identity", worst_abs(first.ravel()), tol, label),
+        CheckResult("prop1_second_identity", worst_abs(second.ravel()), tol, label),
         CheckResult("prop1_s_equals_stilde", abs(bd.s - bd.s_tilde), tol, label),
     ]
 
@@ -378,28 +352,17 @@ def check_structural(
     tols = dict(DEFAULT_TOLERANCES)
     if tolerances:
         tols.update(tolerances)
-    n = ctx.n
     bd = operator_breakdown(f, g, ctx)
     decomposition = abs(c3(f, g, ctx) - (bd.p / 6.0 - bd.q / 4.0))
     forms = abs(c2(f, g, ctx) - c2_expanded(f, g, ctx))
     data = curvature(ctx)
-    gu0 = [[ctx.g_up[l][k].value() for k in range(n)] for l in range(n)]
-    raising = []
-    for q in range(n):
-        for p in range(n):
-            for k in range(n):
-                for l in range(n):
-                    raised = sum(
-                        gu0[q][c] * gu0[b][p] * data.r_dn[c][b][k][l]
-                        for c in range(n)
-                        for b in range(n)
-                    )
-                    raising.append(data.r_up[q][p][k][l] - raised)
+    gu0 = ctx.g_up_array[0]
+    raising = worst_abs((data.r_up - np.einsum("qc,bp,cbkl->qpkl", gu0, gu0, data.r_dn)).ravel())
     return [
         CheckResult("c3_decomposition", decomposition, tols["c3_decomposition"], label),
         CheckResult("c2_expanded_equals_covariant", forms, tols["c2_forms"], label),
         CheckResult(
-            "curvature_raising_consistency", worst_abs(raising), tols["curvature_raising"], label
+            "curvature_raising_consistency", raising, tols["curvature_raising"], label
         ),
         CheckResult("jacobi_identity", jacobi_residual(ctx), tols["jacobi"], label),
     ]
@@ -484,8 +447,8 @@ def check_covariance(
     back = tuple(eval_value(e, w0, wb0) for e in inverse)
     if worst_abs(a - b for a, b in zip(back, z0)) > 1e-10:
         raise ValueError("inverse(forward(z0)) does not return to the base point")
-    jacobian = [[eval_jet(e, z0, zb0, 1).derivative_at(unit_index(n, k), (0,) * n) for k in range(n)] for e in forward]
-    det = np.linalg.det(np.array(jacobian))
+    jacobian = np.array([derivative_values(eval_jet(e, z0, zb0, 1)._vec, n, 1, 0) for e in forward])
+    det = np.linalg.det(jacobian)
     if abs(det) < 1e-10:
         raise ValueError("coordinate map is not biholomorphic near the point (singular Jacobian)")
 

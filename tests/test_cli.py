@@ -4,6 +4,7 @@ import json
 import runpy
 import sys
 
+import numpy as np
 import pytest
 
 from kahlerstar.cli import main
@@ -98,8 +99,9 @@ def test_verify_presets_only(capsys):
 
 
 def test_verify_json_deterministic(capsys):
-    code1, out1, _ = run_cli(capsys, "verify", "--trials", "1", "--seed", "3", "--json")
-    code2, out2, _ = run_cli(capsys, "verify", "--trials", "1", "--seed", "3", "--json")
+    # the second random chart has n=2, so byte-identity covers its einsum paths too
+    code1, out1, _ = run_cli(capsys, "verify", "--trials", "2", "--seed", "3", "--json")
+    code2, out2, _ = run_cli(capsys, "verify", "--trials", "2", "--seed", "3", "--json")
     assert code1 == code2 == 0
     assert out1 == out2
     payload = json.loads(out1)
@@ -188,3 +190,32 @@ def test_chart_dimension_below_one_is_refused(capsys, chart, n):
     assert code == 2
     assert out == ""
     assert "chart dimension must be at least 1" in err
+
+
+def test_overflowing_metric_is_a_numerical_failure(capsys):
+    # the jet of this potential overflows to inf and NaN; that is a failed
+    # numerical precondition (exit 3), not an SVD error reported as usage
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = run_cli(
+            capsys, "eval", "--potential", "(1000000*z1*zb1+1000000*z1+1000000*zb1)^60",
+            "--point", "0.5", "--f", "zb1", "--g", "z1",
+        )
+    assert code == 3
+    assert out == ""
+    assert "metric at the base point is not finite" in err
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--trials", "-3"], "verify requires --trials of at least 0"),
+        (["--epsilon", "nan"], "verify requires a finite --epsilon"),
+        (["--epsilon", "inf"], "verify requires a finite --epsilon"),
+    ],
+    ids=["negative-trials", "nan-epsilon", "inf-epsilon"],
+)
+def test_verify_refuses_invalid_suite_settings(capsys, flags, message):
+    code, out, err = run_cli(capsys, "verify", *flags)
+    assert code == 2
+    assert out == ""
+    assert message in err

@@ -20,6 +20,7 @@ from kahlerstar.geometry import (
     covariant_derivatives,
     curvature,
     jacobi_residual,
+    metric_derivative_values,
 )
 from kahlerstar.jets import Jet, iter_multi_indices_upto
 
@@ -31,8 +32,8 @@ def test_flat_chart_is_trivial():
     ctx = build_chart("z1*zb1", (0.37 - 0.4j,), order=8)
     assert ctx.g_dn[0][0] == Jet.constant(1.0, 1, 6)
     assert ctx.g_up[0][0] == Jet.constant(1.0, 1, 6)
-    assert ctx.gamma_hol == (((0j,),),)
-    assert ctx.gamma_anti == (((0j,),),)
+    assert ctx.gamma_hol_array[0].tolist() == [[[0j]]]
+    assert ctx.gamma_anti_array[0].tolist() == [[[0j]]]
 
 
 def test_fubini_study_at_origin():
@@ -40,19 +41,19 @@ def test_fubini_study_at_origin():
     assert ctx.g_dn[0][0].value() == pytest.approx(1.0)
     assert ctx.g_dn[0][0].coeff((1,), (1,)) == pytest.approx(-2.0)
     assert ctx.g_up[0][0].coeff((1,), (1,)) == pytest.approx(2.0)
-    assert ctx.gamma_hol[0][0][0] == pytest.approx(0.0)
+    assert ctx.gamma_hol_array[0, 0, 0, 0] == pytest.approx(0.0)
 
 
 def test_fubini_study_christoffel_at_one():
     ctx = build_chart(FS, (1.0,), order=8)
-    assert ctx.gamma_hol[0][0][0] == pytest.approx(-1.0, abs=1e-12)
+    assert ctx.gamma_hol_array[0, 0, 0, 0] == pytest.approx(-1.0, abs=1e-12)
     # barred symbol is the conjugate picture at a real point
-    assert ctx.gamma_anti[0][0][0] == pytest.approx(-1.0, abs=1e-12)
+    assert ctx.gamma_anti_array[0, 0, 0, 0] == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_poincare_christoffel():
     ctx = build_chart(DISK, (0.3,), order=8)
-    assert ctx.gamma_hol[0][0][0] == pytest.approx(0.6 / 0.91, abs=1e-12)
+    assert ctx.gamma_hol_array[0, 0, 0, 0] == pytest.approx(0.6 / 0.91, abs=1e-12)
 
 
 def test_metric_inverse_duality():
@@ -233,8 +234,10 @@ def test_flat_metric_jets_are_exact():
 def test_chart_tensors_are_read_only_views_and_charts_compare_by_value():
     ctx = build_chart(FS, (0.4 - 0.3j,), order=8)
     assert np.shares_memory(ctx.g_up[0][0]._vec, ctx.g_up_array)
-    assert np.shares_memory(ctx.gamma_hol_jets[0][0][0]._vec, ctx.gamma_hol_array)
-    for array in (ctx.g_dn_array, ctx.g_up_array, ctx.gamma_hol_array, ctx.gamma_anti_array):
+    data, table = curvature(ctx), covariant_derivatives("z1^3*zb1^2", ctx)
+    for array in (ctx.g_dn_array, ctx.g_up_array, ctx.gamma_hol_array, ctx.gamma_anti_array,
+                  data.r_dn, data.r_up, data.r_raised, *metric_derivative_values(ctx),
+                  *vars(table).values()):
         with pytest.raises(ValueError):
             array[0] = 1.0
     assert ctx == build_chart(FS, (0.4 - 0.3j,), order=8)

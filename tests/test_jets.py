@@ -14,10 +14,12 @@ from kahlerstar.geometry import build_chart, curvature_jets
 from kahlerstar.jets import (
     Jet,
     contract,
+    derivative_values,
     iter_multi_indices_upto,
     jet_matrix_inverse,
     multi_binomial,
     solve_linear_system,
+    unit_index,
 )
 from kahlerstar.operators import _q_jet, _r1_jets, r_operator_jet
 
@@ -544,3 +546,20 @@ def test_flat_curvature_terms_are_exact_zeros():
         tensors += [op(f, g, ctx, trunc)._vec for op in (_q_jet, r_operator_jet)]
         for tensor in tensors:
             assert np.all(tensor == 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_derivative_values_match_derivative_at(n):
+    potential = "+".join(f"z{k}*zb{k}" for k in range(1, n + 1))
+    potential += f"+0.3*z1^2*zb{n}^2*z{n}+(0.2-0.1i)*zb1*z{n}^3*zb{n}+0.1i*z1*zb1^3"
+    ctx = build_chart(potential, [0.2 - 0.1j * k for k in range(n)], order=6)
+    for hol, anti in itertools.product(range(3), repeat=2):
+        on_phi = derivative_values(ctx.phi._vec, n, hol, anti)
+        on_g_up = derivative_values(ctx.g_up_array, n, hol, anti)
+        assert on_phi.shape == (n,) * (hol + anti)
+        assert on_g_up.shape == (n,) * (2 + hol + anti)
+        for axes in itertools.product(range(n), repeat=hol + anti):
+            alpha, beta = unit_index(n, *axes[:hol]), unit_index(n, *axes[hol:])
+            assert on_phi[axes] == ctx.phi.derivative_at(alpha, beta)
+            for l, k in itertools.product(range(n), repeat=2):
+                assert on_g_up[(l, k, *axes)] == ctx.g_up[l][k].derivative_at(alpha, beta)

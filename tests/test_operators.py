@@ -8,6 +8,7 @@ component equals 2.
 """
 
 import dataclasses
+import itertools
 import random
 import sys
 
@@ -16,6 +17,7 @@ import pytest
 from kahlerstar import geometry, operators
 from kahlerstar.expressions import parse
 from kahlerstar.geometry import as_chart_jet, build_chart
+from kahlerstar.jets import unit_index
 from kahlerstar.operators import (
     NuPolynomial,
     StarVariant,
@@ -39,7 +41,7 @@ from kahlerstar.operators import (
     star_product_jets,
 )
 from kahlerstar.oracle import build_left_mult, oracle_cr
-from kahlerstar.verify import RandomChartSpec, random_chart
+from kahlerstar.verify import RandomChartSpec, check_structural, random_chart, random_polynomial
 
 FS = "log(1+z1*zb1)"
 
@@ -343,9 +345,50 @@ def test_checks_do_not_use_the_covariant_route(monkeypatch):
         _patch_everywhere(monkeypatch, name, _Refused()._refuse)
     gammas = {
         name: _Refused()
-        for name in ("gamma_hol", "gamma_anti", "gamma_hol_jets", "gamma_anti_jets",
-                     "gamma_hol_array", "gamma_anti_array")
+        for name in ("gamma_hol_array", "gamma_anti_array")
     }
     assert run(dataclasses.replace(ctx, **gammas, _cache={})) == expected
     with pytest.raises(AssertionError):
         c2(f, g, dataclasses.replace(ctx, **gammas, _cache={}))
+
+
+def _s_reference(f, g, ctx):
+    """S and S-tilde by the eight-deep index loops of their definitions, read through
+    ``Jet.derivative_at`` one component at a time."""
+    n, fj, gj = ctx.n, as_chart_jet(f, ctx), as_chart_jet(g, ctx)
+    zero, idx = (0,) * n, range(n)
+    gd0 = [[ctx.g_dn[k][l].value() for l in idx] for k in idx]
+    dgu = [[[ctx.g_up[l][k].derivative_at(unit_index(n, p), zero) for k in idx] for l in idx] for p in idx]
+    dgu_bar = [[[ctx.g_up[l][k].derivative_at(zero, unit_index(n, q)) for k in idx] for l in idx] for q in idx]
+    f1 = [fj.derivative_at(zero, unit_index(n, l)) for l in idx]
+    g1 = [gj.derivative_at(unit_index(n, k), zero) for k in idx]
+    s = s_tilde = 0j
+    for m, nn, q, l, ss, p, t, k in itertools.product(idx, repeat=8):
+        s += gd0[m][nn] * dgu_bar[q][l][ss] * dgu[ss][nn][p] * dgu_bar[t][q][m] * dgu[p][t][k] * f1[l] * g1[k]
+        s_tilde += dgu_bar[q][l][m] * dgu[m][nn][p] * dgu_bar[nn][q][ss] * dgu[p][t][k] * gd0[ss][t] * f1[l] * g1[k]
+    return s, s_tilde
+
+
+@pytest.mark.parametrize("n,seed", [(2, 6), (3, 5)])
+def test_s_values_match_the_index_loops(n, seed):
+    # S == S-tilde alone would pass with the same index slip in both einsum forms
+    _, ctx, rng = random_chart(RandomChartSpec(n=n, seed=seed))
+    f, g = random_polynomial(rng, n), random_polynomial(rng, n)
+    for got, want in zip(_s_values(f, g, ctx), _s_reference(f, g, ctx)):
+        assert want != 0
+        assert abs(got - want) <= 1e-13 * abs(want)
+
+
+def test_c3_decomposition_catches_an_error_in_the_triple_contraction(monkeypatch):
+    # P is contracted from the holomorphic side, so a slip in C3's own triple
+    # contraction no longer cancels out of the decomposition
+    _, ctx, rng = random_chart(RandomChartSpec(n=2, seed=6))
+    f, g = random_polynomial(rng, 2), random_polynomial(rng, 2)
+
+    def decomposition():
+        return {r.name: r for r in check_structural(ctx, f, g)}["c3_decomposition"]
+
+    assert decomposition().passed
+    triple = operators._triple
+    monkeypatch.setattr(operators, "_triple", lambda *args: triple(*args) * (1.0 + 1e-6))
+    assert not decomposition().passed

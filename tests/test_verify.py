@@ -186,7 +186,8 @@ def test_nan_breakdown_fails_flat_vanishing(monkeypatch):
 def test_nan_metric_derivative_fails_jacobi():
     ctx = build_chart("z1*zb1+z2*zb2", (0.2, -0.1j), order=10)
     dgu, dgu_bar = metric_derivative_values(ctx)
-    nan_dgu = ((dgu[0][0], (dgu[0][1][0], complex(math.nan, 0.0))), dgu[1])
+    nan_dgu = dgu.copy()
+    nan_dgu[0, 1, 1] = complex(math.nan, 0.0)
     ctx._cache["metric_derivative_values"] = (nan_dgu, dgu_bar)
     assert jacobi_residual(ctx) == math.inf
     structural = {r.name: r for r in check_structural(ctx, "zb1*zb2", "z1^2")}
