@@ -163,6 +163,8 @@ def _cmd_verify(cfg: RunConfig) -> int:
         raise ValueError("verify requires --trials of at least 0")
     if not math.isfinite(cfg.epsilon):
         raise ValueError("verify requires a finite --epsilon")
+    if cfg.degree < 1:
+        raise ValueError("verify requires --degree of at least 1")
     results = run_suite(
         trials=cfg.trials,
         seed=cfg.seed,

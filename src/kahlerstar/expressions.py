@@ -21,6 +21,7 @@ literals, so :func:`to_source` round-trips structurally.
 from __future__ import annotations
 
 import enum
+import operator
 import re
 from dataclasses import dataclass, fields
 from decimal import Decimal
@@ -388,47 +389,81 @@ def to_source(expr: Expr) -> str:
 def eval_jet(expr: Expr, z0: Sequence[complex], zb0: Sequence[complex], order: int) -> Jet:
     """Jet of ``expr`` at the base point ``(z0, zb0)``, truncated at ``order``.
 
-    Monomial subtrees (literals, variables, products, negations, powers >= 0)
-    fold into one ``(coeff, powers)`` pair written by :meth:`Jet.monomial`, so a
-    polynomial costs no jet product.  Raises :class:`EvaluationError` when the
+    Polynomial subtrees fold into one term table ``{powers: coeff}``: literals,
+    variables, products and powers >= 0 of monomials and negations stay one
+    ``(coeff, powers)`` term, and a chain of sums and differences, walked with an
+    explicit stack, collects its terms in one list.  :meth:`Jet.polynomial` writes
+    the table's jet by one Taylor shift, so a polynomial costs no jet product and no
+    jet addition; only division, ``log``, ``exp``, negative powers and products or
+    powers of sums take jet arithmetic.  Raises :class:`EvaluationError` when the
     expression is not analytic at the point (pole, branch cut) or overflows.
     """
     n = len(z0)
     if len(zb0) != n:
         raise ValueError("z0 and zb0 must have the same length")
     base = tuple(complex(v) for v in (*z0, *zb0))
+    units = [unit_index(2 * n, v) for v in range(2 * n)]
+    zero = unit_index(2 * n)
 
     def jet(part) -> Jet:
-        return part if isinstance(part, Jet) else Jet.monomial(n, order, *part, base)
+        if isinstance(part, Jet):
+            return part
+        table: dict = {}
+        for coeff, powers in [part] if isinstance(part, tuple) else part:
+            table[powers] = table[powers] + coeff if powers in table else coeff
+        return Jet.polynomial(n, order, table, base)
+
+    def total(node: Expr):
+        """Terms and jets of a chain of sums, differences and negations, in order."""
+        terms: list = []
+        jets: list[Jet] = []
+        stack = [(node, False)]
+        while stack:
+            node, negated = stack.pop()
+            if isinstance(node, (Add, Sub)):
+                stack.append((node.right, negated != isinstance(node, Sub)))
+                stack.append((node.left, negated))
+            elif isinstance(node, Neg):
+                stack.append((node.arg, not negated))
+            else:
+                part = rec(node)
+                if isinstance(part, Jet):
+                    jets.append(-part if negated else part)
+                elif isinstance(part, tuple):
+                    terms.append((-part[0], part[1]) if negated else part)
+                else:
+                    terms.extend([(-c, p) for c, p in part] if negated else part)
+        if not jets:
+            return terms[0] if len(terms) == 1 else terms
+        result = jet(terms) if terms else jets.pop(0)
+        for part in jets:
+            result = result + part
+        return result
 
     def rec(node: Expr):
-        """Jet of ``node``, or ``(coeff, powers)`` while ``node`` is a monomial."""
+        """Jet of ``node``, a ``(coeff, powers)`` term while it is a monomial, or a
+        list of terms while it is a sum of them."""
         try:
-            if isinstance(node, Add):
-                return jet(rec(node.left)) + jet(rec(node.right))
             if isinstance(node, Mul):
                 left, right = rec(node.left), rec(node.right)
-                if isinstance(left, Jet) or isinstance(right, Jet):
-                    return jet(left) * jet(right)
-                return left[0] * right[0], tuple(a + b for a, b in zip(left[1], right[1]))
+                if isinstance(left, tuple) and isinstance(right, tuple):
+                    return left[0] * right[0], tuple(map(operator.add, left[1], right[1]))
+                return jet(left) * jet(right)
             if isinstance(node, Var):
                 if node.index > n:
                     raise EvaluationError(
                         f"variable index {node.index} exceeds the chart dimension {n}"
                     )
-                return 1.0, unit_index(2 * n, node.index - 1 + (n if node.barred else 0))
+                return 1.0, units[node.index - 1 + (n if node.barred else 0)]
             if isinstance(node, Pow):
                 arg, k = rec(node.base), node.exponent
-                if isinstance(arg, Jet) or k < 0:
+                if not isinstance(arg, tuple) or k < 0:
                     return jet(arg) ** k
                 return arg[0] ** k, tuple(p * k for p in arg[1])
             if isinstance(node, Literal):
-                return node.value, unit_index(2 * n)
-            if isinstance(node, Sub):
-                return jet(rec(node.left)) - jet(rec(node.right))
-            if isinstance(node, Neg):
-                arg = rec(node.arg)
-                return -arg if isinstance(arg, Jet) else (-arg[0], arg[1])
+                return node.value, zero
+            if isinstance(node, (Add, Sub, Neg)):
+                return total(node)
             if isinstance(node, Div):
                 return jet(rec(node.left)) * jet(rec(node.right)).reciprocal()
             if isinstance(node, Log):

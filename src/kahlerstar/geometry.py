@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .expressions import Expr, eval_jet, parse
+from .expressions import EvaluationError, Expr, eval_jet, parse, to_source
 from .jets import Jet, contract, derivative_values, gradient, jet_matrix_inverse, truncate
 
 __all__ = [
@@ -342,7 +342,8 @@ def as_chart_jet(f, ctx: ChartContext) -> Jet:
 
     An expression is evaluated once per chart: its jet is kept, read-only,
     in the chart's cache under the (parsed) expression, so every operator
-    applied to the same function shares one jet.
+    applied to the same function shares one jet.  A jet with a coefficient
+    that is not finite raises :class:`EvaluationError`.
     """
     if isinstance(f, Jet):
         if f.n != ctx.n:
@@ -354,6 +355,8 @@ def as_chart_jet(f, ctx: ChartContext) -> Jet:
     jet = ctx._cache.get(key)
     if jet is None:
         jet = eval_jet(f, ctx.z0, ctx.zb0, ctx.order)
+        if not np.isfinite(jet._vec).all():
+            raise EvaluationError(f"the jet of '{to_source(f)}' is not finite at the base point")
         jet._vec.flags.writeable = False
         ctx._cache[key] = jet
     return jet

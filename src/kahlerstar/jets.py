@@ -16,8 +16,10 @@ derivatives and the linear solver gather through are kept per ``n`` for the
 highest order seen.  Product pairs are sorted by output, then left factor, so
 a coefficient is summed in the same order whatever order the tables have
 (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 13).
-:meth:`Jet.monomial` writes the jet of a shifted monomial by the binomial
-theorem: one gather over the basis exponents, no jet product.
+:meth:`Jet.polynomial` writes the jet of a polynomial around a base point by
+one Taylor shift of its term table, one variable at a time and only over the
+exponents each term reaches, with no jet product and no jet addition;
+:meth:`Jet.monomial` is its one-term case.
 
 A jet *tensor* is one complex array with the coefficient axis first and one
 axis per component index after it.  :func:`contract` is the one product of
@@ -129,19 +131,16 @@ class _Tables:
         self.deg = exps.sum(axis=1)
         self.deg_start = [int(i) for i in np.searchsorted(self.deg, np.arange(order + 2))]
         # base-(order+1) digits encode a monomial; a product's code is the sum of codes
-        radix = (order + 1) ** np.arange(width, dtype=np.int64)
+        self.radix = radix = (order + 1) ** np.arange(width, dtype=np.int64)
         code = exps @ radix
         by_code = np.argsort(code)
-
-        def position(c: np.ndarray) -> np.ndarray:
-            return by_code[np.searchsorted(code[by_code], c)]
-
+        self._by_code, self._sorted_code = by_code, code[by_code]
         # every pair (i, j) with deg i + deg j <= order, then sorted by (k, i)
         counts = np.array(self.deg_start, dtype=np.intp)[order + 1 - self.deg]
         pair_i = np.repeat(np.arange(size, dtype=np.intp), counts)
         starts = np.repeat(np.cumsum(counts) - counts, counts)
         pair_j = np.arange(len(pair_i), dtype=np.intp) - starts
-        pair_k = position(code[pair_i] + code[pair_j])
+        pair_k = self.position(code[pair_i] + code[pair_j])
         perm = np.argsort(pair_k, kind="stable")  # keeps i ascending within each k
         self.pair_i, self.pair_j = pair_i[perm], pair_j[perm]
         self.seg = np.concatenate(([0], np.cumsum(np.bincount(pair_k, minlength=size))))
@@ -150,9 +149,13 @@ class _Tables:
         # row pos of deriv_src/deriv_fac gathers the derivative along flat variable pos
         lower = exps[: self.deg_start[order]]
         self.deriv_src = np.array(
-            [position(lower @ radix + radix[pos]) for pos in range(width)], dtype=np.intp
+            [self.position(lower @ radix + radix[pos]) for pos in range(width)], dtype=np.intp
         ).reshape(width, len(lower))
         self.deriv_fac = (lower.T + 1).astype(float)
+
+    def position(self, code: np.ndarray) -> np.ndarray:
+        """Basis positions of the monomials with codes ``code`` (``exps @ radix``)."""
+        return self._by_code[np.searchsorted(self._sorted_code, code)]
 
 
 _TABLES: dict[int, _Tables] = {}
@@ -296,22 +299,53 @@ class Jet:
         return cls._of(n, trunc, _zeros(n, trunc), -1)
 
     @classmethod
-    def monomial(cls, n: int, trunc: int, coeff: complex, powers: Sequence[int], base) -> Jet:
-        """Jet of ``coeff * prod_v x_v**powers[v]`` around ``base``, both over the ``2n`` flat
-        variables: by the binomial theorem ``coeff * prod_v C(p_v, e_v) * base_v**(p_v - e_v)``
-        on ``dx**e``, exactly 0 where some ``e_v > p_v``; a lower order is a bitwise prefix."""
-        if len(powers) != 2 * n or len(base) != 2 * n or min(powers, default=0) < 0:
-            raise ValueError(f"a monomial needs {2 * n} non-negative powers and base values")
-        factors = np.array(
-            [[math.comb(p, e) * x ** (p - e) if e <= p else 0 for e in range(trunc + 1)]
-             for p, x in zip(powers, base)], dtype=complex).reshape(2 * n, trunc + 1)
-        vec, tables = _zeros(n, trunc), _tables(n, trunc)
-        size = tables.deg_start[min(sum(powers), trunc) + 1]  # zero above its degree
-        # one reduction per coefficient, the same whatever the size (a length-1
+    def polynomial(cls, n: int, trunc: int, terms: dict, base) -> Jet:
+        """Jet of ``sum coeff * prod_v x_v**powers[v]`` over the term table
+        ``{powers: coeff}`` around ``base``, both over the ``2n`` flat variables.
+
+        The classical Taylor shift, one variable at a time: a term of power ``p`` in
+        ``x_v`` splits into the terms ``C(p, e) * base_v**(p - e) * dx_v**e`` for
+        ``e = 0..p``, and only the rows of total degree ``<= trunc`` are kept, so an
+        ``e > p`` gets exactly 0 and a high power costs no dense grid.  Each row's
+        coefficient is one product over its factors, then rows are summed into the
+        graded basis in term order: a lower order is a bitwise prefix.
+        """
+        width = 2 * n
+        if len(base) != width or any(len(p) != width or min(p, default=0) < 0 for p in terms):
+            raise ValueError(f"a monomial needs {width} non-negative powers and base values")
+        tables, vec = _tables(n, trunc), _zeros(n, trunc)
+        powers = np.array(list(terms), dtype=np.intp).reshape(len(terms), width)
+        # rows are (term, exponents) pairs, term-major; the exponents of the
+        # variables shifted so far are the columns, ``deg`` their sum
+        src, deg, cols = np.arange(len(terms)), np.zeros(len(terms), dtype=np.intp), []
+        for v in range(width):
+            count = np.minimum(powers[src, v], trunc - deg) + 1
+            rows = np.repeat(np.arange(len(src)), count)
+            e = np.arange(len(rows)) - np.repeat(np.cumsum(count) - count, count)
+            src, deg, cols = src[rows], deg[rows] + e, [c[rows] for c in cols] + [e]
+        # per variable, factors C(p, e) * x**(p - e) only for the powers that occur
+        factors = np.empty((len(src), width + 1), dtype=complex)
+        factors[:, 0] = np.array(list(terms.values()), dtype=complex)[src]
+        for v, x in enumerate(base):
+            occurring, which = np.unique(powers[:, v], return_inverse=True)
+            table = np.array(
+                [[math.comb(p, e) * x ** (p - e) if e <= p else 0 for e in range(trunc + 1)]
+                 for p in occurring.tolist()], dtype=complex).reshape(-1, trunc + 1)
+            factors[:, v + 1] = table[which[src], cols[v]]
+        # one reduction per row, the same whatever the number of rows (a length-1
         # elementwise product may round differently from a longer one)
-        gathered = factors[np.arange(2 * n), tables.exps[:size]]
-        vec[:size] = gathered.prod(axis=1, initial=complex(coeff))
+        values = factors.prod(axis=1)
+        code = tables.radix @ np.array(cols, dtype=np.int64).reshape(width, len(src))
+        pos = tables.position(code)
+        vec.real = np.bincount(pos, values.real, minlength=len(vec))
+        vec.imag = np.bincount(pos, values.imag, minlength=len(vec))
         return cls._of(n, trunc, vec)
+
+    @classmethod
+    def monomial(cls, n: int, trunc: int, coeff: complex, powers: Sequence[int], base) -> Jet:
+        """Jet of ``coeff * prod_v x_v**powers[v]`` around ``base``: the one-term
+        :meth:`polynomial`."""
+        return cls.polynomial(n, trunc, {tuple(powers): coeff}, base)
 
     @classmethod
     def coordinate(cls, n: int, trunc: int, axis: int, base: complex, barred: bool = False) -> Jet:

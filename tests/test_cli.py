@@ -205,14 +205,38 @@ def test_overflowing_metric_is_a_numerical_failure(capsys):
     assert "metric at the base point is not finite" in err
 
 
+def test_nonfinite_function_jet_is_a_numerical_failure(capsys):
+    # the jet of f overflows to inf and NaN in its power; the operators would
+    # otherwise print NaN with exit 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = run_cli(
+            capsys, "eval", "--preset", "flat", "--point", "0.5",
+            "--f", "(1000000*z1*zb1+1000000*z1+1000000*zb1)^60", "--g", "z1",
+        )
+    assert code == 3
+    assert out == ""
+    assert "error:" in err and "is not finite at the base point" in err
+
+
+def test_long_sum_potential_evaluates(capsys):
+    potential = "+".join(["0.001*z1*zb1"] * 1200)
+    code, out, _ = run_cli(
+        capsys, "eval", "--potential", potential, "--point", "0.1", "--f", "zb1", "--g", "z1"
+    )
+    assert code == 0
+    assert "c0=" in out
+
+
 @pytest.mark.parametrize(
     "flags,message",
     [
         (["--trials", "-3"], "verify requires --trials of at least 0"),
         (["--epsilon", "nan"], "verify requires a finite --epsilon"),
         (["--epsilon", "inf"], "verify requires a finite --epsilon"),
+        (["--degree", "-1"], "verify requires --degree of at least 1"),
+        (["--degree", "0"], "verify requires --degree of at least 1"),
     ],
-    ids=["negative-trials", "nan-epsilon", "inf-epsilon"],
+    ids=["negative-trials", "nan-epsilon", "inf-epsilon", "negative-degree", "zero-degree"],
 )
 def test_verify_refuses_invalid_suite_settings(capsys, flags, message):
     code, out, err = run_cli(capsys, "verify", *flags)

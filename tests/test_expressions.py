@@ -218,9 +218,9 @@ def _reference_jet(expr, z0, zb0, order):
 
 @pytest.fixture
 def jet_products(monkeypatch):
-    """Counts calls of ``Jet.__mul__`` and ``Jet.__pow__``."""
+    """Counts calls of ``Jet.__mul__``, ``Jet.__pow__`` and ``Jet.__add__``."""
     calls = []
-    for name in ("__mul__", "__pow__"):
+    for name in ("__mul__", "__pow__", "__add__"):
         original = getattr(Jet, name)
 
         def counted(self, other, _original=original, _name=name):
@@ -240,14 +240,42 @@ def test_polynomials_evaluate_without_jet_products(jet_products, monkeypatch):
         random_polynomial(rng, 2, kind="holomorphic"),
         parse("-(z1^2*zb2)*3i - (2*z2)^3 + zb1^0*0.5", 2),
     ]
+    shifts = []
+    original = Jet.polynomial
+
+    def counted(cls, *args):
+        shifts.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(Jet, "polynomial", classmethod(counted))
     # random_potential builds a chart to test positive definiteness
     jet_products.clear()
     got = [eval_jet(p, z0, zb0, 8) for p in polynomials]
     assert jet_products == []
+    assert len(shifts) == len(polynomials)  # one Taylor shift per polynomial
     monkeypatch.undo()
     for p, jet in zip(polynomials, got):
         expected = _reference_jet(p, z0, zb0, 8)
         assert (jet - expected).max_abs() <= 1e-12 * max(1.0, expected.max_abs())
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_eval_truncation_is_a_prefix(n):
+    rng = random.Random(71 + n)
+    z0 = tuple(complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)) for _ in range(n))
+    zb0 = tuple(complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)) for _ in range(n))
+    for kind in ("mixed", "holomorphic"):
+        p = random_polynomial(rng, n, degree=4, kind=kind)
+        high = eval_jet(p, z0, zb0, 8)
+        for t in range(9):
+            assert eval_jet(p, z0, zb0, t) == high.truncated(t), (kind, t)
+
+
+def test_long_sums_do_not_recurse():
+    long_sum = parse("+".join(["0.001*z1*zb1"] * 1200), 1)
+    got = eval_jet(long_sum, (0.1,), (0.1,), 10)
+    expected = eval_jet(parse("1.2*z1*zb1", 1), (0.1,), (0.1,), 10)
+    assert (got - expected).max_abs() <= 1e-12 * expected.max_abs()
 
 
 def test_eval_keeps_edge_cases():

@@ -457,6 +457,42 @@ def test_monomial_truncation_is_a_prefix(n):
             assert np.array_equal(low._vec, high.truncated(trunc)._vec)
 
 
+def _polynomial_cases(rng, n):
+    """Term tables with shared powers (rows that merge), a zero coefficient and a sparse
+    high power (``x_1^40 * x_2n^2``), at base 0, at a real base and at a complex one."""
+    width = 2 * n
+
+    def coeff():
+        return complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+
+    terms = {tuple(rng.randint(0, 3) for _ in range(width)): coeff() for _ in range(6)}
+    terms[(2,) + (0,) * (width - 1)] = coeff()
+    terms[(3,) + (0,) * (width - 1)] = coeff()
+    terms[(1,) * width] = 0j
+    terms[(0,) * width] = coeff()
+    terms[(40,) + (0,) * (width - 2) + (2,)] = coeff()
+    bases = [
+        [0j] * width,
+        [rng.uniform(-0.9, 0.9) + 0j for _ in range(width)],
+        [complex(rng.uniform(-0.9, 0.9), rng.uniform(-0.9, 0.9)) for _ in range(width)],
+    ]
+    return [(terms, base) for base in bases]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_polynomial_matches_sums_of_repeated_products(n):
+    rng = random.Random(73 + n)
+    cases = _polynomial_cases(rng, n)
+    for trunc in range(9):
+        for terms, base in cases:
+            got = Jet.polynomial(n, trunc, terms, base)
+            expected = Jet.zero(n, trunc)
+            for powers, coeff in terms.items():
+                expected = expected + _monomial_by_products(n, trunc, coeff, powers, base)
+            scale = max(1.0, expected.max_abs())
+            assert (got - expected).max_abs() <= 1e-12 * scale, (trunc, base)
+
+
 def test_monomial_rejects_bad_shapes():
     with pytest.raises(ValueError):
         Jet.monomial(1, 3, 1.0, (1,), (0j, 0j))
