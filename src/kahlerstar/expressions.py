@@ -71,19 +71,48 @@ class Expr:
     __slots__ = ()
 
 
+#: the classes made by :func:`_node`
+_NODES: set = set()
+
+
 def _node(cls):
-    """Frozen dataclass of a node with subtrees that hashes them once: charts memoise jets
-    under the expression, and the generated hash would walk the whole tree on every lookup."""
-    cls = dataclass(frozen=True)(cls)
+    """Frozen dataclass of a node with subtrees that is hashed once, when it is built from
+    its children's hashes: charts memoise jets under the expression, and a generated hash
+    would walk the whole tree on every lookup.  Equality walks with an explicit stack, so
+    a long sum nests to any depth."""
+    cls._fields = tuple(cls.__annotations__)
+
+    def __post_init__(self) -> None:
+        self.__dict__["_hash"] = hash(tuple(map(self.__dict__.__getitem__, self._fields)))
 
     def __hash__(self) -> int:
-        fields = self.__dict__
-        cached = fields.get("_hash")
-        if cached is None:
-            cached = fields["_hash"] = hash(tuple(fields.values()))
-        return cached
+        return self.__dict__["_hash"]
 
-    cls.__hash__ = __hash__
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            kind = a.__class__
+            if kind is not b.__class__:
+                return False
+            if kind in _NODES:
+                da, db = a.__dict__, b.__dict__
+                if da["_hash"] != db["_hash"]:
+                    return False
+                for name in kind._fields:
+                    stack.append((da[name], db[name]))
+            elif a != b:
+                return False
+        return True
+
+    cls.__post_init__ = __post_init__
+    cls = dataclass(frozen=True)(cls)
+    cls.__hash__, cls.__eq__ = __hash__, __eq__
+    _NODES.add(cls)
     return cls
 
 

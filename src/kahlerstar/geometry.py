@@ -178,9 +178,7 @@ def build_chart(
     tm, tg = order - 2, order - 3
     g_dn = _read_only(gradient(gradient(phi._vec, n, order), n, order - 1, barred=True))
     _require_admissible_metric(g_dn[0])
-    g_dn_jets = _views(g_dn, n, tm)
-    g_up_rows = jet_matrix_inverse(g_dn_jets)
-    g_up = _read_only(np.array([[jet._vec for jet in row] for row in g_up_rows]).transpose(2, 0, 1))
+    g_up = _read_only(jet_matrix_inverse(g_dn, n, tm))
     # gamma_hol[k,p,s] = d_k d_p dbar_t phi g_up[t,s]
     # gamma_anti[l,q,t] = g_up[t,s] d_s dbar_q dbar_l phi
     gamma_hol = _read_only(contract("ktp,ts->kps", gradient(g_dn, n, tm), g_up, n, tg))
@@ -193,7 +191,7 @@ def build_chart(
         order=order,
         potential=potential,
         phi=phi,
-        g_dn=g_dn_jets,
+        g_dn=_views(g_dn, n, tm),
         g_up=_views(g_up, n, tm),
         g_dn_array=g_dn,
         g_up_array=g_up,

@@ -29,6 +29,9 @@ jet tensors: it gathers the product pairs along the coefficient axis, runs
 :func:`gradient` differentiates a tensor along every variable of one kind,
 a gather on the coefficient axis; :func:`derivative_values` reads the
 base-point partial derivatives of a tensor as one array.
+:func:`solve_linear_system` solves a ``[coeff, a, b]`` matrix tensor against
+a ``[coeff, b, ...]`` right-hand side degree by degree, one column at a time;
+:func:`jet_matrix_inverse` is that solve with an identity right-hand side.
 The product table has ``C(trunc + 4n, 4n)`` pairs; rings that need more than
 :data:`MAX_PRODUCT_PAIRS` are refused.
 """
@@ -50,7 +53,6 @@ __all__ = [
     "iter_multi_indices_upto",
     "unit_index",
     "multi_factorial",
-    "multi_binomial",
     "solve_linear_system",
     "jet_matrix_inverse",
     "contract",
@@ -103,11 +105,6 @@ def multi_factorial(mi: Sequence[int]) -> int:
     return math.prod(math.factorial(e) for e in mi)
 
 
-def multi_binomial(a: Sequence[int], b: Sequence[int]) -> int:
-    """Product of componentwise binomial coefficients ``C(a_i, b_i)``."""
-    return math.prod(math.comb(x, y) for x, y in zip(a, b))
-
-
 class _Tables:
     """Index tables of the graded basis in ``2n`` variables up to degree ``order``: degree
     ``d`` starts at ``deg_start[d]``, the product pairs of output ``k`` at ``seg[k]``."""
@@ -152,6 +149,7 @@ class _Tables:
             [self.position(lower @ radix + radix[pos]) for pos in range(width)], dtype=np.intp
         ).reshape(width, len(lower))
         self.deriv_fac = (lower.T + 1).astype(float)
+        self.derivative_gathers: dict = {}  # (hol, anti) -> derivative_values' positions, factors
 
     def position(self, code: np.ndarray) -> np.ndarray:
         """Basis positions of the monomials with codes ``code`` (``exps @ radix``)."""
@@ -230,12 +228,16 @@ def derivative_values(a: np.ndarray, n: int, hol: int, anti: int) -> np.ndarray:
     """Base-point partial derivatives ``∂_{k1..k_hol} ∂̄_{l1..l_anti}`` of a jet tensor of
     dimension ``n``: an array of its component axes followed by the ``hol + anti``
     derivative axes, each ``alpha! beta!`` times a coefficient as in :meth:`Jet.derivative_at`."""
-    index, pos, fac = _tables(n, hol + anti).index, [], []
-    for axes in itertools.product(range(n), repeat=hol + anti):
-        alpha, beta = unit_index(n, *axes[:hol]), unit_index(n, *axes[hol:])
-        pos.append(index[alpha + beta])
-        fac.append(multi_factorial(alpha) * multi_factorial(beta))
-    values = a[pos].transpose((*range(1, a.ndim), 0)) * np.array(fac, dtype=float)
+    tables = _tables(n, hol + anti)
+    if (hol, anti) not in tables.derivative_gathers:
+        pos, fac = [], []
+        for axes in itertools.product(range(n), repeat=hol + anti):
+            alpha, beta = unit_index(n, *axes[:hol]), unit_index(n, *axes[hol:])
+            pos.append(tables.index[alpha + beta])
+            fac.append(multi_factorial(alpha) * multi_factorial(beta))
+        tables.derivative_gathers[hol, anti] = np.array(pos, dtype=np.intp), np.array(fac, dtype=float)
+    pos, fac = tables.derivative_gathers[hol, anti]
+    values = a[pos].transpose((*range(1, a.ndim), 0)) * fac
     return values.reshape(a.shape[1:] + (n,) * (hol + anti))
 
 
@@ -555,51 +557,47 @@ class Jet:
         return f"Jet(n={self.n}, trunc={self.trunc}, terms={len(self.coeffs)})"
 
 
-def solve_linear_system(matrix: Sequence[Sequence[Jet]], rhs: Sequence[Jet]) -> list[Jet]:
-    """Solve ``matrix @ x = rhs`` over the jet ring, degree by degree.
+def solve_linear_system(matrix: np.ndarray, rhs: np.ndarray, n: int, trunc: int) -> np.ndarray:
+    """Solve ``matrix @ x = rhs`` over the jet ring of dimension ``n``, degree by degree.
 
-    All entries must share ``n`` and ``trunc``; the constant-term matrix
-    must be numerically invertible.  The solution is exact up to the shared
-    truncation order.
+    ``matrix`` is a ``[coeff, a, b]`` jet tensor and ``rhs`` a ``[coeff, b, ...]`` one;
+    their coefficients of degree ``<= trunc`` are read.  The constant-term matrix must be
+    numerically invertible.  Each column of ``rhs`` is solved on its own, with the same
+    arithmetic whatever the number of columns; the result is exact up to ``trunc``.
     """
-    size = len(rhs)
-    if len(matrix) != size or any(len(row) != size for row in matrix):
+    if matrix.ndim != 3 or rhs.ndim < 2 or matrix.shape[1:] != (rhs.shape[1],) * 2:
         raise ValueError("system matrix must be square and match the right-hand side")
-    first = rhs[0]
-    n, trunc = first.n, first.trunc
-    for entry in (*[e for row in matrix for e in row], *rhs):
-        if entry.n != n or entry.trunc != trunc:
-            raise ValueError("all system entries must share chart dimension and truncation")
-
-    mat = np.array([[entry._vec for entry in row] for row in matrix])
+    size, tables = rhs.shape[1], _tables(n, trunc)
+    length = tables.deg_start[trunc + 1]
+    if min(len(matrix), len(rhs)) < length:
+        raise ValueError("cannot extend a jet to a higher truncation order")
+    mat = np.ascontiguousarray(matrix[:length].transpose(1, 2, 0))
     try:
         m0_inv = np.linalg.inv(mat[:, :, 0])
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError("constant term of the system matrix is singular") from exc
 
-    tables = _tables(n, trunc)
-    x = np.zeros((size, tables.deg_start[trunc + 1]), dtype=complex)
-    for degree in range(trunc + 1):
-        lo, hi = tables.deg_start[degree], tables.deg_start[degree + 1]
-        # pairs through the constant matrix term meet the still-zero block of x
-        seg = tables.seg[lo : hi + 1]
-        i, j = tables.pair_i[seg[0] : seg[-1]], tables.pair_j[seg[0] : seg[-1]]
-        terms = np.einsum("abp,bp->ap", mat[:, :, i], x[:, j])
-        residual = np.array([entry._vec[lo:hi] for entry in rhs])
-        residual -= np.add.reduceat(terms, seg[:-1] - seg[0], axis=1)
-        x[:, lo:hi] = m0_inv @ residual
-    return [Jet._of(n, trunc, x[k].copy()) for k in range(size)]
+    columns = rhs[:length].reshape(length, size, -1).transpose(2, 1, 0)
+    out = np.zeros((size, len(columns), length), dtype=complex)
+    for c, column in enumerate(columns):
+        x = np.zeros((size, length), dtype=complex)
+        for degree in range(trunc + 1):
+            lo, hi = tables.deg_start[degree], tables.deg_start[degree + 1]
+            # pairs through the constant matrix term meet the still-zero block of x
+            seg = tables.seg[lo : hi + 1]
+            i, j = tables.pair_i[seg[0] : seg[-1]], tables.pair_j[seg[0] : seg[-1]]
+            terms = np.einsum("abp,bp->ap", mat[:, :, i], x[:, j])
+            residual = column[:, lo:hi] - np.add.reduceat(terms, seg[:-1] - seg[0], axis=1)
+            x[:, lo:hi] = m0_inv @ residual
+        out[:, c] = x
+    out = out.reshape(size, *rhs.shape[2:], length)
+    return out.transpose(out.ndim - 1, *range(out.ndim - 1))
 
 
-def jet_matrix_inverse(matrix: Sequence[Sequence[Jet]]) -> list[list[Jet]]:
-    """Inverse of a square jet matrix, exact up to the shared truncation."""
-    size = len(matrix)
-    sample = matrix[0][0]
-    columns = []
-    for m in range(size):
-        unit = [
-            Jet.constant(1.0 if k == m else 0.0, sample.n, sample.trunc)
-            for k in range(size)
-        ]
-        columns.append(solve_linear_system(matrix, unit))
-    return [[columns[m][l] for m in range(size)] for l in range(size)]
+def jet_matrix_inverse(matrix: np.ndarray, n: int, trunc: int) -> np.ndarray:
+    """Inverse of a square ``[coeff, a, b]`` jet tensor, exact up to ``trunc``: the
+    :func:`solve_linear_system` of an identity right-hand side."""
+    size = matrix.shape[1]
+    unit = np.zeros((_tables(n, trunc).deg_start[trunc + 1], size, size), dtype=complex)
+    unit[0] = np.eye(size)
+    return solve_linear_system(matrix, unit, n, trunc)

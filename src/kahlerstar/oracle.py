@@ -1,31 +1,24 @@
 """Recursive construction of left-multiplication operators.
 
-For the standard product with separation of variables, left multiplication
-by a function ``f`` is a formal differential operator
-``A = A_0 + nu*A_1 + nu^2*A_2 + ...`` containing only holomorphic partial
-derivatives.  ``A_0`` is multiplication by ``f`` and the higher components
-solve the commutator recursion
+For the standard product with separation of variables (Karabegov, CMP 180,
+1996), left multiplication by ``f`` is a formal operator
+``A = A_0 + nu*A_1 + ...`` with only holomorphic derivatives: ``A_0`` is
+multiplication by ``f`` and ``[A_r, m(dbar_l Phi)] = [dbar_l, A_{r-1}]`` for
+every ``l``, with ``m(u)`` multiplication by ``u``.  Writing
+``A_r = sum_j T_j[k1..kj] d_k1...d_kj / j!`` with symmetric jet tensors
+``T_j`` (the coefficient of ``d^alpha`` is ``T_j[K(alpha)] / alpha!``) gives
+one equation per stage ``d = r-1, ..., 0``:
 
-    [A_r, m(dbar_l Phi)] = [dbar_l, A_{r-1}]        for every l,
+    T_{d+1}[k, K] g_dn[k, l]
+        = dbar_l T'_d[K] - sum_{j=d+2..r} T_j[I, K] d_I dbar_l Phi / (j-d)!,
 
-where ``m(u)`` denotes multiplication by ``u``.  Writing
-``A_r = sum_alpha a_alpha d^alpha`` and matching coefficients of
-``d^beta`` turns the recursion into triangular linear systems over the jet
-ring: for every ``beta`` and ``l``
-
-    sum_k (beta_k + 1) * a_{beta+e_k} * g_dn[k][l]
-        = dbar_l a'_beta
-          - sum_{|alpha| >= |beta|+2} binom(alpha, beta)
-            * (d^{alpha-beta} dbar_l Phi) * a_alpha,
-
-solved for decreasing coefficient degree.  For dimension two and higher
-the same coefficient is pinned by several ``beta``; the constructions must
-agree, and a disagreement is reported as an error rather than averaged
-away.
-
-The coefficient values of ``A_r`` applied to a second function reproduce
-the bidifferential operators of the product, which is what makes this an
-oracle for the covariant formulas.
+with ``T'`` the level ``r-1``, ``K`` of ``d`` indices and ``I`` of ``j-d``.
+Every stage has the matrix ``g_dn^T``, inverted once per build, so each
+solve and each term of the sum is one :func:`kahlerstar.jets.contract`.
+For ``n >= 2``, ``T_{d+1}[k, K]`` is pinned again by the equation with ``k``
+swapped into ``K``; the copies must agree per coefficient, and a disagreement
+is an error rather than averaged away.  The oracle reads only the potential's
+jet and ``g_dn``, never what the covariant formulas it checks are built from.
 """
 
 from __future__ import annotations
@@ -33,14 +26,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .geometry import ChartContext, as_chart_jet
-from .jets import (
-    Jet,
-    MultiIndex,
-    iter_multi_indices,
-    multi_binomial,
-    solve_linear_system,
-)
+from .jets import contract, derivative_values, gradient, jet_matrix_inverse, unit_index
 
 __all__ = [
     "OracleConsistencyError",
@@ -62,35 +51,35 @@ class OracleConsistencyError(RuntimeError):
     """Redundant determinations of an operator coefficient disagree."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FormalOperator:
-    """One component ``A_r`` of a left-multiplication operator.
+    """One component ``A_r = sum_j T_j[K] d_K / j!`` of a left-multiplication operator.
 
-    ``terms`` maps holomorphic multi-indices to jet coefficients; the
-    degree-zero key appears only for ``r = 0`` (multiplication by the
-    function itself), so ``A_r * 1 = 0`` for ``r >= 1``.
+    ``tensors[j]`` is the symmetric jet tensor ``T_j`` of rank ``j``, or ``None``
+    where it vanishes: ``T_0`` (multiplication by the function itself) appears
+    only for ``r = 0``, so ``A_r * 1 = 0`` for ``r >= 1``.  Arrays have no truth
+    value, so operators compare by identity.
     """
 
     n: int
     order: int
-    terms: dict
+    tensors: list
 
     def apply(self, g, ctx: ChartContext) -> complex:
         """Value of ``A_r g`` at the base point."""
-        g_jet = as_chart_jet(g, ctx)
-        total = 0j
-        zero = (0,) * self.n
-        for alpha, coeff in self.terms.items():
-            total += coeff.value() * g_jet.derivative_at(alpha, zero)
-        return total
+        g_vec = as_chart_jet(g, ctx)._vec
+        return complex(sum(
+            (t[0] * derivative_values(g_vec, self.n, j, 0)).sum() / math.factorial(j)
+            for j, t in enumerate(self.tensors) if t is not None
+        ))
 
 
 def build_left_mult(f, ctx: ChartContext, r_max: int = 3) -> list[FormalOperator]:
     """Components ``A_0 .. A_r_max`` of left multiplication by ``f``.
 
-    Coefficients at level ``r`` are carried as jets of order
-    ``r_max - r``: level ``r+1`` consumes one antiholomorphic derivative of
-    them and only base-point values are ever read off the top level.
+    Tensors at level ``r`` are carried as jets of order ``r_max - r``: level
+    ``r+1`` consumes one antiholomorphic derivative of them and only
+    base-point values are ever read off the top level.
     """
     if not 0 <= r_max <= 3:
         raise ValueError("recursion depth must be between 0 and 3")
@@ -100,73 +89,50 @@ def build_left_mult(f, ctx: ChartContext, r_max: int = 3) -> list[FormalOperator
             f"need at least {min_oracle_order(r_max)}"
         )
     n = ctx.n
-    f_jet = as_chart_jet(f, ctx)
-
-    levels: list[dict[MultiIndex, Jet]] = [{(0,) * n: f_jet.truncated(r_max)}]
-    for r in range(1, r_max + 1):
-        levels.append(_solve_level(levels[r - 1], ctx, r, trunc=r_max - r))
-
-    return [FormalOperator(n=n, order=r, terms=levels[r]) for r in range(r_max + 1)]
-
-
-def _phi_mixed_deriv(ctx: ChartContext, delta: MultiIndex, l: int, trunc: int) -> Jet:
-    """Jet of ``d^delta dbar_l Phi`` truncated to ``trunc``."""
-    jet = ctx.phi.deriv_bar(l)
-    for axis, count in enumerate(delta):
-        for _ in range(count):
-            jet = jet.deriv(axis)
-    return jet.truncated(trunc)
+    levels = [[as_chart_jet(f, ctx)._vec]]
+    if r_max:
+        # g_inv solves g_dn^T y = rhs; phi_mixed[m][:, l, i1..im] = d_i1..d_im dbar_l Phi,
+        # read at truncation r_max - m, the highest any level needs
+        g_inv = jet_matrix_inverse(ctx.g_dn_array.transpose(0, 2, 1), n, r_max - 1)
+        phi_mixed = [gradient(ctx.phi._vec, n, r_max + 1, barred=True)]
+        for m in range(1, r_max + 1):
+            phi_mixed.append(gradient(phi_mixed[-1], n, r_max + 1 - m))
+        for r in range(1, r_max + 1):
+            levels.append(_solve_level(levels[-1], g_inv, phi_mixed, n, r, r_max - r))
+    return [FormalOperator(n=n, order=r, tensors=t) for r, t in enumerate(levels)]
 
 
-def _solve_level(
-    prev: dict[MultiIndex, Jet], ctx: ChartContext, r: int, trunc: int
-) -> dict[MultiIndex, Jet]:
-    n = ctx.n
-    zero_jet = Jet.zero(n, trunc)
-    g_dn_t = [[ctx.g_dn[k][l].truncated(trunc) for l in range(n)] for k in range(n)]
-    current: dict[MultiIndex, Jet] = {}
-
-    for m in range(r, 0, -1):
-        stage: dict[MultiIndex, Jet] = {}
-        for beta in iter_multi_indices(n, m - 1):
-            rhs = []
-            for l in range(n):
-                base = prev.get(beta)
-                acc = base.deriv_bar(l).truncated(trunc) if base is not None else zero_jet
-                # already-determined higher-degree coefficients feed back in
-                for alpha, a_jet in current.items():
-                    if any(a < b for a, b in zip(alpha, beta)):
-                        continue
-                    delta = tuple(a - b for a, b in zip(alpha, beta))
-                    factor = multi_binomial(alpha, beta)
-                    acc = acc - (
-                        _phi_mixed_deriv(ctx, delta, l, trunc) * a_jet
-                    ) * factor
-                rhs.append(acc)
-            matrix = [
-                [g_dn_t[k][l] * (beta[k] + 1) for k in range(n)] for l in range(n)
-            ]
-            solution = solve_linear_system(matrix, rhs)
-            for k in range(n):
-                gamma = beta[:k] + (beta[k] + 1,) + beta[k + 1 :]
-                if gamma in stage:
-                    _require_agreement(stage[gamma], solution[k], gamma, r)
-                else:
-                    stage[gamma] = solution[k]
-        current.update(stage)
-
-    return current
+def _solve_level(prev: list, g_inv, phi_mixed: list, n: int, r: int, trunc: int) -> list:
+    """Tensors ``T_0..T_r`` of level ``r`` at order ``trunc`` from those of level ``r-1``."""
+    tensors = [None] * (r + 1)
+    for d in range(r - 1, -1, -1):
+        ks = "abc"[:d]  # rhs[:, K, l]; the indices I are "uvw"
+        rhs = 0.0 if prev[d] is None else gradient(prev[d], n, trunc + 1, barred=True)
+        for j in range(d + 2, r + 1):
+            ins = "uvw"[: j - d]
+            term = contract(f"{ins}{ks},l{ins}->{ks}l", tensors[j], phi_mixed[j - d], n, trunc)
+            rhs = rhs - term / math.factorial(j - d)
+        y = contract(f"kl,{ks}l->k{ks}", g_inv, rhs, n, trunc)
+        if n > 1:  # in one dimension no coefficient is pinned twice
+            for axis in range(2, d + 2):
+                _require_agreement(y, y.swapaxes(1, axis), r)
+        tensors[d + 1] = y
+    return tensors
 
 
-def _require_agreement(first: Jet, second: Jet, gamma: MultiIndex, r: int) -> None:
-    scale = 1.0 + first.max_abs()
-    gap = (first - second).max_abs()
-    # max_abs is inf for a non-finite coefficient, and inf <= tol * inf holds
-    if not (gap <= CONSISTENCY_TOL * scale and math.isfinite(scale)):
+def _require_agreement(first: np.ndarray, second: np.ndarray, r: int) -> None:
+    """Raise unless each component of the jet tensors ``first`` and ``second`` agrees,
+    relative to ``1 +`` the largest coefficient of ``first``'s jet of that component."""
+    scale = 1.0 + np.abs(first).max(axis=0)
+    gap = np.abs(first - second).max(axis=0)
+    # a non-finite coefficient makes gap or scale NaN or inf, and inf <= tol * inf holds
+    bad = ~((gap <= CONSISTENCY_TOL * scale) & np.isfinite(scale))
+    if bad.any():
+        axes = tuple(np.argwhere(bad)[0].tolist())
         raise OracleConsistencyError(
-            f"coefficient {gamma} of level {r} determined inconsistently "
-            f"(relative gap {gap / scale:.3e}); the recursion admits a unique "
-            f"solution, so this indicates corrupted input data or a bug"
+            f"coefficient {unit_index(first.shape[1], *axes)} of level {r} determined "
+            f"inconsistently (relative gap {gap[axes] / scale[axes]:.3e}); the recursion admits "
+            f"a unique solution, so this indicates corrupted input data or a bug"
         )
 
 

@@ -227,6 +227,15 @@ def test_long_sum_potential_evaluates(capsys):
     assert "c0=" in out
 
 
+def test_long_sum_function_evaluates(capsys):
+    # each operator parses --f again, and the chart's jet memo compares the new tree
+    # with the cached one: that comparison must not recurse through the 1 200 terms
+    f = "+".join(["0.001*z1*zb1"] * 1200)
+    code, out, _ = run_cli(capsys, "eval", "--preset", "flat", "--point", "0.1", "--g", "z1", "--f", f)
+    assert code == 0
+    assert "C1=0.12" in out
+
+
 @pytest.mark.parametrize(
     "flags,message",
     [

@@ -278,6 +278,15 @@ def test_long_sums_do_not_recurse():
     assert (got - expected).max_abs() <= 1e-12 * expected.max_abs()
 
 
+def test_deep_trees_compare_and_hash_without_recursion():
+    # 400 terms at n=3: a chain of Add nodes deeper than the default recursion limit
+    f, g = (random_polynomial(random.Random(3), 3) for _ in range(2))
+    assert f is not g
+    assert f == g and hash(f) == hash(g)
+    changed = parse("2*" + to_source(g), 3)  # doubles the first term's coefficient only
+    assert f != changed and changed != f
+
+
 def test_eval_keeps_edge_cases():
     assert parse_complex("(1+2i)^2*i-3") == (1 + 2j) ** 2 * 1j - 3
     assert eval_value(parse("0^0", 1), (0,), (0,)) == 1

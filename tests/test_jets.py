@@ -17,11 +17,15 @@ from kahlerstar.jets import (
     derivative_values,
     iter_multi_indices_upto,
     jet_matrix_inverse,
-    multi_binomial,
     solve_linear_system,
     unit_index,
 )
 from kahlerstar.operators import _q_jet, _r1_jets, r_operator_jet
+
+
+def _binomial(a, b):
+    """Product of componentwise binomial coefficients ``C(a_i, b_i)``."""
+    return math.prod(math.comb(x, y) for x, y in zip(a, b))
 
 
 def jet_of(n, trunc, entries):
@@ -190,8 +194,8 @@ def test_leibniz_convolution(a, b):
                         continue
                     b2 = tuple(x - y for x, y in zip(beta, b1))
                     expected += (
-                        multi_binomial(alpha, a1)
-                        * multi_binomial(beta, b1)
+                        _binomial(alpha, a1)
+                        * _binomial(beta, b1)
                         * a.derivative_at(a1, b1)
                         * b.derivative_at(a2, b2)
                     )
@@ -226,6 +230,11 @@ def test_truncation_coherence():
 # -- linear solver -----------------------------------------------------------
 
 
+def _jet_matrix(rows):
+    """``[coeff, a, b]`` jet tensor of a nested list of jets."""
+    return np.array([[jet._vec for jet in row] for row in rows]).transpose(2, 0, 1)
+
+
 def test_solve_linear_system_roundtrip():
     rng = random.Random(13)
     n, trunc = 2, 4
@@ -233,11 +242,11 @@ def test_solve_linear_system_roundtrip():
     # keep the constant term well-conditioned
     matrix[0][0] = matrix[0][0] + 3.0
     matrix[1][1] = matrix[1][1] + 3.0
-    rhs = [_random_jet(rng, n, trunc) for _ in range(2)]
-    x = solve_linear_system(matrix, rhs)
-    for i in range(2):
-        lhs = matrix[i][0] * x[0] + matrix[i][1] * x[1]
-        assert (lhs - rhs[i]).max_abs() < 1e-11
+    rhs = np.array([_random_jet(rng, n, trunc)._vec for _ in range(2)]).T
+    x = solve_linear_system(_jet_matrix(matrix), rhs, n, trunc)
+    assert x.shape == rhs.shape
+    lhs = contract("ab,b->a", _jet_matrix(matrix), x, n, trunc)
+    assert np.abs(lhs - rhs).max() < 1e-11
 
 
 def test_jet_matrix_inverse():
@@ -246,19 +255,16 @@ def test_jet_matrix_inverse():
     matrix = [[_random_jet(rng, n, trunc) for _ in range(2)] for _ in range(2)]
     matrix[0][0] = matrix[0][0] + 2.0
     matrix[1][1] = matrix[1][1] + 2.0
-    inv = jet_matrix_inverse(matrix)
-    for k in range(2):
-        for m in range(2):
-            prod = matrix[k][0] * inv[0][m] + matrix[k][1] * inv[1][m]
-            target = 1.0 if k == m else 0.0
-            assert (prod - target).max_abs() < 1e-11
+    inv = jet_matrix_inverse(_jet_matrix(matrix), n, trunc)
+    prod = contract("ab,bm->am", _jet_matrix(matrix), inv, n, trunc)
+    prod[0] -= np.eye(2)
+    assert np.abs(prod).max() < 1e-11
 
 
 def test_singular_system_rejected():
-    one = Jet.constant(1.0, 1, 2)
-    zero = Jet.zero(1, 2)
+    one = Jet.constant(1.0, 1, 2)._vec
     with pytest.raises(ArithmeticError):
-        solve_linear_system([[zero, zero], [zero, zero]], [one, one])
+        solve_linear_system(np.zeros((len(one), 2, 2)), np.stack([one, one], axis=1), 1, 2)
 
 
 # -- dense kernel against a reference convolution ----------------------------

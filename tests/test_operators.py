@@ -264,9 +264,9 @@ def test_operator_truncation_coherence(random_n2, op):
 # -- covariant-derivative bundles and the independence of the checks -------------
 
 
-def _patch_everywhere(monkeypatch, name, replacement):
-    """Replace ``geometry.<name>`` in every kahlerstar namespace that holds it."""
-    original = getattr(geometry, name)
+def _patch_everywhere(monkeypatch, name, replacement, module=geometry):
+    """Replace ``module.<name>`` in every kahlerstar namespace that holds it."""
+    original = getattr(module, name)
     for module_name, module in list(sys.modules.items()):
         if module_name == "kahlerstar" or module_name.startswith("kahlerstar."):
             for attr, value in list(vars(module).items()):

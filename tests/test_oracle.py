@@ -5,15 +5,20 @@ A_3 = (dbar^3 f / 6) d^3, obtained by running the commutator recursion
 with a constant metric by hand.
 """
 
+import dataclasses
+import inspect
 import math
 import random
 
+import numpy as np
 import pytest
 
-from kahlerstar.geometry import build_chart
-from kahlerstar.jets import Jet
+from kahlerstar import operators, verify
+from kahlerstar.geometry import _views, build_chart
+from kahlerstar.jets import Jet, _tables
 from kahlerstar.operators import c1, c2, c3
 from kahlerstar.oracle import OracleConsistencyError, _require_agreement, build_left_mult, oracle_cr
+from kahlerstar.verify import RandomChartSpec, random_chart
 
 FS = "log(1+z1*zb1)"
 
@@ -38,13 +43,14 @@ def test_flat_closed_forms(flat1):
     ops = build_left_mult(f, flat1, r_max=3)
     zb = flat1.zb0[0]
     z = flat1.z0[0]
-    # dbar f = 3 zb^2 + z, dbar^2 f = 6 zb, dbar^3 f = 6
-    assert ops[1].terms[(1,)].value() == pytest.approx(3 * zb**2 + z, abs=1e-12)
-    assert ops[2].terms[(2,)].value() == pytest.approx(3 * zb, abs=1e-12)
-    assert ops[3].terms[(3,)].value() == pytest.approx(1.0, abs=1e-12)
+    # dbar f = 3 zb^2 + z, dbar^2 f = 6 zb, dbar^3 f = 6; the coefficient of
+    # d^j is T_j[0..0] / j!
+    assert ops[1].tensors[1][0, 0] == pytest.approx(3 * zb**2 + z, abs=1e-12)
+    assert ops[2].tensors[2][0, 0, 0] / 2 == pytest.approx(3 * zb, abs=1e-12)
+    assert ops[3].tensors[3][0, 0, 0, 0] / 6 == pytest.approx(1.0, abs=1e-12)
     # no lower-order terms appear on a flat chart for this f
-    assert ops[2].terms.get((1,), None) is None or ops[2].terms[(1,)].max_abs() < 1e-14
-    assert ops[3].terms.get((1,), None) is None or ops[3].terms[(1,)].max_abs() < 1e-14
+    assert np.abs(ops[2].tensors[1]).max() < 1e-14
+    assert np.abs(ops[3].tensors[1]).max() < 1e-14
 
 
 def test_apply_order_zero(fs1):
@@ -60,14 +66,14 @@ def test_flat_first_order(flat1):
 def test_zero_operator(flat1):
     ops = build_left_mult("z1^2", flat1, r_max=3)  # holomorphic: A_r = 0 for r >= 1
     for r in range(1, 4):
-        assert all(jet.max_abs() == 0.0 for jet in ops[r].terms.values())
+        assert all(t is None or np.abs(t).max() == 0.0 for t in ops[r].tensors)
         assert ops[r].apply("z1*zb1^3", flat1) == 0.0
 
 
 def test_annihilates_constants(fs1):
     ops = build_left_mult("zb1^2+z1*zb1", fs1, r_max=3)
     for r in range(1, 4):
-        assert (0,) not in ops[r].terms
+        assert ops[r].tensors[0] is None
         assert ops[r].apply("1", fs1) == 0.0
 
 
@@ -109,7 +115,7 @@ def _random_hermitian_chart(rng, n, order=10):
     return build_chart(potential, point, order=order)
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_covariant_formulas_match_oracle(n):
     rng = random.Random(100 + n)
     for _ in range(3):
@@ -147,10 +153,46 @@ def test_gauge_invariance_random_n2():
         assert abs(oracle_cr(f, g, base, r) - oracle_cr(f, g, shifted, r)) < 1e-8
 
 
+def test_oracle_never_reads_the_covariant_route(monkeypatch):
+    from tests.test_operators import _patch_everywhere, _Refused
+
+    ctx = random_chart(RandomChartSpec(n=2, seed=6))[1]
+    f, g = "zb1^2*z2 + zb2^3 + z1*zb1*zb2 + zb1", "z1^3*zb2 + z2^2*z1 + z1*zb1 + z2"
+    expected = [oracle_cr(f, g, ctx, r) for r in (1, 2, 3)]
+    for name in ("covariant_derivative_jets", "curvature_jets", "curvature", "metric_derivative_values"):
+        _patch_everywhere(monkeypatch, name, _Refused()._refuse)
+    for name, value in vars(operators).items():
+        if inspect.isfunction(value) and value.__module__ == operators.__name__:
+            _patch_everywhere(monkeypatch, name, _Refused()._refuse, operators)
+    refused = {
+        name: _Refused() for name in ("g_up", "g_up_array", "gamma_hol_array", "gamma_anti_array")
+    }
+    chart = dataclasses.replace(ctx, **refused, _cache={})
+    assert [oracle_cr(f, g, chart, r) for r in (1, 2, 3)] == expected
+    with pytest.raises(AssertionError):
+        verify.c1(f, g, chart)
+
+
+def test_corrupted_metric_is_caught_in_a_build():
+    ctx = build_chart(
+        "z1*zb1+z2*zb2+0.2*z1^2*zb1*zb2+0.2*z1*z2*zb1^2", (0.1 - 0.05j, 0.12 + 0.08j), order=10
+    )
+    f, trunc = "zb1^2*z2+zb2^3", ctx.order - 2
+    build_left_mult(f, ctx, r_max=2)
+    # dbar_2 g_dn[0][0] no longer equals dbar_1 g_dn[0][1], which the level-2
+    # coefficient of d_1 d_2 is solved from as well
+    g_dn = np.array(ctx.g_dn_array)
+    g_dn[_tables(2, trunc).index[(0, 0, 0, 1)], 0, 0] += 1e-6
+    corrupted = dataclasses.replace(ctx, g_dn_array=g_dn, g_dn=_views(g_dn, 2, trunc), _cache={})
+    with pytest.raises(OracleConsistencyError, match=r"coefficient \(1, 1\) of level 2"):
+        build_left_mult(f, corrupted, r_max=2)
+
+
 def test_nonfinite_gap_is_inconsistent():
-    ok = Jet(1, 3, {(0, 0): 1.0, (1, 0): 0.5})
-    bad = Jet(1, 3, {(0, 0): 1.0, (1, 0): math.nan})
+    # rank-1 jet tensors of dimension 1 at order 3: the coefficient (1,)
+    ok = Jet(1, 3, {(0, 0): 1.0, (1, 0): 0.5})._vec[:, None]
+    bad = Jet(1, 3, {(0, 0): 1.0, (1, 0): math.nan})._vec[:, None]
     for first, second in ((ok, bad), (bad, ok), (bad, bad)):
-        with pytest.raises(OracleConsistencyError):
-            _require_agreement(first, second, (1,), 2)
-    _require_agreement(ok, ok, (1,), 2)
+        with pytest.raises(OracleConsistencyError, match=r"coefficient \(1,\) of level 2"):
+            _require_agreement(first, second, 2)
+    _require_agreement(ok, ok, 2)
