@@ -21,6 +21,8 @@ literals, so :func:`to_source` round-trips structurally.
 from __future__ import annotations
 
 import enum
+import functools
+import itertools
 import operator
 import re
 from dataclasses import dataclass, fields
@@ -41,6 +43,7 @@ __all__ = [
     "Pow",
     "Log",
     "Exp",
+    "Polynomial",
     "HolomorphyClass",
     "ExpressionError",
     "EvaluationError",
@@ -76,10 +79,10 @@ _NODES: set = set()
 
 
 def _node(cls):
-    """Frozen dataclass of a node with subtrees that is hashed once, when it is built from
-    its children's hashes: charts memoise jets under the expression, and a generated hash
-    would walk the whole tree on every lookup.  Equality walks with an explicit stack, so
-    a long sum nests to any depth."""
+    """Frozen dataclass of a node that is hashed once, when it is built, from its
+    children's hashes (or its terms): charts memoise jets under the expression, and a
+    generated hash would walk the whole tree on every lookup.  Equality walks with an
+    explicit stack, so a long sum nests to any depth."""
     cls._fields = tuple(cls.__annotations__)
 
     def __post_init__(self) -> None:
@@ -170,6 +173,20 @@ class Log(Expr):
 @_node
 class Exp(Expr):
     arg: Expr
+
+
+@_node
+class Polynomial(Expr):
+    """Sum of monomials as one leaf: ``terms`` is the tuple of ``(coeff, powers)`` pairs
+    in the order written, ``powers`` the exponents of ``z1..zn`` then ``zb1..zbn``.
+    Equal powers may repeat; their coefficients add in term order.  The generators of
+    random charts build it directly, so no tree is built or walked for them."""
+
+    terms: tuple
+
+    @property
+    def n(self) -> int:
+        return len(self.terms[0][1]) // 2
 
 
 class HolomorphyClass(enum.Enum):
@@ -374,28 +391,49 @@ def _prints_with_leading_minus(node: Expr) -> bool:
     )
 
 
+def _term_tree(coeff: complex, powers: tuple) -> Expr:
+    """The tree of one polynomial term: ``Mul(Literal(coeff), monomial)``, the monomial's
+    factors left-nested with ``z`` before ``zb``, ``1.0`` for no factor; a coefficient of
+    1 is left out of a term with factors."""
+    n = len(powers) // 2
+    factors = [
+        Var(v % n + 1, v >= n) if e == 1 else Pow(Var(v % n + 1, v >= n), e)
+        for v, e in enumerate(powers) if e
+    ]
+    if not factors:
+        return Mul(Literal(coeff), Literal(1.0 + 0j))
+    monomial = functools.reduce(Mul, factors)
+    return monomial if coeff == 1 else Mul(Literal(coeff), monomial)
+
+
 def to_source(expr: Expr) -> str:
-    """Render an expression tree back to parseable source (for diagnostics)."""
+    """Render an expression tree back to parseable source (for diagnostics).
+
+    A :class:`Polynomial` prints as its terms joined by ``+``, each as its
+    :func:`_term_tree` prints, so it reads as the sum of products it stands for.
+    """
     if isinstance(expr, Literal):
         return _literal_source(expr.value)
     if isinstance(expr, Var):
         return f"{'zb' if expr.barred else 'z'}{expr.index}"
+    if isinstance(expr, Polynomial):
+        return "+".join(to_source(_term_tree(*term)) for term in expr.terms)
     if isinstance(expr, (Add, Sub)):
         op = "+" if isinstance(expr, Add) else "-"
         left = to_source(expr.left)
         if _prints_with_leading_minus(expr.left):
             left = f"({left})"
         right = to_source(expr.right)
-        if isinstance(expr.right, (Add, Sub, Neg)):
+        if isinstance(expr.right, (Add, Sub, Neg, Polynomial)):
             right = f"({right})"
         return f"{left}{op}{right}"
     if isinstance(expr, (Mul, Div)):
         op = "*" if isinstance(expr, Mul) else "/"
         left = to_source(expr.left)
-        if isinstance(expr.left, (Add, Sub)) or _prints_with_leading_minus(expr.left):
+        if isinstance(expr.left, (Add, Sub, Polynomial)) or _prints_with_leading_minus(expr.left):
             left = f"({left})"
         right = to_source(expr.right)
-        if isinstance(expr.right, (Add, Sub, Neg, Mul, Div)):
+        if isinstance(expr.right, (Add, Sub, Neg, Mul, Div, Polynomial)):
             right = f"({right})"
         return f"{left}{op}{right}"
     if isinstance(expr, Neg):
@@ -420,12 +458,13 @@ def eval_jet(expr: Expr, z0: Sequence[complex], zb0: Sequence[complex], order: i
 
     Polynomial subtrees fold into one term table ``{powers: coeff}``: literals,
     variables, products and powers >= 0 of monomials and negations stay one
-    ``(coeff, powers)`` term, and a chain of sums and differences, walked with an
-    explicit stack, collects its terms in one list.  :meth:`Jet.polynomial` writes
-    the table's jet by one Taylor shift, so a polynomial costs no jet product and no
-    jet addition; only division, ``log``, ``exp``, negative powers and products or
-    powers of sums take jet arithmetic.  Raises :class:`EvaluationError` when the
-    expression is not analytic at the point (pole, branch cut) or overflows.
+    ``(coeff, powers)`` term, a :class:`Polynomial` leaf gives its terms as they are,
+    and a chain of sums and differences, walked with an explicit stack, collects its
+    terms in one list.  :meth:`Jet.polynomial` writes the table's jet by one Taylor
+    shift, so a polynomial costs no jet product and no jet addition; only division,
+    ``log``, ``exp``, negative powers and products or powers of sums take jet
+    arithmetic.  Raises :class:`EvaluationError` when the expression is not analytic
+    at the point (pole, branch cut) or overflows.
     """
     n = len(z0)
     if len(zb0) != n:
@@ -491,6 +530,8 @@ def eval_jet(expr: Expr, z0: Sequence[complex], zb0: Sequence[complex], order: i
                 return arg[0] ** k, tuple(p * k for p in arg[1])
             if isinstance(node, Literal):
                 return node.value, zero
+            if isinstance(node, Polynomial):
+                return _chart_terms(node, n)
             if isinstance(node, (Add, Sub, Neg)):
                 return total(node)
             if isinstance(node, Div):
@@ -509,6 +550,17 @@ def eval_jet(expr: Expr, z0: Sequence[complex], zb0: Sequence[complex], order: i
         return jet(rec(expr))
     except OverflowError as exc:  # a monomial's value beyond the float range
         raise EvaluationError(f"{exc} in '{to_source(expr)}'") from exc
+
+
+def _chart_terms(poly: Polynomial, n: int) -> list:
+    """The terms of ``poly`` over the ``2n`` variables of a chart of dimension ``n``."""
+    m = poly.n
+    if m > n:
+        raise EvaluationError(f"polynomial in {m} variables exceeds the chart dimension {n}")
+    if m == n:
+        return list(poly.terms)
+    pad = (0,) * (n - m)
+    return [(c, p[:m] + pad + p[m:] + pad) for c, p in poly.terms]
 
 
 def eval_value(expr: Expr, z0: Sequence[complex], zb0: Sequence[complex]) -> complex:
@@ -532,6 +584,9 @@ def substitute(expr: Expr, replacements: Sequence[Expr]) -> Expr:
     def leaf(node: Expr) -> Expr:
         if isinstance(node, Literal):
             return node
+        if isinstance(node, Polynomial):  # the left-nested sum of its terms' trees
+            tree = functools.reduce(Add, itertools.starmap(_term_tree, node.terms))
+            return _map_leaves(tree, leaf)
         if node.index > n:
             raise ValueError(
                 f"replacement list of length {2 * n} does not cover variable index {node.index}"
@@ -542,9 +597,10 @@ def substitute(expr: Expr, replacements: Sequence[Expr]) -> Expr:
 
 
 def _map_leaves(expr: Expr, leaf) -> Expr:
-    """``expr`` rebuilt with every literal and variable ``node`` replaced by ``leaf(node)``;
-    the fields annotated ``Expr`` are the subtrees, every other field is copied."""
-    if isinstance(expr, (Literal, Var)):
+    """``expr`` rebuilt with every literal, variable and polynomial ``node`` replaced by
+    ``leaf(node)``; the fields annotated ``Expr`` are the subtrees, every other field is
+    copied."""
+    if isinstance(expr, (Literal, Var, Polynomial)):
         return leaf(expr)
     if not isinstance(expr, Expr):
         raise TypeError(f"not an expression node: {expr!r}")
@@ -573,6 +629,10 @@ def classify(expr: Expr) -> HolomorphyClass:
             stack.append(node.arg)
         elif isinstance(node, Pow):
             stack.append(node.base)
+        elif isinstance(node, Polynomial):
+            n = node.n
+            has_z = has_z or any(any(p[:n]) for _, p in node.terms)
+            has_zb = has_zb or any(any(p[n:]) for _, p in node.terms)
     if has_z and has_zb:
         return HolomorphyClass.MIXED
     if has_z:
@@ -592,6 +652,9 @@ def formal_conjugate(expr: Expr) -> Expr:
     def leaf(node: Expr) -> Expr:
         if isinstance(node, Literal):
             return Literal(node.value.conjugate())
+        if isinstance(node, Polynomial):
+            n = node.n
+            return Polynomial(tuple((c.conjugate(), p[n:] + p[:n]) for c, p in node.terms))
         return Var(node.index, not node.barred)
 
     return _map_leaves(expr, leaf)

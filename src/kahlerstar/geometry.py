@@ -20,6 +20,8 @@ point.  Index conventions used throughout (axes are 0-based):
 
 Every jet tensor is one complex array, the coefficient axis first and the
 indices above after it (``g_up_array[:, l, k]`` is the jet of ``g_up[l][k]``).
+A chart builds ``g_up`` and the Christoffel symbols when they are first read,
+through :func:`chart_tensors`, only as deep as their reader needs.
 Derivatives are :func:`kahlerstar.jets.gradient` gathers and every product is
 a :func:`kahlerstar.jets.contract` call; no tensor is assembled component by
 component.  The identities at the base point (``r_dn``, the Jacobi identity)
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,9 +43,11 @@ from .jets import Jet, contract, derivative_values, gradient, jet_matrix_inverse
 __all__ = [
     "SingularMetricError",
     "ChartContext",
+    "ChartTensors",
     "CurvatureData",
     "CovDerivTable",
     "build_chart",
+    "chart_tensors",
     "require_dimension",
     "curvature",
     "covariant_derivatives",
@@ -55,8 +59,13 @@ __all__ = [
 #: smallest admissible metric eigenvalue (or singular value) at the base point
 EIGENVALUE_FLOOR = 1e-8
 
-#: minimum jet order accepted by :func:`build_chart`; third-order operators
-#: need third covariant derivatives plus curvature, which consume six degrees
+#: minimum jet order accepted by :func:`build_chart`.  The chart tensors are
+#: built on first read, each at the truncation its reader asks for, and an
+#: order bounds what can be asked: ``g_up`` to ``order - 2``, Christoffel
+#: symbols to ``order - 3`` and curvature to ``order - 4``.  At order 6 the
+#: third-order operators at the base point (curvature at truncation 0,
+#: third covariant derivatives of functions known to order 3) keep two
+#: degrees to spare
 MIN_CHART_ORDER = 6
 
 
@@ -91,14 +100,19 @@ class SingularMetricError(ArithmeticError):
 class ChartContext:
     """Geometric state of one chart at one base point.
 
-    Jets are carried at their maximal exact order: the potential at
-    ``order``, the metric and its inverse at ``order - 2``, Christoffel
-    symbols at ``order - 3``.  Each tensor is one read-only jet-tensor array
-    (``*_array``: coefficient axis first, then the indices in the order of
-    the module docs; ``[0]`` is the value at the base point); ``g_dn`` and
-    ``g_up`` are nested tuples of jets viewing the metric arrays.  ``_cache``
-    holds jets derived on demand, among them one read-only jet per distinct
-    function passed to :func:`as_chart_jet`, kept until the chart is dropped.
+    The potential's jet is carried at ``order`` and the metric at
+    ``order - 2``, both built with the chart, which refuses a metric that is
+    not admissible at the base point.  The inverse metric and the
+    Christoffel symbols are built on first read, through :func:`chart_tensors`,
+    at the truncation their reader needs; the public ``g_up``,
+    ``g_up_array`` (at ``order - 2``) and ``gamma_*_array`` (at
+    ``order - 3``) read the same memo.  Each tensor is one read-only
+    jet-tensor array (``*_array``: coefficient axis first, then the indices in
+    the order of the module docs; ``[0]`` is the value at the base point);
+    ``g_dn`` and ``g_up`` are nested tuples of jets viewing the metric arrays.
+    ``_cache`` holds jets derived on demand, among them one read-only jet per
+    distinct function passed to :func:`as_chart_jet`, kept until the chart is
+    dropped.
     """
 
     n: int
@@ -108,20 +122,43 @@ class ChartContext:
     potential: Expr
     phi: Jet
     g_dn: tuple
-    g_up: tuple
     # the jet views above compare the same coefficients; arrays have no truth value
     g_dn_array: np.ndarray = field(compare=False)
-    g_up_array: np.ndarray = field(compare=False)
-    gamma_hol_array: np.ndarray = field(compare=False)
-    gamma_anti_array: np.ndarray = field(compare=False)
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
+
+    @property
+    def g_up_array(self) -> np.ndarray:
+        return chart_tensors(self, self.order - 2).g_up
+
+    @property
+    def gamma_hol_array(self) -> np.ndarray:
+        return chart_tensors(self, self.order - 2).gamma_hol
+
+    @property
+    def gamma_anti_array(self) -> np.ndarray:
+        return chart_tensors(self, self.order - 2).gamma_anti
+
+    @property
+    def g_up(self) -> tuple:
+        if "g_up_views" not in self._cache:
+            self._cache["g_up_views"] = _views(self.g_up_array, self.n, self.order - 2)
+        return self._cache["g_up_views"]
 
     def metric_values(self) -> np.ndarray:
         """Metric matrix at the base point, rows holomorphic."""
         return self.g_dn_array[0].copy()
 
     def inverse_metric_values(self) -> np.ndarray:
-        return self.g_up_array[0].copy()
+        return chart_tensors(self, 0).g_up[0].copy()
+
+
+class ChartTensors(NamedTuple):
+    """Chart tensors read at one truncation ``t``: ``g_up`` at ``t``, and the Christoffel
+    symbols, which take one more derivative of the metric, at ``t - 1``."""
+
+    g_up: np.ndarray
+    gamma_hol: np.ndarray
+    gamma_anti: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -162,7 +199,9 @@ def build_chart(
 
     ``zb0`` defaults to the componentwise conjugate of ``z0``, which is the
     diagonal of a real-analytic chart.  Requires ``order >= 6`` so that all
-    third-order operator ingredients stay exact.
+    third-order operator ingredients stay exact.  Builds the potential's jet
+    and the metric and checks the metric at the point; the inverse metric
+    and the Christoffel symbols wait for their first read (:func:`chart_tensors`).
     """
     n = require_dimension(len(z0) if n is None else n)
     if len(z0) != n:
@@ -175,15 +214,8 @@ def build_chart(
     zb0 = tuple(v.conjugate() for v in z0) if zb0 is None else tuple(complex(v) for v in zb0)
 
     phi = eval_jet(potential, z0, zb0, order)
-    tm, tg = order - 2, order - 3
     g_dn = _read_only(gradient(gradient(phi._vec, n, order), n, order - 1, barred=True))
     _require_admissible_metric(g_dn[0])
-    g_up = _read_only(jet_matrix_inverse(g_dn, n, tm))
-    # gamma_hol[k,p,s] = d_k d_p dbar_t phi g_up[t,s]
-    # gamma_anti[l,q,t] = g_up[t,s] d_s dbar_q dbar_l phi
-    gamma_hol = _read_only(contract("ktp,ts->kps", gradient(g_dn, n, tm), g_up, n, tg))
-    gamma_anti = _read_only(contract("ts,sql->lqt", g_up, gradient(g_dn, n, tm, True), n, tg))
-
     return ChartContext(
         n=n,
         z0=z0,
@@ -191,12 +223,42 @@ def build_chart(
         order=order,
         potential=potential,
         phi=phi,
-        g_dn=_views(g_dn, n, tm),
-        g_up=_views(g_up, n, tm),
+        g_dn=_views(g_dn, n, order - 2),
         g_dn_array=g_dn,
-        g_up_array=g_up,
-        gamma_hol_array=gamma_hol,
-        gamma_anti_array=gamma_anti,
+    )
+
+
+def chart_tensors(ctx: ChartContext, trunc: int) -> ChartTensors:
+    """The inverse metric at truncation ``trunc`` and the Christoffel symbols at
+    ``trunc - 1``, as read-only views; ``trunc`` is at most ``ctx.order - 2``.
+
+    One memo per chart holds them at the deepest truncation asked for so far, and a
+    smaller request reads its prefix: every coefficient of the inverse and of a
+    contraction is summed degree by degree over the same product pairs whatever the
+    truncation, so a prefix is bitwise the tensor built at the smaller truncation.
+    """
+    n = ctx.n
+    if not 0 <= trunc <= ctx.order - 2:
+        raise ValueError(
+            f"no chart tensors at truncation {trunc}: a chart of order {ctx.order} "
+            f"holds them from 0 to {ctx.order - 2}"
+        )
+    built = ctx._cache.get("chart_tensors")
+    if built is None or built[0] < trunc:
+        t = max(trunc, 1)  # the Christoffel symbols need one degree
+        g_dn = ctx.g_dn_array
+        g_up = _read_only(jet_matrix_inverse(g_dn, n, t))
+        # gamma_hol[k,p,s] = d_k d_p dbar_t phi g_up[t,s]
+        # gamma_anti[l,q,t] = g_up[t,s] d_s dbar_q dbar_l phi
+        gamma_hol = contract("ktp,ts->kps", gradient(g_dn, n, t), g_up, n, t - 1)
+        gamma_anti = contract("ts,sql->lqt", g_up, gradient(g_dn, n, t, True), n, t - 1)
+        built = (t, ChartTensors(g_up, _read_only(gamma_hol), _read_only(gamma_anti)))
+        ctx._cache["chart_tensors"] = built
+    g_up, gamma_hol, gamma_anti = built[1]
+    return ChartTensors(
+        truncate(g_up, n, trunc),
+        truncate(gamma_hol, n, trunc - 1),
+        truncate(gamma_anti, n, trunc - 1),
     )
 
 
@@ -245,10 +307,10 @@ def curvature_jets(ctx: ChartContext, trunc: int) -> tuple:
     key = ("curvature_jets", trunc)
     if key in ctx._cache:
         return ctx._cache[key]
-    n, tm = ctx.n, ctx.order - 2
+    n, tm = ctx.n, trunc + 2
     if trunc > ctx.order - 4:
         raise ValueError("jet order too small for curvature jets at this truncation")
-    gu = ctx.g_up_array
+    gu = chart_tensors(ctx, tm).g_up
     dgu = gradient(gu, n, tm)  # [a, b, k] = d_k g_up[a, b]
     dgu_bar = gradient(gu, n, tm, barred=True)  # [a, b, l] = dbar_l g_up[a, b]
     ddgu = gradient(dgu, n, tm - 1, barred=True)  # [q, p, k, l]
@@ -275,7 +337,7 @@ def curvature(ctx: ChartContext) -> CurvatureData:
     #                 - d_p d_k dbar_q dbar_l phi
     r_dn = np.einsum(
         "nm,mql,pkn->pqkl",
-        ctx.g_up_array[0],
+        chart_tensors(ctx, 0).g_up[0],
         derivative_values(phi, n, 1, 2),
         derivative_values(phi, n, 2, 1),
     ) - derivative_values(phi, n, 2, 2).transpose(0, 2, 1, 3)
@@ -297,8 +359,6 @@ def covariant_derivative_jets(f_jet: Jet, ctx: ChartContext, *, barred: bool, up
     if not 1 <= up_to <= 3:
         raise ValueError("covariant derivative order must be between 1 and 3")
     n = ctx.n
-    gamma = ctx.gamma_anti_array if barred else ctx.gamma_hol_array
-
     t1 = f_jet.trunc - 1
     if t1 < 0:
         raise ValueError("jet order too small for covariant derivatives")
@@ -308,6 +368,8 @@ def covariant_derivative_jets(f_jet: Jet, ctx: ChartContext, *, barred: bool, up
     if up_to >= 2:
         if t2 < 0:
             raise ValueError("jet order too small for second covariant derivatives")
+        tensors = chart_tensors(ctx, t2 + 1)
+        gamma = tensors.gamma_anti if barred else tensors.gamma_hol
         d2 = truncate(gradient(d1, n, t1, barred), n, t2) - contract("kps,s->kp", gamma, d1, n, t2)
         out.append(d2)
     if up_to == 3:
@@ -372,7 +434,7 @@ def metric_derivative_values(ctx: ChartContext):
     """
     key = "metric_derivative_values"
     if key not in ctx._cache:
-        n, gu = ctx.n, ctx.g_up_array
+        n, gu = ctx.n, chart_tensors(ctx, 1).g_up
         ctx._cache[key] = tuple(
             _read_only(derivative_values(gu, n, *orders).transpose(2, 0, 1))
             for orders in ((1, 0), (0, 1))
@@ -387,7 +449,7 @@ def jacobi_residual(ctx: ChartContext) -> float:
     scanned over all free indices; for a metric derived from a potential
     the exact value is zero, so this measures roundoff only.
     """
-    gu0 = ctx.g_up_array[0]
+    gu0 = chart_tensors(ctx, 0).g_up[0]
     dgu, dgu_bar = metric_derivative_values(ctx)
     # hol[l,nn,m] = g_up[l,k] d_k g_up[nn,m], to be antisymmetric in (l, nn)
     hol = np.einsum("lk,knm->lnm", gu0, dgu)

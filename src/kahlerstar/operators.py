@@ -34,6 +34,7 @@ import numpy as np
 from .geometry import (
     ChartContext,
     as_chart_jet,
+    chart_tensors,
     covariant_derivative_jets,
     curvature_jets,
     metric_derivative_values,
@@ -153,7 +154,7 @@ def _r1_jets(ctx: ChartContext, trunc: int):
     if key not in ctx._cache:
         n = ctx.n
         r_up, _ = curvature_jets(ctx, trunc)
-        half = contract("nm,lpmq->nlpq", ctx.g_up_array, r_up, n, trunc)
+        half = contract("nm,lpmq->nlpq", chart_tensors(ctx, trunc).g_up, r_up, n, trunc)
         r1 = contract("nlpq,qkpn->lk", half, r_up, n, trunc)
         r1.flags.writeable = False
         ctx._cache[key] = r1
@@ -167,7 +168,7 @@ def c1_jet(f, g, ctx: ChartContext, trunc: int = 0) -> Jet:
     fj, gj = _pair_jets(f, g, ctx)
     f1 = _derivs(fj, ctx, True, 1, trunc)[1]
     g1 = _derivs(gj, ctx, False, 1, trunc)[1]
-    return _pairing(ctx.g_up_array, f1, g1, ctx, trunc)
+    return _pairing(chart_tensors(ctx, trunc).g_up, f1, g1, ctx, trunc)
 
 
 def c1(f, g, ctx: ChartContext) -> complex:
@@ -177,7 +178,7 @@ def c1(f, g, ctx: ChartContext) -> complex:
 
 def c2_jet(f, g, ctx: ChartContext, trunc: int = 0) -> Jet:
     fj, gj = _pair_jets(f, g, ctx)
-    n, gu = ctx.n, ctx.g_up_array
+    n, gu = ctx.n, chart_tensors(ctx, trunc).g_up
     f2 = _derivs(fj, ctx, True, 2, trunc)[2]
     g2 = _derivs(gj, ctx, False, 2, trunc)[2]
     # raise the two antiholomorphic indices of f2 one at a time
@@ -199,7 +200,7 @@ def c2_expanded(f, g, ctx: ChartContext) -> complex:
     consistency check.
     """
     fj, gj = _pair_jets(f, g, ctx)
-    n, gu0 = ctx.n, ctx.g_up_array[0]
+    n, gu0 = ctx.n, chart_tensors(ctx, 0).g_up[0]
     dgu, dgu_bar = metric_derivative_values(ctx)
     f1, f2 = (derivative_values(fj._vec, n, 0, r) for r in (1, 2))
     g1, g2 = (derivative_values(gj._vec, n, r, 0) for r in (1, 2))
@@ -218,7 +219,7 @@ def c2_expanded(f, g, ctx: ChartContext) -> complex:
 def _triple(fj: Jet, gj: Jet, ctx: ChartContext, trunc: int) -> Jet:
     """``g_up[l, k] g_up[q, p] g_up[t, s] f_/l̄q̄t̄ g_/kps``: the operator P, and six
     times the first term of C3."""
-    n, gu = ctx.n, ctx.g_up_array
+    n, gu = ctx.n, chart_tensors(ctx, trunc).g_up
     f3 = _derivs(fj, ctx, True, 3, trunc)[3]
     g3 = _derivs(gj, ctx, False, 3, trunc)[3]
     # raise the three antiholomorphic indices of f3 successively
@@ -254,7 +255,7 @@ def _p_jet(f, g, ctx: ChartContext, trunc: int = 0) -> Jet:
     """The operator P by a second route: the holomorphic indices of ``g_/kps`` are
     raised first, so that comparing P with :func:`_triple` through C3 tests both."""
     fj, gj = _pair_jets(f, g, ctx)
-    n, gu = ctx.n, ctx.g_up_array
+    n, gu = ctx.n, chart_tensors(ctx, trunc).g_up
     f3 = _derivs(fj, ctx, True, 3, trunc)[3]
     g3 = _derivs(gj, ctx, False, 3, trunc)[3]
     raised = contract("lk,kps->lps", gu, g3, n, trunc)
@@ -344,7 +345,7 @@ def poisson_antisymmetry(f, g, ctx: ChartContext) -> PoissonCheck:
     convention for the imaginary prefactor of the bracket is asserted.
     """
     fj, gj = _pair_jets(f, g, ctx)
-    n, gu0 = ctx.n, ctx.g_up_array[0]
+    n, gu0 = ctx.n, chart_tensors(ctx, 0).g_up[0]
     anti = c1(fj, gj, ctx) - c1(gj, fj, ctx)
     f_bar, f_hol = derivative_values(fj._vec, n, 0, 1), derivative_values(fj._vec, n, 1, 0)
     g_bar, g_hol = derivative_values(gj._vec, n, 0, 1), derivative_values(gj._vec, n, 1, 0)

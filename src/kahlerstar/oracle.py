@@ -17,8 +17,10 @@ Every stage has the matrix ``g_dn^T``, inverted once per build, so each
 solve and each term of the sum is one :func:`kahlerstar.jets.contract`.
 For ``n >= 2``, ``T_{d+1}[k, K]`` is pinned again by the equation with ``k``
 swapped into ``K``; the copies must agree per coefficient, and a disagreement
-is an error rather than averaged away.  The oracle reads only the potential's
-jet and ``g_dn``, never what the covariant formulas it checks are built from.
+is an error rather than averaged away.  That constrains ``dbar g_dn`` only, so the
+``g_dn`` read is held the same way to ``d_k dbar_l Phi`` from the potential's jet.
+The oracle reads only the potential's jet and ``g_dn``, never what the covariant
+formulas it checks are built from.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import ChartContext, as_chart_jet
-from .jets import contract, derivative_values, gradient, jet_matrix_inverse, unit_index
+from .jets import contract, derivative_values, gradient, jet_matrix_inverse, truncate, unit_index
 
 __all__ = [
     "OracleConsistencyError",
@@ -93,12 +95,19 @@ def build_left_mult(f, ctx: ChartContext, r_max: int = 3) -> list[FormalOperator
     if r_max:
         # g_inv solves g_dn^T y = rhs; phi_mixed[m][:, l, i1..im] = d_i1..d_im dbar_l Phi,
         # read at truncation r_max - m, the highest any level needs
-        g_inv = jet_matrix_inverse(ctx.g_dn_array.transpose(0, 2, 1), n, r_max - 1)
         phi_mixed = [gradient(ctx.phi._vec, n, r_max + 1, barred=True)]
         for m in range(1, r_max + 1):
             phi_mixed.append(gradient(phi_mixed[-1], n, r_max + 1 - m))
+        g_dn = truncate(ctx.g_dn_array, n, r_max - 1)
+        g_inv = jet_matrix_inverse(g_dn.transpose(0, 2, 1), n, r_max - 1)
         for r in range(1, r_max + 1):
             levels.append(_solve_level(levels[-1], g_inv, phi_mixed, n, r, r_max - r))
+        # the levels' cross-check constrains dbar g_dn only: the g_dn read must also be
+        # the potential's d_k dbar_l Phi
+        _require_agreement(
+            g_dn, truncate(phi_mixed[1], n, r_max - 1).transpose(0, 2, 1),
+            name=lambda axes: f"metric component g_dn[{axes[0]}][{axes[1]}]",
+        )
     return [FormalOperator(n=n, order=r, tensors=t) for r, t in enumerate(levels)]
 
 
@@ -120,19 +129,23 @@ def _solve_level(prev: list, g_inv, phi_mixed: list, n: int, r: int, trunc: int)
     return tensors
 
 
-def _require_agreement(first: np.ndarray, second: np.ndarray, r: int) -> None:
+def _require_agreement(first: np.ndarray, second: np.ndarray, r: int = 0, name=None) -> None:
     """Raise unless each component of the jet tensors ``first`` and ``second`` agrees,
-    relative to ``1 +`` the largest coefficient of ``first``'s jet of that component."""
+    relative to ``1 +`` the largest coefficient of ``first``'s jet of that component.
+    ``name(axes)`` names a component; by default it is the operator coefficient of
+    level ``r`` whose multi-index counts the axes."""
     scale = 1.0 + np.abs(first).max(axis=0)
     gap = np.abs(first - second).max(axis=0)
     # a non-finite coefficient makes gap or scale NaN or inf, and inf <= tol * inf holds
     bad = ~((gap <= CONSISTENCY_TOL * scale) & np.isfinite(scale))
     if bad.any():
         axes = tuple(np.argwhere(bad)[0].tolist())
+        what = (
+            name(axes) if name else f"coefficient {unit_index(first.shape[1], *axes)} of level {r}"
+        )
         raise OracleConsistencyError(
-            f"coefficient {unit_index(first.shape[1], *axes)} of level {r} determined "
-            f"inconsistently (relative gap {gap[axes] / scale[axes]:.3e}); the recursion admits "
-            f"a unique solution, so this indicates corrupted input data or a bug"
+            f"{what} determined inconsistently (relative gap {gap[axes] / scale[axes]:.3e}); "
+            f"each has a unique value, so this indicates corrupted input data or a bug"
         )
 
 

@@ -19,10 +19,7 @@ from .expressions import (
     Add,
     Expr,
     HolomorphyClass,
-    Literal,
-    Mul,
-    Pow,
-    Var,
+    Polynomial,
     classify,
     eval_jet,
     eval_value,
@@ -35,6 +32,7 @@ from .geometry import (
     SingularMetricError,
     as_chart_jet,
     build_chart,
+    chart_tensors,
     curvature,
     jacobi_residual,
     metric_derivative_values,
@@ -138,34 +136,9 @@ def _disk_coefficient(rng: random.Random) -> complex:
     return cmath.rect(math.sqrt(rng.random()), rng.uniform(0.0, 2.0 * math.pi))
 
 
-def _monomial(alpha, beta) -> Expr:
-    factors: list[Expr] = []
-    for i, e in enumerate(alpha):
-        if e == 1:
-            factors.append(Var(i + 1, False))
-        elif e > 1:
-            factors.append(Pow(Var(i + 1, False), e))
-    for i, e in enumerate(beta):
-        if e == 1:
-            factors.append(Var(i + 1, True))
-        elif e > 1:
-            factors.append(Pow(Var(i + 1, True), e))
-    if not factors:
-        return Literal(1.0 + 0j)
-    node = factors[0]
-    for f in factors[1:]:
-        node = Mul(node, f)
-    return node
-
-
-def _sum_terms(terms) -> Expr:
-    node = terms[0]
-    for t in terms[1:]:
-        node = Add(node, t)
-    return node
-
-
-def random_polynomial(rng: random.Random, n: int, degree: int = 3, kind: str = "mixed") -> Expr:
+def random_polynomial(
+    rng: random.Random, n: int, degree: int = 3, kind: str = "mixed"
+) -> Polynomial:
     """Random polynomial with unit-disk coefficients.
 
     ``kind`` restricts the variables: ``mixed`` uses bidegrees up to
@@ -173,43 +146,46 @@ def random_polynomial(rng: random.Random, n: int, degree: int = 3, kind: str = "
     group only (and no constant term, so the result is never degenerate).
     """
     zero = (0,) * n
-    terms = []
     if kind == "mixed":
-        for alpha in iter_multi_indices_upto(n, degree):
-            for beta in iter_multi_indices_upto(n, degree):
-                terms.append(Mul(Literal(_disk_coefficient(rng)), _monomial(alpha, beta)))
+        terms = [
+            (_disk_coefficient(rng), alpha + beta)
+            for alpha in iter_multi_indices_upto(n, degree)
+            for beta in iter_multi_indices_upto(n, degree)
+        ]
     elif kind in ("holomorphic", "antiholomorphic"):
         barred = kind == "antiholomorphic"
-        for alpha in iter_multi_indices_upto(n, degree):
-            if sum(alpha) == 0:
-                continue
-            mono = _monomial(zero, alpha) if barred else _monomial(alpha, zero)
-            terms.append(Mul(Literal(_disk_coefficient(rng)), mono))
+        terms = [
+            (_disk_coefficient(rng), zero + alpha if barred else alpha + zero)
+            for alpha in iter_multi_indices_upto(n, degree)
+            if sum(alpha)
+        ]
     else:
         raise ValueError(f"unknown polynomial kind {kind!r}")
-    return _sum_terms(terms)
+    return Polynomial(tuple(terms))
 
 
-def random_potential(spec: RandomChartSpec, at=None) -> Expr:
+def random_potential(spec: RandomChartSpec, at=None) -> Polynomial:
     """Random Hermitian polynomial potential, deterministic in the seed.
 
     Resamples (up to 100 times) until the metric is positive definite at
-    ``at`` (the origin when omitted).
+    ``at`` (the origin when omitted).  The flat part ``z_k*zb_k`` comes first,
+    with coefficient ``1.0``; each perturbation term is followed by its
+    formal conjugate.
     """
     rng = random.Random(spec.seed)
     n = spec.n
     at = tuple(0j for _ in range(n)) if at is None else tuple(at)
-    flat_terms = [Mul(Var(k, False), Var(k, True)) for k in range(1, n + 1)]
+    flat_terms = [(1.0, unit_index(2 * n, k, n + k)) for k in range(n)]
     indices = [a for a in iter_multi_indices_upto(n, spec.degree) if sum(a) >= 1]
     for _ in range(100):
         terms = list(flat_terms)
         for alpha in indices:
             for beta in indices:
                 c = _disk_coefficient(rng) * spec.epsilon
-                terms.append(Mul(Literal(c), _monomial(alpha, beta)))
-                terms.append(Mul(Literal(c.conjugate()), _monomial(beta, alpha)))
-        candidate = _sum_terms(terms)
+                terms += [(c, alpha + beta), (c.conjugate(), beta + alpha)]
+        candidate = Polynomial(tuple(terms))
         try:
+            # only the metric is checked here: the chart's tensors are built on first read
             build_chart(candidate, at, order=6, n=n)
         except SingularMetricError:
             continue
@@ -325,7 +301,7 @@ def check_prop1(
 ) -> list[CheckResult]:
     """The two contracted metric-derivative identities behind the proof that
     the auxiliary operators agree up to regular terms, plus ``S == S~``."""
-    gu0, gd0 = ctx.g_up_array[0], ctx.g_dn_array[0]
+    gu0, gd0 = chart_tensors(ctx, 0).g_up[0], ctx.g_dn_array[0]
     dgu, dgu_bar = metric_derivative_values(ctx)
     first = np.einsum("nm,qla,mbp,ab->lqnp", gu0, dgu_bar, dgu, gd0)
     first -= np.einsum("qlm,mnp->lqnp", dgu_bar, dgu)
@@ -356,7 +332,7 @@ def check_structural(
     decomposition = abs(c3(f, g, ctx) - (bd.p / 6.0 - bd.q / 4.0))
     forms = abs(c2(f, g, ctx) - c2_expanded(f, g, ctx))
     data = curvature(ctx)
-    gu0 = ctx.g_up_array[0]
+    gu0 = chart_tensors(ctx, 0).g_up[0]
     raising = worst_abs((data.r_up - np.einsum("qc,bp,cbkl->qpkl", gu0, gu0, data.r_dn)).ravel())
     return [
         CheckResult("c3_decomposition", decomposition, tols["c3_decomposition"], label),

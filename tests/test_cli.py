@@ -110,6 +110,25 @@ def test_verify_json_deterministic(capsys):
         assert set(check) == {"name", "residual", "tolerance", "pass", "context"}
 
 
+def test_verify_json_does_not_depend_on_reading_the_inverse_metric_early(capsys, monkeypatch):
+    # the chart tensors are built on first read: reading the public g_up right after
+    # each chart is built must not change a single byte of the report
+    from kahlerstar import geometry
+    from tests.test_operators import _patch_everywhere
+
+    code, lazy, _ = run_cli(capsys, "verify", "--trials", "4", "--json")
+    original = geometry.build_chart
+
+    def eager(*args, **kwargs):
+        ctx = original(*args, **kwargs)
+        ctx.g_up
+        return ctx
+
+    _patch_everywhere(monkeypatch, "build_chart", eager)
+    assert run_cli(capsys, "verify", "--trials", "4", "--json")[:2] == (code, lazy)
+    assert code == 0
+
+
 def test_verify_json_with_random_n2_chart(capsys):
     # the second random chart has n=2; its Jacobi residual once came out as a
     # numpy scalar, which the JSON encoder rejects

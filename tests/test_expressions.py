@@ -15,6 +15,7 @@ from kahlerstar.expressions import (
     Log,
     Mul,
     Neg,
+    Polynomial,
     Pow,
     Sub,
     Var,
@@ -255,7 +256,8 @@ def test_polynomials_evaluate_without_jet_products(jet_products, monkeypatch):
     assert len(shifts) == len(polynomials)  # one Taylor shift per polynomial
     monkeypatch.undo()
     for p, jet in zip(polynomials, got):
-        expected = _reference_jet(p, z0, zb0, 8)
+        # the generated polynomials are term tables: the reference walks their parsed trees
+        expected = _reference_jet(parse(to_source(p), 2), z0, zb0, 8)
         assert (jet - expected).max_abs() <= 1e-12 * max(1.0, expected.max_abs())
 
 
@@ -280,7 +282,7 @@ def test_long_sums_do_not_recurse():
 
 def test_deep_trees_compare_and_hash_without_recursion():
     # 400 terms at n=3: a chain of Add nodes deeper than the default recursion limit
-    f, g = (random_polynomial(random.Random(3), 3) for _ in range(2))
+    f, g = (parse(to_source(random_polynomial(random.Random(3), 3)), 3) for _ in range(2))
     assert f is not g
     assert f == g and hash(f) == hash(g)
     changed = parse("2*" + to_source(g), 3)  # doubles the first term's coefficient only
@@ -311,3 +313,85 @@ def test_value_equal_trees_hash_once_and_alike():
     assert a is not b and a == b and hash(a) == hash(b)
     assert vars(a)["_hash"] == hash(a)  # kept on the node after the first hash
     assert {a: 1}[b] == 1
+
+
+# -- generated polynomials as term tables -------------------------------------
+
+#: ``to_source`` of generated polynomials, as printed when they were built as trees
+GENERATED_SOURCES = [
+    (
+        lambda: random_polynomial(random.Random(1), 1, degree=1),
+        "(0.21064748573979594-0.2999864678013055i)*1.0"
+        "+(-(0.027830021947755957-0.8734987743866625i))*zb1"
+        "+(-(0.668722620756574-0.2196477716263023i))*z1"
+        "+(0.1944677688290113-0.7834381019643027i)*(z1*zb1)",
+    ),
+    (
+        lambda: random_polynomial(random.Random(1), 2, degree=1, kind="antiholomorphic"),
+        "(0.21064748573979594-0.2999864678013055i)*zb2"
+        "+(-(0.027830021947755957-0.8734987743866625i))*zb1",
+    ),
+    (
+        lambda: random_polynomial(random.Random(4), 2, degree=2, kind="holomorphic"),
+        "(0.38730087288107856+0.29333619552143436i)*z2"
+        "+(0.35382750404254093+0.5204462892496272i)*z1"
+        "+(-(0.210154663831367-0.1494995416364714i))*z2^2"
+        "+(0.2986577315351562-0.9103617975739061i)*(z1*z2)"
+        "+(0.1534875703659002+0.8611644257913881i)*z1^2",
+    ),
+    (
+        lambda: random_potential(RandomChartSpec(n=1, degree=1, seed=0)),
+        "z1*zb1+(0.0045907788049111865-0.09177768391725116i)*(z1*zb1)"
+        "+(0.0045907788049111865+0.09177768391725116i)*(z1*zb1)",
+    ),
+    (
+        lambda: random_potential(RandomChartSpec(n=2, degree=1, seed=3)),
+        "z1*zb1+z2*zb2+(-(0.04691004069109698+0.013382613843287115i))*(z2*zb2)"
+        "+(-(0.04691004069109698-0.013382613843287115i))*(z2*zb2)"
+        "+(-(0.0483121957535917+0.03695244791549578i))*(z2*zb1)"
+        "+(-(0.0483121957535917-0.03695244791549578i))*(z1*zb2)"
+        "+(0.07249187954149906+0.03165644391938756i)*(z1*zb2)"
+        "+(0.07249187954149906-0.03165644391938756i)*(z2*zb1)"
+        "+(0.0059938678900946655-0.009785369858356582i)*(z1*zb1)"
+        "+(0.0059938678900946655+0.009785369858356582i)*(z1*zb1)",
+    ),
+]
+
+
+@pytest.mark.parametrize("make,source", GENERATED_SOURCES)
+def test_generated_polynomials_print_as_their_trees(make, source):
+    p = make()
+    assert isinstance(p, Polynomial)
+    assert to_source(p) == source
+    assert vars(p)["_hash"] == hash(p) == hash(make()) and p == make()
+
+
+@pytest.mark.parametrize("make,source", GENERATED_SOURCES)
+def test_polynomial_leaf_matches_its_parsed_tree(make, source):
+    p = make()
+    n, tree = p.n, parse(source, p.n)
+    z0 = tuple(0.2 - 0.1j * k for k in range(1, n + 1))
+    zb0 = tuple(-0.15 + 0.05j * k for k in range(1, n + 1))
+    assert eval_jet(p, z0, zb0, 6) == eval_jet(tree, z0, zb0, 6)
+    assert classify(p) is classify(tree)
+    conjugate = formal_conjugate(p)
+    assert isinstance(conjugate, Polynomial)
+    assert eval_jet(conjugate, z0, zb0, 6) == eval_jet(formal_conjugate(tree), z0, zb0, 6)
+    # a replacement that is not a polynomial, as in a Moebius change of coordinates
+    images = [parse(f"z{k}/(1-z{k})", n) for k in range(1, n + 1)]
+    images += [formal_conjugate(e) for e in images]
+    got = eval_jet(substitute(p, images), z0, zb0, 6)
+    want = eval_jet(substitute(tree, images), z0, zb0, 6)
+    assert (got - want).max_abs() <= 1e-14 * want.max_abs()
+
+
+def test_polynomial_leaf_nests_in_trees_and_smaller_charts():
+    p = random_polynomial(random.Random(7), 1, degree=2)
+    tree = parse(to_source(p), 1)
+    for wrap in (lambda e: Mul(e, e), lambda e: Add(Var(1, True), e), lambda e: Pow(e, 2)):
+        assert parse(to_source(wrap(p)), 1) == wrap(tree)
+    # a polynomial in z1, zb1 on a chart of dimension 2 is one in z1, zb1 there too
+    z0, zb0 = (0.1 + 0.2j, -0.3j), (0.1 - 0.2j, 0.3j)
+    assert eval_jet(p, z0, zb0, 5) == eval_jet(parse(to_source(p), 2), z0, zb0, 5)
+    with pytest.raises(EvaluationError, match="exceeds the chart dimension 1"):
+        eval_jet(random_polynomial(random.Random(7), 2), (0.1,), (0.1,), 3)

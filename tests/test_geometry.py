@@ -7,22 +7,32 @@ Closed forms used as oracles (dimension 1):
       Gamma = +2*zb/(1-z*zb),  r_up component = -2 identically.
 """
 
+import dataclasses
 import random
 
 import numpy as np
 import pytest
 
+from kahlerstar import geometry, jets, verify
 from kahlerstar.expressions import parse
 from kahlerstar.geometry import (
     SingularMetricError,
     as_chart_jet,
     build_chart,
+    chart_tensors,
     covariant_derivatives,
     curvature,
     jacobi_residual,
     metric_derivative_values,
 )
-from kahlerstar.jets import Jet, iter_multi_indices_upto
+from kahlerstar.jets import Jet, iter_multi_indices_upto, truncate
+from kahlerstar.verify import (
+    RandomChartSpec,
+    check_gauge,
+    random_chart,
+    random_polynomial,
+    random_potential,
+)
 
 FS = "log(1+z1*zb1)"
 DISK = "-(log(1-z1*zb1))"
@@ -242,3 +252,78 @@ def test_chart_tensors_are_read_only_views_and_charts_compare_by_value():
             array[0] = 1.0
     assert ctx == build_chart(FS, (0.4 - 0.3j,), order=8)
     assert ctx != build_chart(FS, (0.3 - 0.3j,), order=8)
+
+
+# -- chart tensors on first read ------------------------------------------------
+
+
+def _tensor_bytes(tensors, trunc, n=2):
+    g_up, gamma_hol, gamma_anti = tensors
+    return (truncate(g_up, n, trunc).tobytes(), truncate(gamma_hol, n, trunc - 1).tobytes(),
+            truncate(gamma_anti, n, trunc - 1).tobytes())
+
+
+def test_chart_tensors_are_prefixes_whatever_the_order_of_reads():
+    ctx = random_chart(RandomChartSpec(n=2, seed=4))[1]
+    up = dataclasses.replace(ctx, _cache={})
+    low_first = chart_tensors(up, 2)
+    assert up._cache["chart_tensors"][0] == 2  # built no deeper than asked
+    high_after = chart_tensors(up, 6)
+    down = dataclasses.replace(ctx, _cache={})
+    high_first = chart_tensors(down, 6)
+    low_after = chart_tensors(down, 2)
+    public = dataclasses.replace(ctx, _cache={})
+    full = (public.g_up_array, public.gamma_hol_array, public.gamma_anti_array)
+    assert len(full[0]) == len(truncate(full[0], 2, ctx.order - 2))
+    assert len(full[1]) == len(truncate(full[1], 2, ctx.order - 3))
+    for t in (2, 6):
+        expected = _tensor_bytes(full, t)
+        for got in (high_after, high_first) + ((low_first, low_after) if t == 2 else ()):
+            assert _tensor_bytes(got, t) == expected
+    assert np.shares_memory(low_after.g_up, high_first.g_up)  # a prefix of the one entry
+    with pytest.raises(ValueError, match="from 0 to 8"):
+        chart_tensors(ctx, ctx.order - 1)
+
+
+def test_a_chart_build_inverts_nothing(monkeypatch):
+    from tests.test_operators import _patch_everywhere
+
+    inverses = []
+    original = jets.jet_matrix_inverse
+
+    def counted(matrix, n, trunc):
+        inverses.append(trunc)
+        return original(matrix, n, trunc)
+
+    _patch_everywhere(monkeypatch, "jet_matrix_inverse", counted, jets)
+    random_potential(RandomChartSpec(n=2, seed=4))
+    assert inverses == []  # every acceptance attempt checks the metric only
+    potential, ctx, rng = random_chart(RandomChartSpec(n=2, seed=4))
+    assert inverses == []
+    f, g = random_polynomial(rng, 2), random_polynomial(rng, 2)
+    gauge_h = random_polynomial(rng, 2, kind="holomorphic")
+    gauge_k = random_polynomial(rng, 2, kind="antiholomorphic")
+    assert check_gauge(potential, gauge_h, gauge_k, ctx, f, g).passed
+    # one inverse of g_dn^T per oracle build, for the chart and the shifted chart
+    assert inverses == [2, 2]
+    assert "chart_tensors" not in ctx._cache
+
+
+def test_suite_checks_read_chart_tensors_no_deeper_than_they_need(monkeypatch):
+    from tests.test_operators import _patch_everywhere
+
+    reads = []
+    original = geometry.chart_tensors
+
+    def recorded(ctx, trunc):
+        reads.append(trunc)
+        return original(ctx, trunc)
+
+    _patch_everywhere(monkeypatch, "chart_tensors", recorded)
+    potential, ctx, rng = random_chart(RandomChartSpec(n=2, seed=4))
+    results = verify._chart_checks(potential, ctx, rng, "")
+    assert all(r.passed for r in results)
+    # curvature at the inner truncation J-6 reads g_up at J-4, third covariant
+    # derivatives there read the Christoffel symbols at J-5
+    assert max(reads) == ctx.order - 4
+    assert ctx._cache["chart_tensors"][0] == ctx.order - 4

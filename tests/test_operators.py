@@ -343,13 +343,16 @@ def test_checks_do_not_use_the_covariant_route(monkeypatch):
     expected = run(ctx)
     for name in ("covariant_derivative_jets", "curvature_jets", "curvature"):
         _patch_everywhere(monkeypatch, name, _Refused()._refuse)
-    gammas = {
-        name: _Refused()
-        for name in ("gamma_hol_array", "gamma_anti_array")
-    }
-    assert run(dataclasses.replace(ctx, **gammas, _cache={})) == expected
+    # the Christoffel symbols, public or internal, are read through the memo
+    tensors = geometry.chart_tensors
+    _patch_everywhere(
+        monkeypatch,
+        "chart_tensors",
+        lambda *args: tensors(*args)._replace(gamma_hol=_Refused(), gamma_anti=_Refused()),
+    )
+    assert run(dataclasses.replace(ctx, _cache={})) == expected
     with pytest.raises(AssertionError):
-        c2(f, g, dataclasses.replace(ctx, **gammas, _cache={}))
+        c2(f, g, dataclasses.replace(ctx, _cache={}))
 
 
 def _s_reference(f, g, ctx):

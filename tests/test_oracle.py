@@ -164,10 +164,9 @@ def test_oracle_never_reads_the_covariant_route(monkeypatch):
     for name, value in vars(operators).items():
         if inspect.isfunction(value) and value.__module__ == operators.__name__:
             _patch_everywhere(monkeypatch, name, _Refused()._refuse, operators)
-    refused = {
-        name: _Refused() for name in ("g_up", "g_up_array", "gamma_hol_array", "gamma_anti_array")
-    }
-    chart = dataclasses.replace(ctx, **refused, _cache={})
+    # g_up and the Christoffel symbols, public or internal, are read through the memo
+    _patch_everywhere(monkeypatch, "chart_tensors", _Refused()._refuse)
+    chart = dataclasses.replace(ctx, _cache={})
     assert [oracle_cr(f, g, chart, r) for r in (1, 2, 3)] == expected
     with pytest.raises(AssertionError):
         verify.c1(f, g, chart)
@@ -196,3 +195,19 @@ def test_nonfinite_gap_is_inconsistent():
         with pytest.raises(OracleConsistencyError, match=r"coefficient \(1,\) of level 2"):
             _require_agreement(first, second, 2)
     _require_agreement(ok, ok, 2)
+
+
+@pytest.mark.parametrize("f", ["zb1^2*z2+zb2^3", "zb1*zb2"])
+def test_corrupted_holomorphic_metric_derivative_is_caught(f):
+    # the levels' cross-check sees dbar g_dn only; a change of the dz2 coefficient of
+    # g_dn[0][0] is caught by holding g_dn to the potential's mixed derivatives
+    ctx = build_chart(
+        "z1*zb1+z2*zb2+0.2*z1^2*zb1*zb2+0.2*z1*z2*zb1^2", (0.1 - 0.05j, 0.12 + 0.08j), order=10
+    )
+    trunc = ctx.order - 2
+    build_left_mult(f, ctx, r_max=2)
+    g_dn = np.array(ctx.g_dn_array)
+    g_dn[_tables(2, trunc).index[(0, 1, 0, 0)], 0, 0] += 1e-6
+    corrupted = dataclasses.replace(ctx, g_dn_array=g_dn, g_dn=_views(g_dn, 2, trunc), _cache={})
+    with pytest.raises(OracleConsistencyError, match=r"metric component g_dn\[0\]\[0\]"):
+        build_left_mult(f, corrupted, r_max=2)
