@@ -55,7 +55,6 @@ from .verify import (
     check_associativity,
     check_covariance,
     check_gauge,
-    check_oracle_agreement,
     random_polynomial,
     random_potential,
     run_suite,
@@ -114,7 +113,6 @@ __all__ = [
     "check_associativity",
     "check_covariance",
     "check_gauge",
-    "check_oracle_agreement",
     "run_suite",
     "__version__",
 ]

@@ -24,9 +24,9 @@ from .operators import (
     operator_breakdown,
     star_product,
 )
-from .oracle import OracleConsistencyError, build_left_mult, min_oracle_order
+from .oracle import OracleConsistencyError, build_left_mult
 from .presets import PRESET_NAMES, preset_dimension, preset_potential
-from .verify import DEFAULT_TOLERANCES, random_polynomial, run_suite
+from .verify import DEFAULT_TOLERANCES, MIN_SUITE_ORDER, random_polynomial, run_suite
 
 __all__ = ["RunConfig", "main"]
 
@@ -47,7 +47,6 @@ class RunConfig:
     point: tuple = ()
     f: str | None = None
     g: str | None = None
-    h: str | None = None
     variant: str = "standard"
     jet_order: int = 10
     seed: int = 0
@@ -126,8 +125,6 @@ def _emit(cfg: RunConfig, checks: list, values: dict, text_lines: list[str]) -> 
 def _cmd_eval(cfg: RunConfig) -> int:
     if not cfg.f or not cfg.g:
         raise ValueError("eval requires --f and --g")
-    if cfg.jet_order < 6:
-        raise ValueError("eval requires --jet-order of at least 6")
     ctx = _resolve_chart(cfg)
     variant = StarVariant(cfg.variant)
     product = star_product(cfg.f, cfg.g, ctx, variant)
@@ -157,8 +154,8 @@ def _cmd_eval(cfg: RunConfig) -> int:
 
 
 def _cmd_verify(cfg: RunConfig) -> int:
-    if cfg.jet_order < min_oracle_order(3):
-        raise ValueError(f"verify requires --jet-order of at least {min_oracle_order(3)}")
+    if cfg.jet_order < MIN_SUITE_ORDER:
+        raise ValueError(f"verify requires --jet-order of at least {MIN_SUITE_ORDER}")
     if cfg.trials < 0:
         raise ValueError("verify requires --trials of at least 0")
     if not math.isfinite(cfg.epsilon):
@@ -188,8 +185,6 @@ def _cmd_verify(cfg: RunConfig) -> int:
 
 
 def _cmd_compare(cfg: RunConfig) -> int:
-    if cfg.jet_order < min_oracle_order(3):
-        raise ValueError(f"compare requires --jet-order of at least {min_oracle_order(3)}")
     ctx = _resolve_chart(cfg)
     import random as _random
 

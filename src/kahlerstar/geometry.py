@@ -148,9 +148,6 @@ class ChartContext:
         """Metric matrix at the base point, rows holomorphic."""
         return self.g_dn_array[0].copy()
 
-    def inverse_metric_values(self) -> np.ndarray:
-        return chart_tensors(self, 0).g_up[0].copy()
-
 
 class ChartTensors(NamedTuple):
     """Chart tensors read at one truncation ``t``: ``g_up`` at ``t``, and the Christoffel
@@ -234,8 +231,11 @@ def chart_tensors(ctx: ChartContext, trunc: int) -> ChartTensors:
 
     One memo per chart holds them at the deepest truncation asked for so far, and a
     smaller request reads its prefix: every coefficient of the inverse and of a
-    contraction is summed degree by degree over the same product pairs whatever the
-    truncation, so a prefix is bitwise the tensor built at the smaller truncation.
+    contraction over one index is summed degree by degree over the same product pairs
+    whatever the truncation, so a prefix is bitwise the tensor built at the smaller
+    truncation.  That does not hold for every contraction: at truncation 0 einsum drops
+    the length-1 pair axis of :func:`_r1_jets`' ``"nlpq,qkpn->lk"`` and sums in another
+    order.
     """
     n = ctx.n
     if not 0 <= trunc <= ctx.order - 2:
@@ -325,6 +325,19 @@ def curvature_jets(ctx: ChartContext, trunc: int) -> tuple:
     return result
 
 
+def _r1_jets(ctx: ChartContext, trunc: int):
+    """Curvature-square tensor ``r1[l, k] = g_up[nn, m] r_up[l, p, m, q] r_up[q, k, p, nn]``
+    contracting the one-differentiable operator; cached with one entry per truncation,
+    because its three-index contraction at 0 is not bitwise the prefix of a deeper one."""
+    key = ("r1_jets", trunc)
+    if key not in ctx._cache:
+        n = ctx.n
+        r_up, _ = curvature_jets(ctx, trunc)
+        half = contract("nm,lpmq->nlpq", chart_tensors(ctx, trunc).g_up, r_up, n, trunc)
+        ctx._cache[key] = _read_only(contract("nlpq,qkpn->lk", half, r_up, n, trunc))
+    return ctx._cache[key]
+
+
 def curvature(ctx: ChartContext) -> CurvatureData:
     """Curvature tensors at the base point.
 
@@ -385,6 +398,21 @@ def covariant_derivative_jets(f_jet: Jet, ctx: ChartContext, *, barred: bool, up
     for tensor in out[1:]:
         tensor.flags.writeable = False
     return out
+
+
+def _derivs(jet: Jet, ctx: ChartContext, barred: bool, up_to: int, trunc: int) -> list:
+    """Covariant derivative tensors of ``jet`` exact to degree ``trunc``, orders 1..up_to
+    or deeper.  One bundle per (jet, side, truncation) is built per chart, as deep as
+    ``jet`` and the chart allow (third order at most); it reads ``jet`` only up to degree
+    ``trunc`` plus its depth.  Each entry keeps its jet, so a recycled ``id`` cannot alias."""
+    key = ("cov", id(jet), barred, trunc)
+    entry = ctx._cache.get(key)
+    if entry is None or entry[0] is not jet or len(entry[1]) <= up_to:
+        depth = max(up_to, min(3, jet.trunc - trunc, ctx.order - 1 - trunc))
+        source = jet.truncated(min(trunc + depth, jet.trunc))
+        entry = (jet, covariant_derivative_jets(source, ctx, barred=barred, up_to=depth))
+        ctx._cache[key] = entry
+    return entry[1]
 
 
 def covariant_derivatives(f: Expr | str | Jet, ctx: ChartContext, up_to: int = 3) -> CovDerivTable:

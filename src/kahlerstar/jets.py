@@ -18,8 +18,7 @@ a coefficient is summed in the same order whatever order the tables have
 (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 13).
 :meth:`Jet.polynomial` writes the jet of a polynomial around a base point by
 one Taylor shift of its term table, one variable at a time and only over the
-exponents each term reaches, with no jet product and no jet addition;
-:meth:`Jet.monomial` is its one-term case.
+exponents each term reaches, with no jet product and no jet addition.
 
 A jet *tensor* is one complex array with the coefficient axis first and one
 axis per component index after it.  :func:`contract` is the one product of
@@ -196,7 +195,12 @@ def contract(spec: str, a: np.ndarray, b: np.ndarray, n: int, trunc: int) -> np.
     """Truncated product of two jet tensors of dimension ``n``, contracted over their
     component indices by the einsum ``spec`` (component indices only, as in
     ``"lk,lq->kq"``): the coefficients of degree ``<= trunc`` of ``sum a * b``, read from
-    the operands' coefficient prefixes, so either operand may be of higher order."""
+    the operands' coefficient prefixes, so either operand may be of higher order.
+
+    Each coefficient sums the same product pairs in the same order whatever ``trunc``,
+    but einsum sums the component indices: with one pair left (``trunc == 0``) it may
+    sum several contracted indices in another order, so the result is not always
+    bitwise the prefix of the same contraction at a higher ``trunc``."""
     tables = _tables(n, trunc)
     if min(len(a), len(b)) < tables.deg_start[trunc + 1]:
         raise ValueError("cannot extend a jet to a higher truncation order")
@@ -343,21 +347,6 @@ class Jet:
         vec.imag = np.bincount(pos, values.imag, minlength=len(vec))
         return cls._of(n, trunc, vec)
 
-    @classmethod
-    def monomial(cls, n: int, trunc: int, coeff: complex, powers: Sequence[int], base) -> Jet:
-        """Jet of ``coeff * prod_v x_v**powers[v]`` around ``base``: the one-term
-        :meth:`polynomial`."""
-        return cls.polynomial(n, trunc, {tuple(powers): coeff}, base)
-
-    @classmethod
-    def coordinate(cls, n: int, trunc: int, axis: int, base: complex, barred: bool = False) -> Jet:
-        """Jet of the coordinate function ``z_axis`` (or ``zb_axis``) shifted to ``base``."""
-        if not 0 <= axis < n:
-            raise ValueError(f"axis {axis} out of range for dimension {n}")
-        flat = axis + (n if barred else 0)
-        point = [base if v == flat else 0j for v in range(2 * n)]
-        return cls.monomial(n, trunc, 1.0, unit_index(2 * n, flat), point)
-
     # -- inspection --------------------------------------------------------
 
     @property
@@ -413,24 +402,6 @@ class Jet:
             return self
         size = _tables(self.n, self.trunc).deg_start[trunc + 1]
         return Jet._of(self.n, trunc, self._vec[:size].copy())
-
-    def deriv(self, axis: int) -> Jet:
-        """Holomorphic partial derivative; the result loses one degree."""
-        return self._deriv(axis, barred=False)
-
-    def deriv_bar(self, axis: int) -> Jet:
-        """Antiholomorphic partial derivative; the result loses one degree."""
-        return self._deriv(axis, barred=True)
-
-    def _deriv(self, axis: int, barred: bool) -> Jet:
-        if not 0 <= axis < self.n:
-            raise ValueError(f"axis {axis} out of range for dimension {self.n}")
-        if self.trunc == 0:
-            raise ValueError("cannot differentiate a jet of truncation order 0")
-        tables = _tables(self.n, self.trunc)
-        pos, size = axis + (self.n if barred else 0), tables.deg_start[self.trunc]
-        vec = self._vec.take(tables.deriv_src[pos, :size]) * tables.deriv_fac[pos, :size]
-        return Jet._of(self.n, self.trunc - 1, vec)
 
     # -- ring operations -----------------------------------------------------
 

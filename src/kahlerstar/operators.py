@@ -18,7 +18,8 @@ expressible through the inverse metric alone.
 
 Every contraction is a chain of :func:`kahlerstar.jets.contract` calls on
 the chart's jet-tensor arrays.  The covariant derivatives of a function are
-built once per chart, side and truncation and kept in the chart's cache.
+built once per chart, side and truncation and kept in the chart's memo
+(:mod:`kahlerstar.geometry` alone knows its keys).
 The raw-derivative forms (:func:`c2_expanded`, S and S-tilde, the Poisson
 bracket) are one :func:`numpy.einsum` per term over base-point partial
 derivatives read by :func:`kahlerstar.jets.derivative_values`.
@@ -33,9 +34,10 @@ import numpy as np
 
 from .geometry import (
     ChartContext,
+    _derivs,
+    _r1_jets,
     as_chart_jet,
     chart_tensors,
-    covariant_derivative_jets,
     curvature_jets,
     metric_derivative_values,
 )
@@ -125,40 +127,11 @@ def _pair_jets(f, g, ctx: ChartContext) -> tuple[Jet, Jet]:
     return as_chart_jet(f, ctx), as_chart_jet(g, ctx)
 
 
-def _derivs(jet: Jet, ctx: ChartContext, barred: bool, up_to: int, trunc: int) -> list:
-    """Covariant derivative tensors of ``jet`` exact to degree ``trunc``, orders 1..up_to
-    or deeper.  One bundle per (jet, side, truncation) is built per chart, as deep as
-    ``jet`` and the chart allow (third order at most); it reads ``jet`` only up to degree
-    ``trunc`` plus its depth.  Each entry keeps its jet, so a recycled ``id`` cannot alias."""
-    key = ("cov", id(jet), barred, trunc)
-    entry = ctx._cache.get(key)
-    if entry is None or entry[0] is not jet or len(entry[1]) <= up_to:
-        depth = max(up_to, min(3, jet.trunc - trunc, ctx.order - 1 - trunc))
-        source = jet.truncated(min(trunc + depth, jet.trunc))
-        entry = (jet, covariant_derivative_jets(source, ctx, barred=barred, up_to=depth))
-        ctx._cache[key] = entry
-    return entry[1]
-
-
 def _pairing(tensor, f_tensor, g_tensor, ctx: ChartContext, trunc: int) -> Jet:
     """``tensor[l, k] f[l] g[k]`` as a jet of order ``trunc``."""
     n = ctx.n
     half = contract("lk,l->k", tensor, f_tensor, n, trunc)
     return Jet._of(n, trunc, contract("k,k->", half, g_tensor, n, trunc))
-
-
-def _r1_jets(ctx: ChartContext, trunc: int):
-    """Curvature-square tensor ``r1[l, k] = g_up[nn, m] r_up[l, p, m, q] r_up[q, k, p, nn]``
-    contracting the one-differentiable operator; cached per context and truncation."""
-    key = ("r1_jets", trunc)
-    if key not in ctx._cache:
-        n = ctx.n
-        r_up, _ = curvature_jets(ctx, trunc)
-        half = contract("nm,lpmq->nlpq", chart_tensors(ctx, trunc).g_up, r_up, n, trunc)
-        r1 = contract("nlpq,qkpn->lk", half, r_up, n, trunc)
-        r1.flags.writeable = False
-        ctx._cache[key] = r1
-    return ctx._cache[key]
 
 
 # -- first and second order ------------------------------------------------------

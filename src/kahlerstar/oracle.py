@@ -44,11 +44,6 @@ __all__ = [
 CONSISTENCY_TOL = 1e-8
 
 
-def min_oracle_order(r_max: int) -> int:
-    """Jet order required for a recursion of depth ``r_max``, with margin."""
-    return 2 * r_max + 4
-
-
 class OracleConsistencyError(RuntimeError):
     """Redundant determinations of an operator coefficient disagree."""
 
@@ -81,15 +76,12 @@ def build_left_mult(f, ctx: ChartContext, r_max: int = 3) -> list[FormalOperator
 
     Tensors at level ``r`` are carried as jets of order ``r_max - r``: level
     ``r+1`` consumes one antiholomorphic derivative of them and only
-    base-point values are ever read off the top level.
+    base-point values are ever read off the top level.  So the build reads the
+    potential's jet to order ``r_max + 1``, ``g_dn`` to ``r_max - 1`` and ``f`` to
+    ``r_max``, which every chart holds.
     """
     if not 0 <= r_max <= 3:
         raise ValueError("recursion depth must be between 0 and 3")
-    if ctx.order < min_oracle_order(r_max):
-        raise ValueError(
-            f"jet order {ctx.order} too small for recursion depth {r_max}; "
-            f"need at least {min_oracle_order(r_max)}"
-        )
     n = ctx.n
     levels = [[as_chart_jet(f, ctx)._vec]]
     if r_max:

@@ -54,6 +54,7 @@ from .oracle import build_left_mult
 
 __all__ = [
     "DEFAULT_TOLERANCES",
+    "MIN_SUITE_ORDER",
     "CheckResult",
     "RandomChartSpec",
     "random_polynomial",
@@ -66,7 +67,6 @@ __all__ = [
     "check_flat_vanishing",
     "check_gauge",
     "check_covariance",
-    "check_oracle_agreement",
     "check_finite_differences",
     "run_suite",
     "preset_charts",
@@ -86,6 +86,10 @@ DEFAULT_TOLERANCES = {
     "covariance": 1e-7,
     "finite_differences": 1e-6,
 }
+
+#: least jet order the suite runs at: associativity nests a product, carried at
+#: ``order - 6``, inside operators that differentiate it three times
+MIN_SUITE_ORDER = 9
 
 #: preset configurations of the default suite: name, dimension, base point
 SUITE_PRESETS = (
@@ -224,7 +228,6 @@ def check_associativity(
     f,
     g,
     h,
-    tol: float = DEFAULT_TOLERANCES["associativity"],
     label: str = "",
 ) -> list[CheckResult]:
     """Associativity residual per formal order 0..3.
@@ -232,9 +235,12 @@ def check_associativity(
     Inner products are carried as jets of order ``ctx.order - 6`` so that
     the outer operators can still differentiate them three times.
     """
+    if ctx.order < MIN_SUITE_ORDER:
+        raise ValueError(
+            f"insufficient jet order for nested star evaluation (need >= {MIN_SUITE_ORDER})"
+        )
     t_inner = ctx.order - 6
-    if t_inner < 3:
-        raise ValueError("insufficient jet order for nested star evaluation (need >= 9)")
+    tol = DEFAULT_TOLERANCES["associativity"]
     fj, gj, hj = (as_chart_jet(x, ctx) for x in (f, g, h))
     fg = star_product_jets(fj, gj, ctx, variant, t_inner)
     gh = star_product_jets(gj, hj, ctx, variant, t_inner)
@@ -269,12 +275,12 @@ def check_separation(
     a,
     f,
     b,
-    tol: float = DEFAULT_TOLERANCES["separation"],
     label: str = "",
 ) -> list[CheckResult]:
     """``a * f = af`` for holomorphic ``a`` and ``f * b = bf`` for
     antiholomorphic ``b``, at every formal order 1..3 and for both
     third-order variants."""
+    tol = DEFAULT_TOLERANCES["separation"]
     results = []
     left_std = star_product(a, f, ctx, StarVariant.STANDARD)
     right_std = star_product(f, b, ctx, StarVariant.STANDARD)
@@ -296,11 +302,11 @@ def check_prop1(
     ctx: ChartContext,
     f,
     g,
-    tol: float = DEFAULT_TOLERANCES["prop1"],
     label: str = "",
 ) -> list[CheckResult]:
     """The two contracted metric-derivative identities behind the proof that
     the auxiliary operators agree up to regular terms, plus ``S == S~``."""
+    tol = DEFAULT_TOLERANCES["prop1"]
     gu0, gd0 = chart_tensors(ctx, 0).g_up[0], ctx.g_dn_array[0]
     dgu, dgu_bar = metric_derivative_values(ctx)
     first = np.einsum("nm,qla,mbp,ab->lqnp", gu0, dgu_bar, dgu, gd0)
@@ -316,18 +322,10 @@ def check_prop1(
     ]
 
 
-def check_structural(
-    ctx: ChartContext,
-    f,
-    g,
-    label: str = "",
-    tolerances: dict | None = None,
-) -> list[CheckResult]:
+def check_structural(ctx: ChartContext, f, g, label: str = "") -> list[CheckResult]:
     """Decomposition of the third-order operator, the two second-order
     forms, curvature index raising and the Jacobi identity."""
-    tols = dict(DEFAULT_TOLERANCES)
-    if tolerances:
-        tols.update(tolerances)
+    tols = DEFAULT_TOLERANCES
     bd = operator_breakdown(f, g, ctx)
     decomposition = abs(c3(f, g, ctx) - (bd.p / 6.0 - bd.q / 4.0))
     forms = abs(c2(f, g, ctx) - c2_expanded(f, g, ctx))
@@ -348,14 +346,13 @@ def check_flat_vanishing(
     ctx: ChartContext,
     f,
     g,
-    tol: float = DEFAULT_TOLERANCES["flat_vanishing"],
     label: str = "",
 ) -> CheckResult:
     """On a flat chart the operators Q, R, S, S~ vanish exactly: every one
     of their terms carries a derivative of the constant inverse metric."""
     bd = operator_breakdown(f, g, ctx)
     residual = worst_abs((bd.q, bd.r, bd.s, bd.s_tilde))
-    return CheckResult("flat_qrss_vanish", residual, tol, label)
+    return CheckResult("flat_qrss_vanish", residual, DEFAULT_TOLERANCES["flat_vanishing"], label)
 
 
 def check_gauge(
@@ -365,7 +362,6 @@ def check_gauge(
     ctx: ChartContext,
     f,
     g,
-    tol: float = DEFAULT_TOLERANCES["gauge"],
     label: str = "",
 ) -> CheckResult:
     """Recursion values are unchanged under a potential gauge shift.
@@ -384,7 +380,7 @@ def check_gauge(
     residual = worst_abs(
         base_ops[r].apply(g, ctx) - shifted_ops[r].apply(g, shifted) for r in (1, 2, 3)
     )
-    return CheckResult("gauge_invariance", residual, tol, label)
+    return CheckResult("gauge_invariance", residual, DEFAULT_TOLERANCES["gauge"], label)
 
 
 def check_covariance(
@@ -395,7 +391,6 @@ def check_covariance(
     f,
     g,
     order: int = 10,
-    tol: float = DEFAULT_TOLERANCES["covariance"],
     label: str = "",
 ) -> CheckResult:
     """Operator values agree across a holomorphic change of coordinates.
@@ -435,18 +430,18 @@ def check_covariance(
     g_w = substitute(g, replacements)
 
     residual = worst_abs(op(f, g, ctx_z) - op(f_w, g_w, ctx_w) for op in (c1, c2, c3, c3_tilde))
-    return CheckResult("covariance", residual, tol, label)
+    return CheckResult("covariance", residual, DEFAULT_TOLERANCES["covariance"], label)
 
 
 def oracle_agreement_checks(
     ctx: ChartContext,
     f,
     g,
-    tol: float = DEFAULT_TOLERANCES["oracle_agreement"],
     label: str = "",
 ) -> list[CheckResult]:
     """Covariant formulas against the recursion, relative residual per order."""
     ops = build_left_mult(f, ctx, r_max=3)
+    tol = DEFAULT_TOLERANCES["oracle_agreement"]
     results = []
     for r, formula in ((1, c1), (2, c2), (3, c3)):
         via_oracle = ops[r].apply(g, ctx)
@@ -455,37 +450,9 @@ def oracle_agreement_checks(
     return results
 
 
-def check_oracle_agreement(
-    spec: RandomChartSpec,
-    trials: int = 1,
-    order: int = 10,
-    tol: float = DEFAULT_TOLERANCES["oracle_agreement"],
-) -> list[CheckResult]:
-    """Oracle agreement over ``trials`` consecutive seeds of ``spec``."""
-    results = []
-    for t in range(trials):
-        trial_spec = replace(spec, seed=spec.seed + t)
-        _, ctx, rng = random_chart(trial_spec, order)
-        f = random_polynomial(rng, spec.n)
-        g = random_polynomial(rng, spec.n)
-        label = (
-            f"random seed={trial_spec.seed} n={spec.n} eps={spec.epsilon} "
-            f"d={spec.degree} point={_fmt_point(ctx.z0)} J={order}"
-        )
-        results.extend(oracle_agreement_checks(ctx, f, g, tol, label))
-    return results
-
-
-def check_finite_differences(
-    potential,
-    z0,
-    order: int = 10,
-    tol: float = DEFAULT_TOLERANCES["finite_differences"],
-    label: str = "",
-    step: float = 1e-5,
-) -> CheckResult:
-    """First-order jet derivatives against central finite differences."""
-    n = len(z0)
+def check_finite_differences(potential, z0, order: int = 10, label: str = "") -> CheckResult:
+    """First-order jet derivatives against central finite differences of step 1e-5."""
+    n, step = len(z0), 1e-5
     potential = parse(potential, n) if isinstance(potential, str) else potential
     z0 = tuple(complex(v) for v in z0)
     zb0 = tuple(v.conjugate() for v in z0)
@@ -509,7 +476,9 @@ def check_finite_differences(
             eval_value(potential, z0, plus_b) - eval_value(potential, z0, minus_b)
         ) / (2 * step)
         errors.append(abs(analytic_bar - numeric_bar) / (1.0 + abs(analytic_bar)))
-    return CheckResult("jet_finite_differences", worst_abs(errors), tol, label)
+    return CheckResult(
+        "jet_finite_differences", worst_abs(errors), DEFAULT_TOLERANCES["finite_differences"], label
+    )
 
 
 # -- the default suite --------------------------------------------------------------

@@ -174,10 +174,39 @@ def test_compare_poincare_seeded(capsys):
 
 
 def test_compare_low_jet_order_rejected(capsys):
-    code, _, err = run_cli(
-        capsys, "compare", "--preset", "flat", "--point", "0", "--jet-order", "8"
+    # below the least chart order
+    code, out, err = run_cli(
+        capsys, "compare", "--preset", "flat", "--point", "0", "--jet-order", "5"
     )
     assert code == 2
+    assert out == "" and "at least 6" in err
+
+
+@pytest.mark.parametrize(
+    "chart",
+    [
+        ["--preset", "fubini-study", "--point", "0.3"],
+        ["--potential", "z1*zb1+z2*zb2+0.2*z1^2*zb1*zb2+0.1*z1*z2*zb2^2+0.1*z2*zb1*zb2^2",
+         "--n", "2", "--point", "0.1-0.05i", "0.12+0.08i"],
+    ],
+    ids=["fubini-study", "n2-potential"],
+)
+def test_compare_values_do_not_depend_on_jet_order(capsys, chart):
+    values = {}
+    for order in ("6", "8", "10"):
+        code, out, _ = run_cli(
+            capsys, "compare", *chart, "--seed", "7", "--jet-order", order, "--json"
+        )
+        assert code == 0
+        values[order] = json.dumps(json.loads(out)["values"], sort_keys=True)
+    assert values["6"] == values["8"] == values["10"]
+
+
+def test_verify_least_jet_order(capsys):
+    assert run_cli(capsys, "verify", "--trials", "2", "--jet-order", "9")[0] == 0
+    code, out, err = run_cli(capsys, "verify", "--trials", "2", "--jet-order", "8")
+    assert code == 2
+    assert out == "" and "at least 9" in err
 
 
 def test_usage_error(capsys):

@@ -151,7 +151,7 @@ def test_curvature_symmetries_and_raising():
     point = [complex(rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2)) for _ in range(n)]
     ctx = build_chart(potential, point, order=8)
     data = curvature(ctx)
-    gu0 = ctx.inverse_metric_values()
+    gu0 = chart_tensors(ctx, 0).g_up[0]
     for p in range(n):
         for q in range(n):
             for k in range(n):
@@ -283,6 +283,17 @@ def test_chart_tensors_are_prefixes_whatever_the_order_of_reads():
     assert np.shares_memory(low_after.g_up, high_first.g_up)  # a prefix of the one entry
     with pytest.raises(ValueError, match="from 0 to 8"):
         chart_tensors(ctx, ctx.order - 1)
+
+
+def test_christoffel_symbols_at_zero_from_a_read_at_zero_are_a_prefix():
+    # a read at 0 builds the memo at 1, the least depth holding a Christoffel symbol
+    ctx = random_chart(RandomChartSpec(n=2, seed=7))[1]
+    shallow, deep = dataclasses.replace(ctx, _cache={}), dataclasses.replace(ctx, _cache={})
+    chart_tensors(shallow, 0)
+    assert shallow._cache["chart_tensors"][0] == 1
+    got, full = chart_tensors(shallow, 1), chart_tensors(deep, 6)
+    assert len(got.gamma_hol) == 1
+    assert _tensor_bytes(got, 1) == _tensor_bytes(full, 1)
 
 
 def test_a_chart_build_inverts_nothing(monkeypatch):

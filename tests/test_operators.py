@@ -315,13 +315,25 @@ def test_dropped_jets_never_share_a_bundle(monkeypatch, same_id):
                 for i, src in enumerate(sources)]
     if same_id:
         # the worst case of id reuse: every jet the memo sees has the same id
-        monkeypatch.setattr(operators, "id", lambda obj: 0, raising=False)
+        monkeypatch.setattr(geometry, "id", lambda obj: 0, raising=False)
     ctx = build_chart(FS, (0.3 - 0.1j,), order=10)
     g = as_chart_jet("z1^3 + z1*zb1", ctx)
     for i, src in enumerate(sources):
         scaled = as_chart_jet(src, ctx) * (1.0 + i)  # dropped below, so its id is free again
         assert c3_tilde_jet(scaled, g, ctx, 2) == expected[i]
         del scaled
+
+
+def test_r_operator_at_zero_does_not_depend_on_an_earlier_deeper_read():
+    # r1 is not served as a prefix: at truncation 0 its three-index contraction
+    # sums in another order than the [0] of r1 built at 4 (they differ in the last bit)
+    _, ctx, rng = random_chart(RandomChartSpec(n=2, seed=7))
+    f, g = random_polynomial(rng, 2), random_polynomial(rng, 2)
+    deep_first = dataclasses.replace(ctx, _cache={})
+    r_operator_jet(f, g, deep_first, 4)
+    at_zero = r_operator_jet(f, g, deep_first, 0)
+    fresh = dataclasses.replace(ctx, _cache={})
+    assert at_zero._vec.tobytes() == r_operator_jet(f, g, fresh, 0)._vec.tobytes()
 
 
 class _Refused:

@@ -87,12 +87,14 @@ def test_oracle_confirms_covariant_values_at_curved_point(fs1):
     assert oracle_cr("zb1", "z1", fs1, 3) == pytest.approx(32.0, abs=1e-10)
 
 
-def test_order_too_small_rejected():
-    ctx = build_chart(FS, (0.0,), order=8)
-    with pytest.raises(ValueError):
-        build_left_mult("zb1", ctx, r_max=3)
-    # depth 2 only needs order 8
-    build_left_mult("zb1", ctx, r_max=2)
+def test_low_order_charts_give_the_same_operators():
+    # the recursion reads Phi to order r_max + 1 and g_dn to r_max - 1, so the
+    # least chart order serves every depth
+    f, g, point = "zb1^3*z1 + zb1^2 + z1*zb1", "z1^3*zb1 + z1^2", (0.3 - 0.1j,)
+    low, high = build_chart(FS, point, order=6), build_chart(FS, point, order=10)
+    for r in (1, 2, 3):
+        values = [build_left_mult(f, ctx, r_max=r)[r].apply(g, ctx) for ctx in (low, high)]
+        assert values[0] == values[1] != 0
 
 
 def _random_poly(rng, n, dmax=3):
