@@ -10,23 +10,23 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import random
 import sys
 from dataclasses import asdict, dataclass
 
-from .expressions import EvaluationError, ExpressionError, parse, parse_complex
+from .expressions import EvaluationError, parse, parse_complex
 from .geometry import SingularMetricError, build_chart, require_dimension
-from .operators import (
-    StarVariant,
-    c1,
-    c2,
-    c3,
-    c3_tilde,
-    operator_breakdown,
-    star_product,
-)
-from .oracle import OracleConsistencyError, build_left_mult
+from .operators import StarVariant, c3, c3_tilde, operator_breakdown, star_product
+from .oracle import OracleConsistencyError
 from .presets import PRESET_NAMES, preset_dimension, preset_potential
-from .verify import DEFAULT_TOLERANCES, MIN_SUITE_ORDER, random_polynomial, run_suite
+from .verify import (
+    DEFAULT_TOLERANCES,
+    MIN_SUITE_ORDER,
+    CheckResult,
+    covariant_and_recursion,
+    random_polynomial,
+    run_suite,
+)
 
 __all__ = ["RunConfig", "main"]
 
@@ -85,6 +85,9 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     cfg.json_output = bool(getattr(args, "json", False))
     if getattr(args, "point", None):
         cfg.point = tuple(parse_complex(text) for text in args.point)
+    # a tolerance of inf would pass a residual that worst_abs turned from NaN into inf
+    if cfg.tol is not None and not 0.0 <= cfg.tol < math.inf:
+        raise ValueError(f"{cfg.command} requires a finite --tol of at least 0")
     return cfg
 
 
@@ -126,15 +129,16 @@ def _cmd_eval(cfg: RunConfig) -> int:
     if not cfg.f or not cfg.g:
         raise ValueError("eval requires --f and --g")
     ctx = _resolve_chart(cfg)
+    f, g = parse(cfg.f, cfg.n), parse(cfg.g, cfg.n)
     variant = StarVariant(cfg.variant)
-    product = star_product(cfg.f, cfg.g, ctx, variant)
+    product = star_product(f, g, ctx, variant)
     values_c = {
-        "C1": c1(cfg.f, cfg.g, ctx),
-        "C2": c2(cfg.f, cfg.g, ctx),
-        "C3": c3(cfg.f, cfg.g, ctx),
-        "C3tilde": c3_tilde(cfg.f, cfg.g, ctx),
+        "C1": product[1],
+        "C2": product[2],
+        "C3": c3(f, g, ctx),
+        "C3tilde": c3_tilde(f, g, ctx),
     }
-    bd = operator_breakdown(cfg.f, cfg.g, ctx)
+    bd = operator_breakdown(f, g, ctx)
 
     values = {
         "star": [_complex_pair(z) for z in product.c],
@@ -186,22 +190,14 @@ def _cmd_verify(cfg: RunConfig) -> int:
 
 def _cmd_compare(cfg: RunConfig) -> int:
     ctx = _resolve_chart(cfg)
-    import random as _random
-
-    rng = _random.Random(f"{cfg.seed}:compare")
-    f = cfg.f if cfg.f else random_polynomial(rng, cfg.n)
-    g = cfg.g if cfg.g else random_polynomial(rng, cfg.n)
-    ops = build_left_mult(f, ctx, r_max=3)
-    from .verify import CheckResult
-
+    rng = random.Random(f"{cfg.seed}:compare")
+    f = parse(cfg.f, cfg.n) if cfg.f else random_polynomial(rng, cfg.n)
+    g = parse(cfg.g, cfg.n) if cfg.g else random_polynomial(rng, cfg.n)
     checks = []
     values = {}
     lines = [f"{'r':>2} {'covariant':>28} {'oracle':>28} {'residual':>12}"]
     tol = cfg.tol if cfg.tol is not None else COMPARE_TOL
-    for r, formula in ((1, c1), (2, c2), (3, c3)):
-        via_formula = formula(f, g, ctx)
-        via_oracle = ops[r].apply(g, ctx)
-        residual = abs(via_formula - via_oracle) / (1.0 + abs(via_oracle))
+    for r, via_formula, via_oracle, residual in covariant_and_recursion(ctx, f, g):
         checks.append(CheckResult(f"compare_r{r}", residual, tol, f"J={cfg.jet_order}"))
         values[f"C{r}_covariant"] = _complex_pair(via_formula)
         values[f"C{r}_oracle"] = _complex_pair(via_oracle)
@@ -278,10 +274,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return _cmd_verify(cfg)
         return _cmd_compare(cfg)
-    except ExpressionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except ValueError as exc:  # an ExpressionError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (EvaluationError, SingularMetricError) as exc:

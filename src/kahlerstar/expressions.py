@@ -27,7 +27,7 @@ import operator
 import re
 from dataclasses import dataclass, fields
 from decimal import Decimal
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .jets import Jet, unit_index
 
@@ -203,6 +203,7 @@ _TOKEN_RE = re.compile(
       | (?P<number>\d+\.\d*|\.\d+|\d+)(?P<imag>i\b)?
       | (?P<name>[A-Za-z]+\d*)
       | (?P<op>[-+*/^()])
+      | (?P<bad>.)
     """,
     re.VERBOSE,
 )
@@ -210,29 +211,24 @@ _TOKEN_RE = re.compile(
 _VAR_RE = re.compile(r"^(zb|z)(\d+)$")
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "number", "imag", "name", or the operator character
     value: object
     pos: int
 
 
 def _tokenize(src: str) -> list[_Token]:
+    # every character starts a match, so the matches tile ``src``; a number's kind is
+    # the last group it matched: "imag" with the suffix, "number" without
     tokens: list[_Token] = []
-    pos = 0
-    while pos < len(src):
-        match = _TOKEN_RE.match(src, pos)
-        if match is None:
-            raise ExpressionError(f"unexpected character {src[pos]!r}", pos)
-        if match.lastgroup != "ws":
-            if match.group("number") is not None:
-                kind = "imag" if match.group("imag") else "number"
-                tokens.append(_Token(kind, float(match.group("number")), pos))
-            elif match.group("name") is not None:
-                tokens.append(_Token("name", match.group("name"), pos))
-            else:
-                tokens.append(_Token(match.group("op"), match.group("op"), pos))
-        pos = match.end()
+    for match in _TOKEN_RE.finditer(src):
+        kind, text, pos = match.lastgroup, match.group(), match.start()
+        if kind == "bad":
+            raise ExpressionError(f"unexpected character {text!r}", pos)
+        if kind in ("number", "imag"):
+            tokens.append(_Token(kind, float(match.group("number")), pos))
+        elif kind != "ws":
+            tokens.append(_Token("name" if kind == "name" else text, text, pos))
     tokens.append(_Token("end", None, len(src)))
     return tokens
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import random
 from dataclasses import dataclass, replace
 
@@ -433,6 +434,15 @@ def check_covariance(
     return CheckResult("covariance", residual, DEFAULT_TOLERANCES["covariance"], label)
 
 
+def covariant_and_recursion(ctx: ChartContext, f, g):
+    """Yield ``(r, a, b, |a - b| / (1 + |b|))`` for r = 1..3: the covariant C_r as ``a``
+    against the recursion's value ``b``, from one left-multiplication build."""
+    ops = build_left_mult(f, ctx, r_max=3)
+    for r, formula in ((1, c1), (2, c2), (3, c3)):
+        a, b = formula(f, g, ctx), ops[r].apply(g, ctx)
+        yield r, a, b, abs(a - b) / (1.0 + abs(b))
+
+
 def oracle_agreement_checks(
     ctx: ChartContext,
     f,
@@ -440,14 +450,11 @@ def oracle_agreement_checks(
     label: str = "",
 ) -> list[CheckResult]:
     """Covariant formulas against the recursion, relative residual per order."""
-    ops = build_left_mult(f, ctx, r_max=3)
     tol = DEFAULT_TOLERANCES["oracle_agreement"]
-    results = []
-    for r, formula in ((1, c1), (2, c2), (3, c3)):
-        via_oracle = ops[r].apply(g, ctx)
-        rel = abs(formula(f, g, ctx) - via_oracle) / (1.0 + abs(via_oracle))
-        results.append(CheckResult(f"oracle_agreement_r{r}", rel, tol, label))
-    return results
+    return [
+        CheckResult(f"oracle_agreement_r{r}", rel, tol, label)
+        for r, _, _, rel in covariant_and_recursion(ctx, f, g)
+    ]
 
 
 def check_finite_differences(potential, z0, order: int = 10, label: str = "") -> CheckResult:
@@ -457,25 +464,19 @@ def check_finite_differences(potential, z0, order: int = 10, label: str = "") ->
     z0 = tuple(complex(v) for v in z0)
     zb0 = tuple(v.conjugate() for v in z0)
     jet = eval_jet(potential, z0, zb0, order)
-    zero = (0,) * n
+    gradients = [derivative_values(jet._vec, n, *sides).tolist() for sides in ((1, 0), (0, 1))]
     errors = []
     for k in range(n):
-        e = unit_index(n, k)
-        analytic = jet.derivative_at(e, zero)
-        plus = tuple(z + (step if i == k else 0) for i, z in enumerate(z0))
-        minus = tuple(z - (step if i == k else 0) for i, z in enumerate(z0))
-        numeric = (eval_value(potential, plus, zb0) - eval_value(potential, minus, zb0)) / (
-            2 * step
-        )
-        errors.append(abs(analytic - numeric) / (1.0 + abs(analytic)))
-
-        analytic_bar = jet.derivative_at(zero, e)
-        plus_b = tuple(z + (step if i == k else 0) for i, z in enumerate(zb0))
-        minus_b = tuple(z - (step if i == k else 0) for i, z in enumerate(zb0))
-        numeric_bar = (
-            eval_value(potential, z0, plus_b) - eval_value(potential, z0, minus_b)
-        ) / (2 * step)
-        errors.append(abs(analytic_bar - numeric_bar) / (1.0 + abs(analytic_bar)))
+        for side, analytic in enumerate(gradients):
+            values = []
+            for move in (operator.add, operator.sub):
+                point = [z0, zb0]
+                point[side] = tuple(
+                    move(z, step if i == k else 0) for i, z in enumerate(point[side])
+                )
+                values.append(eval_value(potential, *point))
+            numeric = (values[0] - values[1]) / (2 * step)
+            errors.append(abs(analytic[k] - numeric) / (1.0 + abs(analytic[k])))
     return CheckResult(
         "jet_finite_differences", worst_abs(errors), DEFAULT_TOLERANCES["finite_differences"], label
     )

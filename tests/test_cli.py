@@ -276,8 +276,8 @@ def test_long_sum_potential_evaluates(capsys):
 
 
 def test_long_sum_function_evaluates(capsys):
-    # each operator parses --f again, and the chart's jet memo compares the new tree
-    # with the cached one: that comparison must not recurse through the 1 200 terms
+    # parsing --f and hashing its tree for the chart's jet memo must not recurse
+    # through the 1 200 terms
     f = "+".join(["0.001*z1*zb1"] * 1200)
     code, out, _ = run_cli(capsys, "eval", "--preset", "flat", "--point", "0.1", "--g", "z1", "--f", f)
     assert code == 0
@@ -292,11 +292,58 @@ def test_long_sum_function_evaluates(capsys):
         (["--epsilon", "inf"], "verify requires a finite --epsilon"),
         (["--degree", "-1"], "verify requires --degree of at least 1"),
         (["--degree", "0"], "verify requires --degree of at least 1"),
+        (["--tol", "inf"], "verify requires a finite --tol of at least 0"),
+        (["--tol", "nan"], "verify requires a finite --tol of at least 0"),
+        (["--tol", "-1"], "verify requires a finite --tol of at least 0"),
     ],
-    ids=["negative-trials", "nan-epsilon", "inf-epsilon", "negative-degree", "zero-degree"],
+    ids=[
+        "negative-trials", "nan-epsilon", "inf-epsilon", "negative-degree", "zero-degree",
+        "inf-tol", "nan-tol", "negative-tol",
+    ],
 )
 def test_verify_refuses_invalid_suite_settings(capsys, flags, message):
     code, out, err = run_cli(capsys, "verify", *flags)
     assert code == 2
     assert out == ""
     assert message in err
+
+
+def test_compare_refuses_invalid_tolerance(capsys):
+    # under --tol inf a residual that is not finite would pass; --tol 0 stays valid
+    code, out, err = run_cli(capsys, "compare", "--preset", "flat", "--tol", "inf")
+    assert code == 2
+    assert out == ""
+    assert "compare requires a finite --tol of at least 0" in err
+    assert run_cli(capsys, "compare", "--preset", "flat", "--tol", "0")[0] != 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["eval", "--variant", "standard"], ["eval", "--variant", "modified"], ["compare"]],
+    ids=["eval-standard", "eval-modified", "compare"],
+)
+def test_functions_are_parsed_once_by_the_cli(capsys, monkeypatch, argv):
+    # the operators and the oracle get the parsed --f and --g, never their source text
+    from kahlerstar import geometry
+
+    chart = ["--preset", "fubini-study", "--point", "0.3+0.1i", "--json"]
+    functions = ["--f", "zb1^2+z1*zb1", "--g", "z1^2+2*zb1"]
+    code, out, _ = run_cli(capsys, *argv, *chart, *functions)
+
+    def refuse(src, n):
+        raise AssertionError(f"{src!r} was parsed below the CLI")
+
+    monkeypatch.setattr(geometry, "parse", refuse)
+    assert run_cli(capsys, *argv, *chart, *functions)[:2] == (code, out)
+    assert code == 0
+
+
+def test_usage_errors_come_before_evaluation(capsys):
+    # --f and --g are both parsed before either is evaluated, so the syntax error in
+    # --g (exit 2) is reported, not the branch cut of log(z1) at 0 (exit 3)
+    code, out, err = run_cli(
+        capsys, "eval", "--preset", "fubini-study", "--point", "0", "--f", "log(z1)", "--g", "z1 $"
+    )
+    assert code == 2
+    assert out == ""
+    assert "unexpected character '$'" in err

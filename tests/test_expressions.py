@@ -48,10 +48,29 @@ def test_variable_index_out_of_range():
     assert "out of range" in str(err.value)
 
 
-def test_syntax_error_reports_position():
+@pytest.mark.parametrize(
+    "src, message, position",
+    [
+        ("z1 + * z2", "expected a number, variable or '('", 5),
+        ("z1 $ 3", "unexpected character '$'", 3),
+        ("é", "unexpected character 'é'", 0),
+        ("2in", "unexpected 'name'", 1),
+        ("12i3", "unexpected 'name'", 2),
+        ("3.5.2", "unexpected 'number'", 3),
+        ("", "expected a number, variable or '('", 0),
+    ],
+    ids=["operator-after-operator", "bad-character", "non-ascii", "imag-unit-before-name",
+         "name-after-number", "second-decimal-point", "empty"],
+)
+def test_syntax_error_reports_position(src, message, position):
     with pytest.raises(ExpressionError) as err:
-        parse("z1 + * z2", 2)
-    assert err.value.position == 5
+        parse(src, 2)
+    assert str(err.value) == f"{message} (at position {position})"
+    assert err.value.position == position
+
+
+def test_whitespace_separates_tokens_only():
+    assert to_source(parse("z1*\tzb1\n+ 2i", 2)) == "z1*zb1+2.0i"
 
 
 def test_unbalanced_parenthesis():
