@@ -23,11 +23,10 @@ from .expressions import (
 )
 from .geometry import (
     ChartContext,
-    CovDerivTable,
     CurvatureData,
     SingularMetricError,
     build_chart,
-    covariant_derivatives,
+    covariant_derivative_jets,
     curvature,
     jacobi_residual,
 )
@@ -81,11 +80,10 @@ __all__ = [
     "formal_conjugate",
     "ChartContext",
     "CurvatureData",
-    "CovDerivTable",
     "SingularMetricError",
     "build_chart",
     "curvature",
-    "covariant_derivatives",
+    "covariant_derivative_jets",
     "jacobi_residual",
     "StarVariant",
     "NuPolynomial",

@@ -8,9 +8,9 @@ point.  Index conventions used throughout (axes are 0-based):
   potential).
 - ``g_up[l][k]``  is the inverse, contracting so that
   ``sum_l g_dn[k][l] * g_up[l][m] = delta_km``.
-- ``gamma_hol_array[:, k, p, s]`` is the jet of the holomorphic Christoffel
+- ``gamma_hol[:, k, p, s]`` is the jet of the holomorphic Christoffel
   symbol with lower indices ``k, p`` (symmetric) and upper index ``s``;
-  ``gamma_anti_array`` is the barred counterpart.
+  ``gamma_anti`` is the barred counterpart.
 - ``r_up[q][p][k][l]`` is the curvature tensor with upper antiholomorphic
   index ``q``, upper holomorphic ``p``, lower holomorphic ``k`` and lower
   antiholomorphic ``l``.
@@ -19,7 +19,8 @@ point.  Index conventions used throughout (axes are 0-based):
   ordered (antiholomorphic, holomorphic, antiholomorphic, holomorphic).
 
 Every jet tensor is one complex array, the coefficient axis first and the
-indices above after it (``g_up_array[:, l, k]`` is the jet of ``g_up[l][k]``).
+indices above after it (``chart_tensors(ctx, t).g_up[:, l, k]`` is the jet of
+``g_up[l][k]``).
 A chart builds ``g_up`` and the Christoffel symbols when they are first read,
 through :func:`chart_tensors`, only as deep as their reader needs.
 Derivatives are :func:`kahlerstar.jets.gradient` gathers and every product is
@@ -45,12 +46,11 @@ __all__ = [
     "ChartContext",
     "ChartTensors",
     "CurvatureData",
-    "CovDerivTable",
     "build_chart",
     "chart_tensors",
     "require_dimension",
     "curvature",
-    "covariant_derivatives",
+    "covariant_derivative_jets",
     "jacobi_residual",
     "as_chart_jet",
     "worst_abs",
@@ -104,12 +104,11 @@ class ChartContext:
     ``order - 2``, both built with the chart, which refuses a metric that is
     not admissible at the base point.  The inverse metric and the
     Christoffel symbols are built on first read, through :func:`chart_tensors`,
-    at the truncation their reader needs; the public ``g_up``,
-    ``g_up_array`` (at ``order - 2``) and ``gamma_*_array`` (at
-    ``order - 3``) read the same memo.  Each tensor is one read-only
-    jet-tensor array (``*_array``: coefficient axis first, then the indices in
-    the order of the module docs; ``[0]`` is the value at the base point);
-    ``g_dn`` and ``g_up`` are nested tuples of jets viewing the metric arrays.
+    at the truncation their reader needs; the public ``g_up`` (at
+    ``order - 2``) reads the same memo.  Each tensor is one read-only
+    jet-tensor array (coefficient axis first, then the indices in the order of
+    the module docs; ``[0]`` is the value at the base point); ``g_dn`` and
+    ``g_up`` are nested tuples of jets viewing the metric arrays.
     ``_cache`` holds jets derived on demand, among them one read-only jet per
     distinct function passed to :func:`as_chart_jet`, kept until the chart is
     dropped.
@@ -127,21 +126,10 @@ class ChartContext:
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
-    def g_up_array(self) -> np.ndarray:
-        return chart_tensors(self, self.order - 2).g_up
-
-    @property
-    def gamma_hol_array(self) -> np.ndarray:
-        return chart_tensors(self, self.order - 2).gamma_hol
-
-    @property
-    def gamma_anti_array(self) -> np.ndarray:
-        return chart_tensors(self, self.order - 2).gamma_anti
-
-    @property
     def g_up(self) -> tuple:
         if "g_up_views" not in self._cache:
-            self._cache["g_up_views"] = _views(self.g_up_array, self.n, self.order - 2)
+            g_up = chart_tensors(self, self.order - 2).g_up
+            self._cache["g_up_views"] = _views(g_up, self.n, self.order - 2)
         return self._cache["g_up_views"]
 
     def metric_values(self) -> np.ndarray:
@@ -165,23 +153,6 @@ class CurvatureData:
     r_dn: np.ndarray
     r_up: np.ndarray
     r_raised: np.ndarray
-
-
-@dataclass(frozen=True)
-class CovDerivTable:
-    """Covariant derivatives of one function at the base point.
-
-    ``hol1[k] = ∇_k f`` up to ``hol3[k][p][s] = ∇_s∇_p∇_k f`` and the
-    barred counterparts, as read-only arrays; each tensor is fully symmetric.
-    Orders beyond the requested one are ``None``.
-    """
-
-    hol1: np.ndarray
-    hol2: np.ndarray | None
-    hol3: np.ndarray | None
-    anti1: np.ndarray
-    anti2: np.ndarray | None
-    anti3: np.ndarray | None
 
 
 def build_chart(
@@ -365,9 +336,10 @@ def covariant_derivative_jets(f_jet: Jet, ctx: ChartContext, *, barred: bool, up
     """Jet tensors of the pure covariant derivatives of a function, orders 1..up_to.
 
     Returns a list indexed by order; entry ``r`` is the read-only rank-``r``
-    tensor with ``[k, p, s] = ∇_s∇_p∇_k f``.  Each differentiation, a gather
-    on the coefficient axis, consumes one jet degree; the Christoffel
-    corrections cap intermediate orders at the Christoffel jet order.
+    tensor with ``[k, p, s] = ∇_s∇_p∇_k f``, and its ``[0]`` is the value at
+    the base point.  Each differentiation, a gather on the coefficient axis,
+    consumes one jet degree; the Christoffel corrections cap intermediate
+    orders at the Christoffel jet order.
     """
     if not 1 <= up_to <= 3:
         raise ValueError("covariant derivative order must be between 1 and 3")
@@ -413,16 +385,6 @@ def _derivs(jet: Jet, ctx: ChartContext, barred: bool, up_to: int, trunc: int) -
         entry = (jet, covariant_derivative_jets(source, ctx, barred=barred, up_to=depth))
         ctx._cache[key] = entry
     return entry[1]
-
-
-def covariant_derivatives(f: Expr | str | Jet, ctx: ChartContext, up_to: int = 3) -> CovDerivTable:
-    """Covariant derivative tensors of ``f`` at the base point."""
-    f_jet = as_chart_jet(f, ctx)
-    hol = covariant_derivative_jets(f_jet, ctx, barred=False, up_to=up_to)
-    anti = covariant_derivative_jets(f_jet, ctx, barred=True, up_to=up_to)
-    hol += [None] * (3 - up_to)
-    anti += [None] * (3 - up_to)
-    return CovDerivTable(*(None if t is None else t[0] for t in (*hol[1:], *anti[1:])))
 
 
 def as_chart_jet(f, ctx: ChartContext) -> Jet:
@@ -473,15 +435,19 @@ def metric_derivative_values(ctx: ChartContext):
 def jacobi_residual(ctx: ChartContext) -> float:
     """Largest violation of the Poisson-tensor Jacobi identity at the point.
 
-    Both the holomorphic and the antiholomorphic contraction identities are
-    scanned over all free indices; for a metric derived from a potential
-    the exact value is zero, so this measures roundoff only.
+    For a type-(1,1) bivector ``π = g_up`` the identity says that
+    ``π[l,k] ∂_k π[nn,m]`` is symmetric in ``(l, nn)`` and that
+    ``π[l,k] ∂̄_l π[nn,m]`` is symmetric in ``(k, m)``; both are scanned over
+    all free indices.  For an inverse metric both hold exactly, because
+    ``∂_k π = -π (∂_k g_dn) π`` and ``∂_k g_dn[p, l] = ∂_k ∂_p ∂̄_l φ`` is
+    symmetric in ``(k, p)`` (and likewise on the barred side), so this
+    measures roundoff only.
     """
     gu0 = chart_tensors(ctx, 0).g_up[0]
     dgu, dgu_bar = metric_derivative_values(ctx)
-    # hol[l,nn,m] = g_up[l,k] d_k g_up[nn,m], to be antisymmetric in (l, nn)
+    # hol[l,nn,m] = g_up[l,k] d_k g_up[nn,m], to be symmetric in (l, nn)
     hol = np.einsum("lk,knm->lnm", gu0, dgu)
-    # anti[k,nn,m] = g_up[l,k] dbar_l g_up[nn,m], to be antisymmetric in (k, m)
+    # anti[k,nn,m] = g_up[l,k] dbar_l g_up[nn,m], to be symmetric in (k, m)
     anti = np.einsum("lk,lnm->knm", gu0, dgu_bar)
     gaps = (hol - hol.transpose(1, 0, 2), anti - anti.transpose(2, 1, 0))
     return worst_abs(np.concatenate(gaps, axis=None))

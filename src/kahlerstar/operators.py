@@ -83,20 +83,6 @@ class NuPolynomial:
             raise ValueError("a NuPolynomial has exactly four coefficients")
         object.__setattr__(self, "c", tuple(complex(v) for v in self.c))
 
-    def __add__(self, other: "NuPolynomial") -> "NuPolynomial":
-        return NuPolynomial(tuple(a + b for a, b in zip(self.c, other.c)))
-
-    def __sub__(self, other: "NuPolynomial") -> "NuPolynomial":
-        return NuPolynomial(tuple(a - b for a, b in zip(self.c, other.c)))
-
-    def __mul__(self, other: "NuPolynomial") -> "NuPolynomial":
-        out = [0j] * 4
-        for i, a in enumerate(self.c):
-            for j, b in enumerate(other.c):
-                if i + j < 4:
-                    out[i + j] += a * b
-        return NuPolynomial(tuple(out))
-
     def __getitem__(self, r: int) -> complex:
         return self.c[r]
 

@@ -292,10 +292,10 @@ def check_separation(
         results.append(
             CheckResult(f"separation_anti_order{r}", abs(right_std[r]), tol, label)
         )
-    left_mod = star_product(a, f, ctx, StarVariant.MODIFIED)
-    right_mod = star_product(f, b, ctx, StarVariant.MODIFIED)
-    results.append(CheckResult("separation_hol_order3_modified", abs(left_mod[3]), tol, label))
-    results.append(CheckResult("separation_anti_order3_modified", abs(right_mod[3]), tol, label))
+    # orders 0-2 do not depend on the variant: only C3~ is read again
+    left_mod, right_mod = c3_tilde(a, f, ctx), c3_tilde(f, b, ctx)
+    results.append(CheckResult("separation_hol_order3_modified", abs(left_mod), tol, label))
+    results.append(CheckResult("separation_anti_order3_modified", abs(right_mod), tol, label))
     return results
 
 

@@ -347,3 +347,51 @@ def test_usage_errors_come_before_evaluation(capsys):
     assert code == 2
     assert out == ""
     assert "unexpected character '$'" in err
+
+
+EVAL_FS = ["eval", "--preset", "fubini-study", "--point", "0.3+0.1i", "--f", "zb1^2+z1*zb1",
+           "--g", "z1^2+2*zb1", "--json"]
+
+
+@pytest.mark.parametrize("variant,own_key", [("standard", "C3"), ("modified", "C3tilde")])
+def test_eval_reads_its_own_order3_value_from_the_product(capsys, monkeypatch, variant, own_key):
+    from kahlerstar import operators
+
+    calls = []
+    original = operators.c3_jet
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(operators, "c3_jet", counted)
+    code, out, _ = run_cli(capsys, *EVAL_FS, "--variant", variant)
+    assert code == 0
+    assert len(calls) == 2  # once in the product, once for the other variant's value
+    values = json.loads(out)["values"]
+    assert values[own_key] == values["star"][3]
+    assert values["C3"] != values["C3tilde"]
+
+
+def test_main_builds_no_parser_per_call(capsys, monkeypatch):
+    import argparse
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an argument parser was built by a request")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+    assert run_cli(capsys, *EVAL_FS)[0] == 0
+    assert run_cli(capsys, "compare", "--preset", "flat", "--seed", "2")[0] == 0
+    assert run_cli(capsys, "verify", "--trials", "0")[0] == 0
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [["eval", "--preset", "flat", "--variant", "other"], ["eval", "--bogus", "1"],
+     ["compare", "--n", "two"], ["verify", "--trials"]],
+    ids=["bad-choice", "unknown-flag", "bad-int", "missing-value"],
+)
+def test_a_usage_error_leaves_nothing_for_the_next_request(capsys, bad):
+    alone = run_cli(capsys, *EVAL_FS)
+    assert run_cli(capsys, *bad)[0] == 2
+    assert run_cli(capsys, *EVAL_FS) == alone

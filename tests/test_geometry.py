@@ -20,7 +20,7 @@ from kahlerstar.geometry import (
     as_chart_jet,
     build_chart,
     chart_tensors,
-    covariant_derivatives,
+    covariant_derivative_jets,
     curvature,
     jacobi_residual,
     metric_derivative_values,
@@ -42,8 +42,9 @@ def test_flat_chart_is_trivial():
     ctx = build_chart("z1*zb1", (0.37 - 0.4j,), order=8)
     assert ctx.g_dn[0][0] == Jet.constant(1.0, 1, 6)
     assert ctx.g_up[0][0] == Jet.constant(1.0, 1, 6)
-    assert ctx.gamma_hol_array[0].tolist() == [[[0j]]]
-    assert ctx.gamma_anti_array[0].tolist() == [[[0j]]]
+    tensors = chart_tensors(ctx, ctx.order - 2)
+    assert tensors.gamma_hol[0].tolist() == [[[0j]]]
+    assert tensors.gamma_anti[0].tolist() == [[[0j]]]
 
 
 def test_fubini_study_at_origin():
@@ -51,19 +52,21 @@ def test_fubini_study_at_origin():
     assert ctx.g_dn[0][0].value() == pytest.approx(1.0)
     assert ctx.g_dn[0][0].coeff((1,), (1,)) == pytest.approx(-2.0)
     assert ctx.g_up[0][0].coeff((1,), (1,)) == pytest.approx(2.0)
-    assert ctx.gamma_hol_array[0, 0, 0, 0] == pytest.approx(0.0)
+    assert chart_tensors(ctx, ctx.order - 2).gamma_hol[0, 0, 0, 0] == pytest.approx(0.0)
 
 
 def test_fubini_study_christoffel_at_one():
     ctx = build_chart(FS, (1.0,), order=8)
-    assert ctx.gamma_hol_array[0, 0, 0, 0] == pytest.approx(-1.0, abs=1e-12)
+    tensors = chart_tensors(ctx, ctx.order - 2)
+    assert tensors.gamma_hol[0, 0, 0, 0] == pytest.approx(-1.0, abs=1e-12)
     # barred symbol is the conjugate picture at a real point
-    assert ctx.gamma_anti_array[0, 0, 0, 0] == pytest.approx(-1.0, abs=1e-12)
+    assert tensors.gamma_anti[0, 0, 0, 0] == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_poincare_christoffel():
     ctx = build_chart(DISK, (0.3,), order=8)
-    assert ctx.gamma_hol_array[0, 0, 0, 0] == pytest.approx(0.6 / 0.91, abs=1e-12)
+    gamma_hol = chart_tensors(ctx, ctx.order - 2).gamma_hol
+    assert gamma_hol[0, 0, 0, 0] == pytest.approx(0.6 / 0.91, abs=1e-12)
 
 
 def test_metric_inverse_duality():
@@ -166,50 +169,54 @@ def test_curvature_symmetries_and_raising():
                     assert data.r_up[q][p][k][l] == pytest.approx(raised, abs=1e-10)
 
 
+def _covariant_values(f, ctx, barred):
+    """Base-point values of the covariant derivatives of ``f``, indexed by order 1..3."""
+    jets = covariant_derivative_jets(as_chart_jet(f, ctx), ctx, barred=barred)
+    return [None] + [tensor[0] for tensor in jets[1:]]
+
+
 def test_covariant_derivatives_flat():
     ctx = build_chart("z1*zb1", (0.4 + 0.2j,), order=8)
-    table = covariant_derivatives("z1^3", ctx)
-    assert table.hol3[0][0][0] == pytest.approx(6.0)
-    assert table.anti1[0] == 0.0
+    assert _covariant_values("z1^3", ctx, False)[3][0][0][0] == pytest.approx(6.0)
+    assert _covariant_values("z1^3", ctx, True)[1][0] == 0.0
 
 
 def test_covariant_derivatives_fubini_study_origin():
     ctx = build_chart(FS, (0.0,), order=8)
-    table = covariant_derivatives("z1^2", ctx)
-    assert table.hol2[0][0] == pytest.approx(2.0, abs=1e-12)
+    assert _covariant_values("z1^2", ctx, False)[2][0][0] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_covariant_derivatives_fubini_study_at_one():
     ctx = build_chart(FS, (1.0,), order=8)
-    table = covariant_derivatives("z1", ctx)
-    assert table.hol2[0][0] == pytest.approx(1.0, abs=1e-12)
+    assert _covariant_values("z1", ctx, False)[2][0][0] == pytest.approx(1.0, abs=1e-12)
     # f = z1^2:  d2 f - Gamma * d1 f = 2 - (-1) * 2 = 4 at z=1
-    table2 = covariant_derivatives("z1^2", ctx)
-    assert table2.hol2[0][0] == pytest.approx(4.0, abs=1e-12)
+    assert _covariant_values("z1^2", ctx, False)[2][0][0] == pytest.approx(4.0, abs=1e-12)
 
 
 def test_covariant_tensors_symmetric():
     rng = random.Random(47)
     n = 2
     ctx = build_chart(_random_real_potential(rng, n), (0.15 - 0.05j, 0.1 + 0.2j), order=10)
-    table = covariant_derivatives("z1^2*zb2+z2^3*zb1^2+z1*z2*zb1", ctx)
+    f = "z1^2*zb2+z2^3*zb1^2+z1*z2*zb1"
+    hol2, hol3 = _covariant_values(f, ctx, False)[2:]
+    anti2, anti3 = _covariant_values(f, ctx, True)[2:]
     for k in range(n):
         for p in range(n):
-            assert table.hol2[k][p] == pytest.approx(table.hol2[p][k], abs=1e-10)
-            assert table.anti2[k][p] == pytest.approx(table.anti2[p][k], abs=1e-10)
+            assert hol2[k][p] == pytest.approx(hol2[p][k], abs=1e-10)
+            assert anti2[k][p] == pytest.approx(anti2[p][k], abs=1e-10)
             for s in range(n):
                 vals = {
-                    table.hol3[k][p][s],
-                    table.hol3[p][k][s],
-                    table.hol3[s][p][k],
-                    table.hol3[k][s][p],
+                    hol3[k][p][s],
+                    hol3[p][k][s],
+                    hol3[s][p][k],
+                    hol3[k][s][p],
                 }
-                ref = table.hol3[k][p][s]
+                ref = hol3[k][p][s]
                 for v in vals:
                     assert v == pytest.approx(ref, abs=1e-10)
-                ref_a = table.anti3[k][p][s]
-                assert table.anti3[p][k][s] == pytest.approx(ref_a, abs=1e-10)
-                assert table.anti3[k][s][p] == pytest.approx(ref_a, abs=1e-10)
+                ref_a = anti3[k][p][s]
+                assert anti3[p][k][s] == pytest.approx(ref_a, abs=1e-10)
+                assert anti3[k][s][p] == pytest.approx(ref_a, abs=1e-10)
 
 
 @pytest.mark.parametrize(
@@ -243,11 +250,12 @@ def test_flat_metric_jets_are_exact():
 
 def test_chart_tensors_are_read_only_views_and_charts_compare_by_value():
     ctx = build_chart(FS, (0.4 - 0.3j,), order=8)
-    assert np.shares_memory(ctx.g_up[0][0]._vec, ctx.g_up_array)
-    data, table = curvature(ctx), covariant_derivatives("z1^3*zb1^2", ctx)
-    for array in (ctx.g_dn_array, ctx.g_up_array, ctx.gamma_hol_array, ctx.gamma_anti_array,
-                  data.r_dn, data.r_up, data.r_raised, *metric_derivative_values(ctx),
-                  *vars(table).values()):
+    tensors = chart_tensors(ctx, ctx.order - 2)
+    assert np.shares_memory(ctx.g_up[0][0]._vec, tensors.g_up)
+    data, f = curvature(ctx), as_chart_jet("z1^3*zb1^2", ctx)
+    covariant = [covariant_derivative_jets(f, ctx, barred=barred)[1:] for barred in (False, True)]
+    for array in (ctx.g_dn_array, *tensors, data.r_dn, data.r_up, data.r_raised,
+                  *metric_derivative_values(ctx), *covariant[0], *covariant[1]):
         with pytest.raises(ValueError):
             array[0] = 1.0
     assert ctx == build_chart(FS, (0.4 - 0.3j,), order=8)
@@ -272,8 +280,7 @@ def test_chart_tensors_are_prefixes_whatever_the_order_of_reads():
     down = dataclasses.replace(ctx, _cache={})
     high_first = chart_tensors(down, 6)
     low_after = chart_tensors(down, 2)
-    public = dataclasses.replace(ctx, _cache={})
-    full = (public.g_up_array, public.gamma_hol_array, public.gamma_anti_array)
+    full = chart_tensors(dataclasses.replace(ctx, _cache={}), ctx.order - 2)
     assert len(full[0]) == len(truncate(full[0], 2, ctx.order - 2))
     assert len(full[1]) == len(truncate(full[1], 2, ctx.order - 3))
     for t in (2, 6):

@@ -207,10 +207,6 @@ def test_poisson_antisymmetry(fs1):
 
 
 def test_nu_polynomial_truncating_product():
-    a = NuPolynomial((1, 1, 0, 0))
-    b = NuPolynomial((1, -1, 1, 0))
-    assert (a * b).c == (1 + 0j, 0j, 0j, 1 + 0j)
-    assert (a + b).c == (2 + 0j, 0j, 1 + 0j, 0j)
     with pytest.raises(ValueError):
         NuPolynomial((1, 2, 3))
 

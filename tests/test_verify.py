@@ -1,5 +1,6 @@
 """Verification-suite machinery tests (small, fast configurations)."""
 
+import dataclasses
 import math
 import random
 
@@ -8,7 +9,7 @@ import pytest
 from kahlerstar import verify
 from kahlerstar.expressions import eval_value, parse, to_source
 from kahlerstar.geometry import build_chart, jacobi_residual, metric_derivative_values, worst_abs
-from kahlerstar.operators import OperatorBreakdown, StarVariant
+from kahlerstar.operators import OperatorBreakdown, StarVariant, star_product
 from kahlerstar.verify import (
     CheckResult,
     RandomChartSpec,
@@ -99,6 +100,32 @@ def test_separation_checks_pass():
     assert len(results) == 8
     for result in results:
         assert result.residual == 0.0
+
+
+def test_separation_reads_each_product_once(monkeypatch):
+    # mixed a and b, so that every residual is the nonzero |C_r| of a product
+    ctx = random_chart(RandomChartSpec(n=2, seed=5))[1]
+    rng = random.Random(3)
+    a, f, b = (random_polynomial(rng, 2) for _ in range(3))
+    fresh = dataclasses.replace(ctx, _cache={})
+    products = {
+        variant: (star_product(a, f, fresh, variant), star_product(f, b, fresh, variant))
+        for variant in StarVariant
+    }
+    left, right = products[StarVariant.STANDARD]
+    expected = [abs(p[r]) for r in range(1, 4) for p in (left, right)]
+    expected += [abs(p[3]) for p in products[StarVariant.MODIFIED]]
+    calls = []
+
+    def counted(*args):
+        calls.append(args[3])
+        return star_product(*args)
+
+    monkeypatch.setattr(verify, "star_product", counted)
+    results = check_separation(ctx, a, f, b)
+    assert calls == [StarVariant.STANDARD, StarVariant.STANDARD]
+    assert [r.residual for r in results] == expected
+    assert min(expected) > 0.0
 
 
 def test_prop1_structural_flat_exact():
