@@ -29,6 +29,7 @@ from .expressions import (
     substitute,
 )
 from .geometry import (
+    MIN_CHART_ORDER,
     ChartContext,
     SingularMetricError,
     as_chart_jet,
@@ -88,9 +89,9 @@ DEFAULT_TOLERANCES = {
     "finite_differences": 1e-6,
 }
 
-#: least jet order the suite runs at: associativity nests a product, carried at
-#: ``order - 6``, inside operators that differentiate it three times
-MIN_SUITE_ORDER = 9
+#: least jet order the suite runs at: associativity carries its inner products at
+#: degree 3, and curvature jets at truncation 3 need ``trunc <= order - 4``
+MIN_SUITE_ORDER = MIN_CHART_ORDER + 1
 
 #: preset configurations of the default suite: name, dimension, base point
 SUITE_PRESETS = (
@@ -233,20 +234,18 @@ def check_associativity(
 ) -> list[CheckResult]:
     """Associativity residual per formal order 0..3.
 
-    Inner products are carried as jets of order ``ctx.order - 6`` so that
-    the outer operators can still differentiate them three times.
+    Inner products are carried as jets of degree 3, as deep as the outer
+    operators differentiate them.
     """
     if ctx.order < MIN_SUITE_ORDER:
         raise ValueError(
             f"insufficient jet order for nested star evaluation (need >= {MIN_SUITE_ORDER})"
         )
-    t_inner = ctx.order - 6
     tol = DEFAULT_TOLERANCES["associativity"]
     fj, gj, hj = (as_chart_jet(x, ctx) for x in (f, g, h))
-    fg = star_product_jets(fj, gj, ctx, variant, t_inner)
-    gh = star_product_jets(gj, hj, ctx, variant, t_inner)
-    ft = fj.truncated(t_inner)
-    ht = hj.truncated(t_inner)
+    # 3 is the highest order of any operator: the most an outer one differentiates
+    fg = star_product_jets(fj, gj, ctx, variant, 3)
+    gh = star_product_jets(gj, hj, ctx, variant, 3)
     order3 = c3_tilde if variant is StarVariant.MODIFIED else c3
     ops = (
         lambda a, b: a.value() * b.value(),
@@ -259,7 +258,7 @@ def check_associativity(
         total = 0j
         for i in range(r + 1):
             j = r - i
-            total += ops[i](fg[j], ht) - ops[i](ft, gh[j])
+            total += ops[i](fg[j], hj) - ops[i](fj, gh[j])
         results.append(
             CheckResult(
                 name=f"associativity_{variant.value}_order{r}",

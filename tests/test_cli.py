@@ -1,6 +1,7 @@
 """Command-line interface tests (invoked in-process through main)."""
 
 import json
+import re
 import runpy
 import sys
 
@@ -192,21 +193,36 @@ def test_compare_low_jet_order_rejected(capsys):
     ids=["fubini-study", "n2-potential"],
 )
 def test_compare_values_do_not_depend_on_jet_order(capsys, chart):
-    values = {}
-    for order in ("6", "8", "10"):
-        code, out, _ = run_cli(
-            capsys, "compare", *chart, "--seed", "7", "--jet-order", order, "--json"
-        )
+    requests = [["compare", *chart, "--seed", "7"]] + [
+        ["eval", *chart, "--f", "zb1^2*z1+zb1", "--g", "z1^3+z1*zb1", "--variant", variant]
+        for variant in ("standard", "modified")
+    ]
+    for request in requests:
+        values = set()
+        for order in ("6", "8", "12"):
+            code, out, _ = run_cli(capsys, *request, "--jet-order", order, "--json")
+            assert code == 0
+            values.add(json.dumps(json.loads(out)["values"], sort_keys=True))
+        assert len(values) == 1, request
+
+
+def test_verify_rows_do_not_depend_on_jet_order(capsys):
+    rows = set()
+    for order in ("7", "10", "12"):
+        code, out, _ = run_cli(capsys, "verify", "--trials", "4", "--jet-order", order, "--json")
         assert code == 0
-        values[order] = json.dumps(json.loads(out)["values"], sort_keys=True)
-    assert values["6"] == values["8"] == values["10"]
+        checks = json.loads(out)["checks"]
+        for check in checks:
+            check["context"] = re.sub(r" J=\d+", "", check["context"])
+        rows.add(json.dumps(checks, sort_keys=True))
+    assert len(rows) == 1
 
 
 def test_verify_least_jet_order(capsys):
-    assert run_cli(capsys, "verify", "--trials", "2", "--jet-order", "9")[0] == 0
-    code, out, err = run_cli(capsys, "verify", "--trials", "2", "--jet-order", "8")
+    assert run_cli(capsys, "verify", "--trials", "2", "--jet-order", "7")[0] == 0
+    code, out, err = run_cli(capsys, "verify", "--trials", "2", "--jet-order", "6")
     assert code == 2
-    assert out == "" and "at least 9" in err
+    assert out == "" and "at least 7" in err
 
 
 def test_usage_error(capsys):

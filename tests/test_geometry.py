@@ -338,10 +338,13 @@ def test_suite_checks_read_chart_tensors_no_deeper_than_they_need(monkeypatch):
         return original(ctx, trunc)
 
     _patch_everywhere(monkeypatch, "chart_tensors", recorded)
-    potential, ctx, rng = random_chart(RandomChartSpec(n=2, seed=4))
-    results = verify._chart_checks(potential, ctx, rng, "")
-    assert all(r.passed for r in results)
-    # curvature at the inner truncation J-6 reads g_up at J-4, third covariant
-    # derivatives there read the Christoffel symbols at J-5
-    assert max(reads) == ctx.order - 4
-    assert ctx._cache["chart_tensors"][0] == ctx.order - 4
+    # associativity's inner products at degree 3 read curvature there, which reads
+    # g_up at 5, and third covariant derivatives there, which read the Christoffel
+    # symbols at 4: the depth does not follow the jet order
+    for order in (10, 12):
+        reads.clear()
+        potential, ctx, rng = random_chart(RandomChartSpec(n=2, seed=4), order=order)
+        results = verify._chart_checks(potential, ctx, rng, "")
+        assert all(r.passed for r in results)
+        assert max(reads) == 5
+        assert ctx._cache["chart_tensors"][0] == 5

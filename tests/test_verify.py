@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from kahlerstar import verify
+from kahlerstar import operators, verify
 from kahlerstar.expressions import eval_value, parse, to_source
 from kahlerstar.geometry import build_chart, jacobi_residual, metric_derivative_values, worst_abs
 from kahlerstar.operators import OperatorBreakdown, StarVariant, star_product
@@ -83,9 +83,29 @@ def test_associativity_on_presets():
 
 
 def test_associativity_needs_jet_order():
-    ctx = build_chart(FS, (0.0,), order=8)
+    ctx = build_chart(FS, (0.0,), order=6)
     with pytest.raises(ValueError):
         check_associativity(ctx, StarVariant.STANDARD, "zb1", "z1*zb1", "z1")
+    ctx = build_chart(FS, (0.0,), order=7)
+    results = check_associativity(ctx, StarVariant.STANDARD, "zb1", "z1*zb1", "z1")
+    assert len(results) == 4 and all(r.passed for r in results)
+
+
+@pytest.mark.parametrize("term", ["_triple", "_curvature_term"])
+def test_associativity_catches_a_third_order_coefficient_error(monkeypatch, term):
+    # the inner products are carried at degree 3 only: still deep enough to see
+    # a relative error of 1e-6 in either term of C3
+    original = getattr(operators, term)
+    monkeypatch.setattr(
+        operators, term, lambda fj, gj, ctx, trunc: original(fj, gj, ctx, trunc) * (1 + 1e-6)
+    )
+    for n in (1, 2):
+        _, ctx, rng = random_chart(RandomChartSpec(n=n, seed=1))
+        f, g, h = (random_polynomial(rng, n) for _ in range(3))
+        results = [
+            r for variant in StarVariant for r in check_associativity(ctx, variant, f, g, h)
+        ]
+        assert not all(r.passed for r in results), (term, n)
 
 
 def test_separation_checks_pass():
