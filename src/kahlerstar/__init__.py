@@ -32,7 +32,6 @@ from .geometry import (
 )
 from .jets import Jet, MultiIndex, jet_matrix_inverse, solve_linear_system
 from .operators import (
-    NuPolynomial,
     OperatorBreakdown,
     PoissonCheck,
     StarVariant,
@@ -86,7 +85,6 @@ __all__ = [
     "covariant_derivative_jets",
     "jacobi_residual",
     "StarVariant",
-    "NuPolynomial",
     "OperatorBreakdown",
     "PoissonCheck",
     "c1",

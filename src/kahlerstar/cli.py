@@ -141,7 +141,7 @@ def _cmd_eval(cfg: RunConfig) -> int:
     bd = operator_breakdown(f, g, ctx)
 
     values = {
-        "star": [_complex_pair(z) for z in product.c],
+        "star": [_complex_pair(z) for z in product],
         **{key: _complex_pair(z) for key, z in values_c.items()},
         "P": _complex_pair(bd.p),
         "Q": _complex_pair(bd.q),
@@ -218,7 +218,7 @@ def _make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_chart_flags(p, with_functions=True):
+    def add_chart_flags(p):
         p.add_argument("--preset", choices=PRESET_NAMES, help="built-in potential")
         p.add_argument("--potential", help="potential expression over z1..zn, zb1..zbn")
         p.add_argument("--n", type=int, help="chart dimension (default 1)")
@@ -229,9 +229,8 @@ def _make_parser() -> argparse.ArgumentParser:
             help="base point, complex values like 0.3+0.2i (default origin); "
             "note the grammar's loosest-binding unary minus: -0.5+0.2i means -(0.5+0.2i)",
         )
-        if with_functions:
-            p.add_argument("--f", help="first argument expression")
-            p.add_argument("--g", help="second argument expression")
+        p.add_argument("--f", help="first argument expression")
+        p.add_argument("--g", help="second argument expression")
         p.add_argument("--jet-order", dest="jet_order", type=int, help="jet truncation order")
         p.add_argument("--json", action="store_true", help="emit a JSON report")
         p.add_argument("--seed", type=int, help="seed for randomized pieces")

@@ -107,8 +107,8 @@ class ChartContext:
     at the truncation their reader needs; the public ``g_up`` (at
     ``order - 2``) reads the same memo.  Each tensor is one read-only
     jet-tensor array (coefficient axis first, then the indices in the order of
-    the module docs; ``[0]`` is the value at the base point); ``g_dn`` and
-    ``g_up`` are nested tuples of jets viewing the metric arrays.
+    the module docs; ``[0]`` is the value at the base point): ``g_dn_array`` is
+    the metric, and the public ``g_up`` nests tuples of jets viewing the inverse.
     ``_cache`` holds jets derived on demand, among them one read-only jet per
     distinct function passed to :func:`as_chart_jet`, kept until the chart is
     dropped.
@@ -120,8 +120,7 @@ class ChartContext:
     order: int
     potential: Expr
     phi: Jet
-    g_dn: tuple
-    # the jet views above compare the same coefficients; arrays have no truth value
+    # read from phi, which charts compare by; arrays have no truth value
     g_dn_array: np.ndarray = field(compare=False)
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
@@ -191,7 +190,6 @@ def build_chart(
         order=order,
         potential=potential,
         phi=phi,
-        g_dn=_views(g_dn, n, order - 2),
         g_dn_array=g_dn,
     )
 
@@ -416,20 +414,11 @@ def as_chart_jet(f, ctx: ChartContext) -> Jet:
 
 
 def metric_derivative_values(ctx: ChartContext):
-    """Base-point values of first derivatives of the inverse metric (cached).
-
-    Returns read-only arrays ``(dgu, dgu_bar)`` with ``dgu[p, l, k]`` the
-    holomorphic derivative along ``p`` of ``g_up[l][k]`` and ``dgu_bar`` the
-    barred one.
-    """
-    key = "metric_derivative_values"
-    if key not in ctx._cache:
-        n, gu = ctx.n, chart_tensors(ctx, 1).g_up
-        ctx._cache[key] = tuple(
-            _read_only(derivative_values(gu, n, *orders).transpose(2, 0, 1))
-            for orders in ((1, 0), (0, 1))
-        )
-    return ctx._cache[key]
+    """First derivatives ``(dgu, dgu_bar)`` of the inverse metric at the base point, in the
+    layout of :func:`kahlerstar.jets.derivative_values`: ``dgu[l, k, p]`` is
+    ``∂_p g_up[l][k]`` and ``dgu_bar[l, k, q]`` is ``∂̄_q g_up[l][k]``."""
+    n, gu = ctx.n, chart_tensors(ctx, 1).g_up
+    return derivative_values(gu, n, 1, 0), derivative_values(gu, n, 0, 1)
 
 
 def jacobi_residual(ctx: ChartContext) -> float:
@@ -446,8 +435,8 @@ def jacobi_residual(ctx: ChartContext) -> float:
     gu0 = chart_tensors(ctx, 0).g_up[0]
     dgu, dgu_bar = metric_derivative_values(ctx)
     # hol[l,nn,m] = g_up[l,k] d_k g_up[nn,m], to be symmetric in (l, nn)
-    hol = np.einsum("lk,knm->lnm", gu0, dgu)
+    hol = np.einsum("lk,nmk->lnm", gu0, dgu)
     # anti[k,nn,m] = g_up[l,k] dbar_l g_up[nn,m], to be symmetric in (k, m)
-    anti = np.einsum("lk,lnm->knm", gu0, dgu_bar)
+    anti = np.einsum("lk,nml->knm", gu0, dgu_bar)
     gaps = (hol - hol.transpose(1, 0, 2), anti - anti.transpose(2, 1, 0))
     return worst_abs(np.concatenate(gaps, axis=None))

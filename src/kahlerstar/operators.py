@@ -17,9 +17,11 @@ one-differentiable operator ``R``, which makes the whole product
 expressible through the inverse metric alone.
 
 Every contraction is a chain of :func:`kahlerstar.jets.contract` calls on
-the chart's jet-tensor arrays.  The covariant derivatives of a function are
-built once per chart, side and truncation and kept in the chart's memo
-(:mod:`kahlerstar.geometry` alone knows its keys).
+the chart's jet-tensor arrays; C1, C2, C3's triple term and R pair through
+:func:`_raised_pairing`, and P keeps its own chain as a second route.  The
+covariant derivatives of a function are built once per chart, side and
+truncation and kept in the chart's memo (:mod:`kahlerstar.geometry` alone
+knows its keys).
 The raw-derivative forms (:func:`c2_expanded`, S and S-tilde, the Poisson
 bracket) are one :func:`numpy.einsum` per term over base-point partial
 derivatives read by :func:`kahlerstar.jets.derivative_values`.
@@ -45,7 +47,6 @@ from .jets import Jet, contract, derivative_values
 
 __all__ = [
     "StarVariant",
-    "NuPolynomial",
     "OperatorBreakdown",
     "PoissonCheck",
     "c1",
@@ -70,21 +71,6 @@ class StarVariant(enum.Enum):
 
     STANDARD = "standard"
     MODIFIED = "modified"
-
-
-@dataclass(frozen=True)
-class NuPolynomial:
-    """Degree-3 truncated polynomial in the formal parameter; nu^4 == 0."""
-
-    c: tuple
-
-    def __post_init__(self):
-        if len(self.c) != 4:
-            raise ValueError("a NuPolynomial has exactly four coefficients")
-        object.__setattr__(self, "c", tuple(complex(v) for v in self.c))
-
-    def __getitem__(self, r: int) -> complex:
-        return self.c[r]
 
 
 @dataclass(frozen=True)
@@ -113,11 +99,16 @@ def _pair_jets(f, g, ctx: ChartContext) -> tuple[Jet, Jet]:
     return as_chart_jet(f, ctx), as_chart_jet(g, ctx)
 
 
-def _pairing(tensor, f_tensor, g_tensor, ctx: ChartContext, trunc: int) -> Jet:
-    """``tensor[l, k] f[l] g[k]`` as a jet of order ``trunc``."""
-    n = ctx.n
-    half = contract("lk,l->k", tensor, f_tensor, n, trunc)
-    return Jet._of(n, trunc, contract("k,k->", half, g_tensor, n, trunc))
+def _raised_pairing(raisers, f_tensor, g_tensor, n: int, trunc: int) -> Jet:
+    """``raisers[0][a, x] raisers[1][b, y] ... f[a, b, ...] g[x, y, ...]`` as a jet of order
+    ``trunc``: f's antiholomorphic index ``i`` is contracted with the first index of
+    ``raisers[i]``, whose second index takes its place, then all are paired with ``g``."""
+    old, new = "abc"[: len(raisers)], "xyz"[: len(raisers)]
+    raised = f_tensor
+    for i, raiser in enumerate(raisers):
+        spec = f"{old[i]}{new[i]},{new[:i]}{old[i:]}->{new[: i + 1]}{old[i + 1 :]}"
+        raised = contract(spec, raiser, raised, n, trunc)
+    return Jet._of(n, trunc, contract(f"{new},{new}->", raised, g_tensor, n, trunc))
 
 
 # -- first and second order ------------------------------------------------------
@@ -127,7 +118,7 @@ def c1_jet(f, g, ctx: ChartContext, trunc: int = 0) -> Jet:
     fj, gj = _pair_jets(f, g, ctx)
     f1 = _derivs(fj, ctx, True, 1, trunc)[1]
     g1 = _derivs(gj, ctx, False, 1, trunc)[1]
-    return _pairing(chart_tensors(ctx, trunc).g_up, f1, g1, ctx, trunc)
+    return _raised_pairing([chart_tensors(ctx, trunc).g_up], f1, g1, ctx.n, trunc)
 
 
 def c1(f, g, ctx: ChartContext) -> complex:
@@ -137,13 +128,9 @@ def c1(f, g, ctx: ChartContext) -> complex:
 
 def c2_jet(f, g, ctx: ChartContext, trunc: int = 0) -> Jet:
     fj, gj = _pair_jets(f, g, ctx)
-    n, gu = ctx.n, chart_tensors(ctx, trunc).g_up
     f2 = _derivs(fj, ctx, True, 2, trunc)[2]
     g2 = _derivs(gj, ctx, False, 2, trunc)[2]
-    # raise the two antiholomorphic indices of f2 one at a time
-    raised = contract("lk,lq->kq", gu, f2, n, trunc)
-    raised = contract("qp,kq->kp", gu, raised, n, trunc)
-    return Jet._of(n, trunc, contract("kp,kp->", raised, g2, n, trunc)) * 0.5
+    return _raised_pairing([chart_tensors(ctx, trunc).g_up] * 2, f2, g2, ctx.n, trunc) * 0.5
 
 
 def c2(f, g, ctx: ChartContext) -> complex:
@@ -165,9 +152,9 @@ def c2_expanded(f, g, ctx: ChartContext) -> complex:
     g1, g2 = (derivative_values(gj._vec, n, r, 0) for r in (1, 2))
     total = (
         np.einsum("qp,lk,lq,kp->", gu0, gu0, f2, g2)
-        + np.einsum("qp,plk,lq,k->", gu0, dgu, f2, g1)
-        + np.einsum("lqp,lk,q,kp->", dgu_bar, gu0, f1, g2)
-        + np.einsum("lqp,plk,q,k->", dgu_bar, dgu, f1, g1)
+        + np.einsum("qp,lkp,lq,k->", gu0, dgu, f2, g1)
+        + np.einsum("qpl,lk,q,kp->", dgu_bar, gu0, f1, g2)
+        + np.einsum("qpl,lkp,q,k->", dgu_bar, dgu, f1, g1)
     )
     return 0.5 * complex(total)
 
@@ -178,14 +165,9 @@ def c2_expanded(f, g, ctx: ChartContext) -> complex:
 def _triple(fj: Jet, gj: Jet, ctx: ChartContext, trunc: int) -> Jet:
     """``g_up[l, k] g_up[q, p] g_up[t, s] f_/l̄q̄t̄ g_/kps``: the operator P, and six
     times the first term of C3."""
-    n, gu = ctx.n, chart_tensors(ctx, trunc).g_up
     f3 = _derivs(fj, ctx, True, 3, trunc)[3]
     g3 = _derivs(gj, ctx, False, 3, trunc)[3]
-    # raise the three antiholomorphic indices of f3 successively
-    raised = contract("lk,lqt->kqt", gu, f3, n, trunc)
-    raised = contract("qp,kqt->kpt", gu, raised, n, trunc)
-    raised = contract("ts,kpt->kps", gu, raised, n, trunc)
-    return Jet._of(n, trunc, contract("kps,kps->", raised, g3, n, trunc))
+    return _raised_pairing([chart_tensors(ctx, trunc).g_up] * 3, f3, g3, ctx.n, trunc)
 
 
 def _curvature_term(fj: Jet, gj: Jet, ctx: ChartContext, trunc: int) -> Jet:
@@ -232,7 +214,7 @@ def r_operator_jet(f, g, ctx: ChartContext, trunc: int = 0) -> Jet:
     fj, gj = _pair_jets(f, g, ctx)
     f1 = _derivs(fj, ctx, True, 1, trunc)[1]
     g1 = _derivs(gj, ctx, False, 1, trunc)[1]
-    return _pairing(_r1_jets(ctx, trunc), f1, g1, ctx, trunc)
+    return _raised_pairing([_r1_jets(ctx, trunc)], f1, g1, ctx.n, trunc)
 
 
 def r_operator(f, g, ctx: ChartContext) -> complex:
@@ -246,8 +228,8 @@ def _s_values(f, g, ctx: ChartContext) -> tuple[complex, complex]:
     dgu, dgu_bar = metric_derivative_values(ctx)
     f1 = derivative_values(fj._vec, n, 0, 1)
     g1 = derivative_values(gj._vec, n, 1, 0)
-    s = np.einsum("mn,qls,snp,tqm,ptk,l,k->", gd0, dgu_bar, dgu, dgu_bar, dgu, f1, g1)
-    s_tilde = np.einsum("qlm,mnp,nqs,ptk,st,l,k->", dgu_bar, dgu, dgu_bar, dgu, gd0, f1, g1)
+    s = np.einsum("mn,lsq,nps,qmt,tkp,l,k->", gd0, dgu_bar, dgu, dgu_bar, dgu, f1, g1)
+    s_tilde = np.einsum("lmq,npm,qsn,tkp,st,l,k->", dgu_bar, dgu, dgu_bar, dgu, gd0, f1, g1)
     return complex(s), complex(s_tilde)
 
 
@@ -291,10 +273,9 @@ def star_product_jets(
 
 def star_product(
     f, g, ctx: ChartContext, variant: StarVariant = StarVariant.STANDARD
-) -> NuPolynomial:
-    """Star product of ``f`` and ``g`` at the base point, truncated at order 3."""
-    jets = star_product_jets(f, g, ctx, variant, 0)
-    return NuPolynomial(tuple(j.value() for j in jets))
+) -> tuple[complex, complex, complex, complex]:
+    """Star product of ``f`` and ``g`` at the base point: its coefficients of ``nu^0..nu^3``."""
+    return tuple(j.value() for j in star_product_jets(f, g, ctx, variant, 0))
 
 
 def poisson_antisymmetry(f, g, ctx: ChartContext) -> PoissonCheck:

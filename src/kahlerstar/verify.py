@@ -192,7 +192,7 @@ def random_potential(spec: RandomChartSpec, at=None) -> Polynomial:
         candidate = Polynomial(tuple(terms))
         try:
             # only the metric is checked here: the chart's tensors are built on first read
-            build_chart(candidate, at, order=6, n=n)
+            build_chart(candidate, at, order=MIN_CHART_ORDER, n=n)
         except SingularMetricError:
             continue
         return candidate
@@ -309,10 +309,10 @@ def check_prop1(
     tol = DEFAULT_TOLERANCES["prop1"]
     gu0, gd0 = chart_tensors(ctx, 0).g_up[0], ctx.g_dn_array[0]
     dgu, dgu_bar = metric_derivative_values(ctx)
-    first = np.einsum("nm,qla,mbp,ab->lqnp", gu0, dgu_bar, dgu, gd0)
-    first -= np.einsum("qlm,mnp->lqnp", dgu_bar, dgu)
-    second = np.einsum("nm,nqs,ptk,st->mqpk", gu0, dgu_bar, dgu, gd0)
-    second -= np.einsum("nqm,pnk->mqpk", dgu_bar, dgu)
+    first = np.einsum("nm,laq,bpm,ab->lqnp", gu0, dgu_bar, dgu, gd0)
+    first -= np.einsum("lmq,npm->lqnp", dgu_bar, dgu)
+    second = np.einsum("nm,qsn,tkp,st->mqpk", gu0, dgu_bar, dgu, gd0)
+    second -= np.einsum("qmn,nkp->mqpk", dgu_bar, dgu)
 
     bd = operator_breakdown(f, g, ctx)
     return [

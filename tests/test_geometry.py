@@ -23,7 +23,6 @@ from kahlerstar.geometry import (
     covariant_derivative_jets,
     curvature,
     jacobi_residual,
-    metric_derivative_values,
 )
 from kahlerstar.jets import Jet, iter_multi_indices_upto, truncate
 from kahlerstar.verify import (
@@ -38,9 +37,14 @@ FS = "log(1+z1*zb1)"
 DISK = "-(log(1-z1*zb1))"
 
 
+def _metric_jet(ctx, k, l):
+    """The jet of ``g_dn[k][l]``, read from the chart's metric array."""
+    return Jet._of(ctx.n, ctx.order - 2, ctx.g_dn_array[:, k, l])
+
+
 def test_flat_chart_is_trivial():
     ctx = build_chart("z1*zb1", (0.37 - 0.4j,), order=8)
-    assert ctx.g_dn[0][0] == Jet.constant(1.0, 1, 6)
+    assert _metric_jet(ctx, 0, 0) == Jet.constant(1.0, 1, 6)
     assert ctx.g_up[0][0] == Jet.constant(1.0, 1, 6)
     tensors = chart_tensors(ctx, ctx.order - 2)
     assert tensors.gamma_hol[0].tolist() == [[[0j]]]
@@ -49,8 +53,8 @@ def test_flat_chart_is_trivial():
 
 def test_fubini_study_at_origin():
     ctx = build_chart(FS, (0.0,), order=8)
-    assert ctx.g_dn[0][0].value() == pytest.approx(1.0)
-    assert ctx.g_dn[0][0].coeff((1,), (1,)) == pytest.approx(-2.0)
+    assert _metric_jet(ctx, 0, 0).value() == pytest.approx(1.0)
+    assert _metric_jet(ctx, 0, 0).coeff((1,), (1,)) == pytest.approx(-2.0)
     assert ctx.g_up[0][0].coeff((1,), (1,)) == pytest.approx(2.0)
     assert chart_tensors(ctx, ctx.order - 2).gamma_hol[0, 0, 0, 0] == pytest.approx(0.0)
 
@@ -77,7 +81,7 @@ def test_metric_inverse_duality():
         for k in range(n):
             for m in range(n):
                 prod = sum(
-                    (ctx.g_dn[k][l] * ctx.g_up[l][m] for l in range(n)),
+                    (_metric_jet(ctx, k, l) * ctx.g_up[l][m] for l in range(n)),
                     Jet.zero(n, ctx.order - 2),
                 )
                 target = 1.0 if k == m else 0.0
@@ -240,10 +244,10 @@ def test_flat_metric_jets_are_exact():
     # the binomial theorem leaves every non-constant coefficient exactly zero,
     # which the flat_qrss_vanish check's exact 0.0 bound relies on
     ctx = build_chart("z1*zb1+z2*zb2", (0.37 - 0.4j, -0.2 + 0.5j), order=10)
-    for matrix in (ctx.g_dn, ctx.g_up):
+    for matrix in (ctx.g_dn_array, chart_tensors(ctx, ctx.order - 2).g_up):
         for k in range(2):
             for l in range(2):
-                vec = matrix[k][l]._vec
+                vec = matrix[:, k, l]
                 assert np.all(vec[1:] == 0.0)
                 assert vec[0] == (1.0 if k == l else 0.0)
 
@@ -255,7 +259,7 @@ def test_chart_tensors_are_read_only_views_and_charts_compare_by_value():
     data, f = curvature(ctx), as_chart_jet("z1^3*zb1^2", ctx)
     covariant = [covariant_derivative_jets(f, ctx, barred=barred)[1:] for barred in (False, True)]
     for array in (ctx.g_dn_array, *tensors, data.r_dn, data.r_up, data.r_raised,
-                  *metric_derivative_values(ctx), *covariant[0], *covariant[1]):
+                  *covariant[0], *covariant[1]):
         with pytest.raises(ValueError):
             array[0] = 1.0
     assert ctx == build_chart(FS, (0.4 - 0.3j,), order=8)
