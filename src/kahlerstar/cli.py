@@ -21,7 +21,6 @@ from .oracle import OracleConsistencyError
 from .presets import PRESET_NAMES, preset_dimension, preset_potential
 from .verify import (
     DEFAULT_TOLERANCES,
-    MIN_SUITE_ORDER,
     CheckResult,
     covariant_and_recursion,
     random_polynomial,
@@ -158,8 +157,6 @@ def _cmd_eval(cfg: RunConfig) -> int:
 
 
 def _cmd_verify(cfg: RunConfig) -> int:
-    if cfg.jet_order < MIN_SUITE_ORDER:
-        raise ValueError(f"verify requires --jet-order of at least {MIN_SUITE_ORDER}")
     if cfg.trials < 0:
         raise ValueError("verify requires --trials of at least 0")
     if not math.isfinite(cfg.epsilon):

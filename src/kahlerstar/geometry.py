@@ -59,13 +59,11 @@ __all__ = [
 #: smallest admissible metric eigenvalue (or singular value) at the base point
 EIGENVALUE_FLOOR = 1e-8
 
-#: minimum jet order accepted by :func:`build_chart`.  The chart tensors are
-#: built on first read, each at the truncation its reader asks for, and an
-#: order bounds what can be asked: ``g_up`` to ``order - 2``, Christoffel
-#: symbols to ``order - 3`` and curvature to ``order - 4``.  At order 6 the
-#: third-order operators at the base point (curvature at truncation 0,
-#: third covariant derivatives of functions known to order 3) keep two
-#: degrees to spare
+#: minimum jet order accepted by :func:`build_chart`, and so by every command and
+#: the suite.  An order bounds the truncation of ``g_up`` to ``order - 2``; the
+#: operators and the associativity check read it at 2 at most (curvature at the
+#: base point only, a derivative bundle at truncation ``t`` at most ``3 - t``
+#: deep, :func:`_derivs`) and the recursion reads the potential to order 4
 MIN_CHART_ORDER = 6
 
 
@@ -202,9 +200,7 @@ def chart_tensors(ctx: ChartContext, trunc: int) -> ChartTensors:
     smaller request reads its prefix: every coefficient of the inverse and of a
     contraction over one index is summed degree by degree over the same product pairs
     whatever the truncation, so a prefix is bitwise the tensor built at the smaller
-    truncation.  That does not hold for every contraction: at truncation 0 einsum drops
-    the length-1 pair axis of :func:`_r1_jets`' ``"nlpq,qkpn->lk"`` and sums in another
-    order.
+    truncation.
     """
     n = ctx.n
     if not 0 <= trunc <= ctx.order - 2:
@@ -246,8 +242,10 @@ def _views(a: np.ndarray, n: int, trunc: int):
 def _require_admissible_metric(m: np.ndarray) -> None:
     if not np.all(np.isfinite(m)):
         raise SingularMetricError("metric at the base point is not finite")
+    # relative to the metric's size: the roundoff of a large metric at a real point
+    # must not make it a formal point, whose metric need only be invertible
     hermitian_defect = np.max(np.abs(m - m.conj().T))
-    if hermitian_defect < 1e-9:
+    if hermitian_defect < 1e-9 * max(1.0, np.max(np.abs(m))):
         smallest = np.min(np.linalg.eigvalsh((m + m.conj().T) / 2.0))
         if smallest < EIGENVALUE_FLOOR:
             raise SingularMetricError(
@@ -266,45 +264,39 @@ def _require_admissible_metric(m: np.ndarray) -> None:
 # -- curvature -----------------------------------------------------------------
 
 
-def curvature_jets(ctx: ChartContext, trunc: int) -> tuple:
-    """Jet tensors ``r_up`` and ``r_raised`` at truncation ``trunc`` (cached, read-only).
+def curvature_jets(ctx: ChartContext) -> tuple:
+    """Jet tensors ``r_up`` and ``r_raised`` at truncation 0 (cached, read-only): only
+    third-order operators read curvature, and only at the base point.
 
     ``r_up`` follows the inverse-metric formula: the mixed second
     derivative of ``g_up`` minus the metric-contracted product of its first
     derivatives.
     """
-    key = ("curvature_jets", trunc)
-    if key in ctx._cache:
-        return ctx._cache[key]
-    n, tm = ctx.n, trunc + 2
-    if trunc > ctx.order - 4:
-        raise ValueError("jet order too small for curvature jets at this truncation")
-    gu = chart_tensors(ctx, tm).g_up
-    dgu = gradient(gu, n, tm)  # [a, b, k] = d_k g_up[a, b]
-    dgu_bar = gradient(gu, n, tm, barred=True)  # [a, b, l] = dbar_l g_up[a, b]
-    ddgu = gradient(dgu, n, tm - 1, barred=True)  # [q, p, k, l]
-    # r_up[q,p,k,l] = d_k dbar_l g_up[q,p] - dbar_l g_up[q,m] g_dn[m,nn] d_k g_up[nn,p]
-    lowered = contract("qml,mn->qnl", dgu_bar, ctx.g_dn_array, n, trunc)
-    r_up = truncate(ddgu, n, trunc) - contract("qnl,npk->qpkl", lowered, dgu, n, trunc)
-    # r_raised[l,k,q,p] = g_up[q,a] g_up[b,p] r_up[l,k,a,b]
-    half = contract("lkab,bp->lkap", r_up, gu, n, trunc)
-    r_raised = contract("qa,lkap->lkqp", gu, half, n, trunc)
-    result = (_read_only(r_up), _read_only(r_raised))
-    ctx._cache[key] = result
-    return result
-
-
-def _r1_jets(ctx: ChartContext, trunc: int):
-    """Curvature-square tensor ``r1[l, k] = g_up[nn, m] r_up[l, p, m, q] r_up[q, k, p, nn]``
-    contracting the one-differentiable operator; cached with one entry per truncation,
-    because its three-index contraction at 0 is not bitwise the prefix of a deeper one."""
-    key = ("r1_jets", trunc)
-    if key not in ctx._cache:
+    if "curvature_jets" not in ctx._cache:
         n = ctx.n
-        r_up, _ = curvature_jets(ctx, trunc)
-        half = contract("nm,lpmq->nlpq", chart_tensors(ctx, trunc).g_up, r_up, n, trunc)
-        ctx._cache[key] = _read_only(contract("nlpq,qkpn->lk", half, r_up, n, trunc))
-    return ctx._cache[key]
+        gu = chart_tensors(ctx, 2).g_up
+        dgu = gradient(gu, n, 2)  # [a, b, k] = d_k g_up[a, b]
+        dgu_bar = gradient(gu, n, 2, barred=True)  # [a, b, l] = dbar_l g_up[a, b]
+        ddgu = gradient(dgu, n, 1, barred=True)  # [q, p, k, l]
+        # r_up[q,p,k,l] = d_k dbar_l g_up[q,p] - dbar_l g_up[q,m] g_dn[m,nn] d_k g_up[nn,p]
+        lowered = contract("qml,mn->qnl", dgu_bar, ctx.g_dn_array, n, 0)
+        r_up = ddgu - contract("qnl,npk->qpkl", lowered, dgu, n, 0)
+        # r_raised[l,k,q,p] = g_up[q,a] g_up[b,p] r_up[l,k,a,b]
+        half = contract("lkab,bp->lkap", r_up, gu, n, 0)
+        r_raised = contract("qa,lkap->lkqp", gu, half, n, 0)
+        ctx._cache["curvature_jets"] = (_read_only(r_up), _read_only(r_raised))
+    return ctx._cache["curvature_jets"]
+
+
+def _r1_jets(ctx: ChartContext):
+    """Curvature-square tensor ``r1[l, k] = g_up[nn, m] r_up[l, p, m, q] r_up[q, k, p, nn]``
+    contracting the one-differentiable operator, at truncation 0 (cached, read-only)."""
+    if "r1_jets" not in ctx._cache:
+        n = ctx.n
+        r_up, _ = curvature_jets(ctx)
+        half = contract("nm,lpmq->nlpq", chart_tensors(ctx, 0).g_up, r_up, n, 0)
+        ctx._cache["r1_jets"] = _read_only(contract("nlpq,qkpn->lk", half, r_up, n, 0))
+    return ctx._cache["r1_jets"]
 
 
 def curvature(ctx: ChartContext) -> CurvatureData:
@@ -323,7 +315,7 @@ def curvature(ctx: ChartContext) -> CurvatureData:
         derivative_values(phi, n, 1, 2),
         derivative_values(phi, n, 2, 1),
     ) - derivative_values(phi, n, 2, 2).transpose(0, 2, 1, 3)
-    r_up, r_raised = curvature_jets(ctx, 0)
+    r_up, r_raised = curvature_jets(ctx)
     return CurvatureData(r_dn=_read_only(r_dn), r_up=r_up[0], r_raised=r_raised[0])
 
 
@@ -372,13 +364,17 @@ def covariant_derivative_jets(f_jet: Jet, ctx: ChartContext, *, barred: bool, up
 
 def _derivs(jet: Jet, ctx: ChartContext, barred: bool, up_to: int, trunc: int) -> list:
     """Covariant derivative tensors of ``jet`` exact to degree ``trunc``, orders 1..up_to
-    or deeper.  One bundle per (jet, side, truncation) is built per chart, as deep as
-    ``jet`` and the chart allow (third order at most); it reads ``jet`` only up to degree
-    ``trunc`` plus its depth.  Each entry keeps its jet, so a recycled ``id`` cannot alias."""
+    or deeper.  One bundle per (jet, side, truncation) is built per chart, of depth
+    ``max(up_to, min(3 - trunc, jet.trunc - trunc))``: the operators read a bundle at
+    truncation ``t`` at most ``3 - t`` deep (C1 at 2, C2 at 1 and the third-order ones
+    at 0 in :func:`kahlerstar.operators.star_product_jets`, every operator at 0), so
+    such a bundle reads the Christoffel symbols at truncation 1 at most.  It reads
+    ``jet`` only up to degree ``trunc`` plus its depth.  Each entry keeps its jet, so a
+    recycled ``id`` cannot alias."""
     key = ("cov", id(jet), barred, trunc)
     entry = ctx._cache.get(key)
     if entry is None or entry[0] is not jet or len(entry[1]) <= up_to:
-        depth = max(up_to, min(3, jet.trunc - trunc, ctx.order - 1 - trunc))
+        depth = max(up_to, min(3 - trunc, jet.trunc - trunc))
         source = jet.truncated(min(trunc + depth, jet.trunc))
         entry = (jet, covariant_derivative_jets(source, ctx, barred=barred, up_to=depth))
         ctx._cache[key] = entry

@@ -14,7 +14,11 @@ covariant derivatives::
 
 The modified third-order operator adds one twelfth of the curvature-square
 one-differentiable operator ``R``, which makes the whole product
-expressible through the inverse metric alone.
+expressible through the inverse metric alone.  The product is associative
+up to the third order only, so no outer operator differentiates a
+third-order value: ``C1`` and ``C2`` exist as jets at any truncation, while
+``C3``, ``C3~``, ``P``, ``Q`` and ``R`` exist at the base point only, as
+jets of truncation 0.
 
 Every contraction is a chain of :func:`kahlerstar.jets.contract` calls on
 the chart's jet-tensor arrays; C1, C2, C3's triple term and R pair through
@@ -162,63 +166,62 @@ def c2_expanded(f, g, ctx: ChartContext) -> complex:
 # -- third order ------------------------------------------------------------------
 
 
-def _triple(fj: Jet, gj: Jet, ctx: ChartContext, trunc: int) -> Jet:
+def _triple(fj: Jet, gj: Jet, ctx: ChartContext) -> Jet:
     """``g_up[l, k] g_up[q, p] g_up[t, s] f_/l̄q̄t̄ g_/kps``: the operator P, and six
     times the first term of C3."""
-    f3 = _derivs(fj, ctx, True, 3, trunc)[3]
-    g3 = _derivs(gj, ctx, False, 3, trunc)[3]
-    return _raised_pairing([chart_tensors(ctx, trunc).g_up] * 3, f3, g3, ctx.n, trunc)
+    f3 = _derivs(fj, ctx, True, 3, 0)[3]
+    g3 = _derivs(gj, ctx, False, 3, 0)[3]
+    return _raised_pairing([chart_tensors(ctx, 0).g_up] * 3, f3, g3, ctx.n, 0)
 
 
-def _curvature_term(fj: Jet, gj: Jet, ctx: ChartContext, trunc: int) -> Jet:
+def _curvature_term(fj: Jet, gj: Jet, ctx: ChartContext) -> Jet:
     """``r_raised[l, k, q, p] f_/l̄q̄ g_/kp``: minus the operator Q, and four times the
     second term of C3."""
     n = ctx.n
-    f2 = _derivs(fj, ctx, True, 2, trunc)[2]
-    g2 = _derivs(gj, ctx, False, 2, trunc)[2]
-    _, r_raised = curvature_jets(ctx, trunc)
-    inner = contract("lkqp,lq->kp", r_raised, f2, n, trunc)
-    return Jet._of(n, trunc, contract("kp,kp->", inner, g2, n, trunc))
+    f2 = _derivs(fj, ctx, True, 2, 0)[2]
+    g2 = _derivs(gj, ctx, False, 2, 0)[2]
+    _, r_raised = curvature_jets(ctx)
+    inner = contract("lkqp,lq->kp", r_raised, f2, n, 0)
+    return Jet._of(n, 0, contract("kp,kp->", inner, g2, n, 0))
 
 
-def c3_jet(f, g, ctx: ChartContext, trunc: int = 0) -> Jet:
+def c3_jet(f, g, ctx: ChartContext) -> Jet:
     fj, gj = _pair_jets(f, g, ctx)
-    triple = _triple(fj, gj, ctx, trunc)
-    return triple * (1.0 / 6.0) + _curvature_term(fj, gj, ctx, trunc) * 0.25
+    return _triple(fj, gj, ctx) * (1.0 / 6.0) + _curvature_term(fj, gj, ctx) * 0.25
 
 
 def c3(f, g, ctx: ChartContext) -> complex:
     """Third-order operator of the standard product (needs the metric)."""
-    return c3_jet(f, g, ctx, 0).value()
+    return c3_jet(f, g, ctx).value()
 
 
-def _p_jet(f, g, ctx: ChartContext, trunc: int = 0) -> Jet:
+def _p_jet(f, g, ctx: ChartContext) -> Jet:
     """The operator P by a second route: the holomorphic indices of ``g_/kps`` are
     raised first, so that comparing P with :func:`_triple` through C3 tests both."""
     fj, gj = _pair_jets(f, g, ctx)
-    n, gu = ctx.n, chart_tensors(ctx, trunc).g_up
-    f3 = _derivs(fj, ctx, True, 3, trunc)[3]
-    g3 = _derivs(gj, ctx, False, 3, trunc)[3]
-    raised = contract("lk,kps->lps", gu, g3, n, trunc)
-    raised = contract("qp,lps->lqs", gu, raised, n, trunc)
-    raised = contract("ts,lqs->lqt", gu, raised, n, trunc)
-    return Jet._of(n, trunc, contract("lqt,lqt->", raised, f3, n, trunc))
+    n, gu = ctx.n, chart_tensors(ctx, 0).g_up
+    f3 = _derivs(fj, ctx, True, 3, 0)[3]
+    g3 = _derivs(gj, ctx, False, 3, 0)[3]
+    raised = contract("lk,kps->lps", gu, g3, n, 0)
+    raised = contract("qp,lps->lqs", gu, raised, n, 0)
+    raised = contract("ts,lqs->lqt", gu, raised, n, 0)
+    return Jet._of(n, 0, contract("lqt,lqt->", raised, f3, n, 0))
 
 
-def _q_jet(f, g, ctx: ChartContext, trunc: int = 0) -> Jet:
-    return -_curvature_term(*_pair_jets(f, g, ctx), ctx, trunc)
+def _q_jet(f, g, ctx: ChartContext) -> Jet:
+    return -_curvature_term(*_pair_jets(f, g, ctx), ctx)
 
 
-def r_operator_jet(f, g, ctx: ChartContext, trunc: int = 0) -> Jet:
+def r_operator_jet(f, g, ctx: ChartContext) -> Jet:
     """One-differentiable curvature-square operator."""
     fj, gj = _pair_jets(f, g, ctx)
-    f1 = _derivs(fj, ctx, True, 1, trunc)[1]
-    g1 = _derivs(gj, ctx, False, 1, trunc)[1]
-    return _raised_pairing([_r1_jets(ctx, trunc)], f1, g1, ctx.n, trunc)
+    f1 = _derivs(fj, ctx, True, 1, 0)[1]
+    g1 = _derivs(gj, ctx, False, 1, 0)[1]
+    return _raised_pairing([_r1_jets(ctx)], f1, g1, ctx.n, 0)
 
 
 def r_operator(f, g, ctx: ChartContext) -> complex:
-    return r_operator_jet(f, g, ctx, 0).value()
+    return r_operator_jet(f, g, ctx).value()
 
 
 def _s_values(f, g, ctx: ChartContext) -> tuple[complex, complex]:
@@ -237,37 +240,42 @@ def operator_breakdown(f, g, ctx: ChartContext) -> OperatorBreakdown:
     """Values of P, Q, R, S and S-tilde at the base point."""
     s, s_tilde = _s_values(f, g, ctx)
     return OperatorBreakdown(
-        p=_p_jet(f, g, ctx, 0).value(),
-        q=_q_jet(f, g, ctx, 0).value(),
+        p=_p_jet(f, g, ctx).value(),
+        q=_q_jet(f, g, ctx).value(),
         r=r_operator(f, g, ctx),
         s=s,
         s_tilde=s_tilde,
     )
 
 
-def c3_tilde_jet(f, g, ctx: ChartContext, trunc: int = 0) -> Jet:
-    return c3_jet(f, g, ctx, trunc) + r_operator_jet(f, g, ctx, trunc) * (1.0 / 12.0)
+def c3_tilde_jet(f, g, ctx: ChartContext) -> Jet:
+    return c3_jet(f, g, ctx) + r_operator_jet(f, g, ctx) * (1.0 / 12.0)
 
 
 def c3_tilde(f, g, ctx: ChartContext) -> complex:
     """Modified third-order operator, regular in the inverse metric."""
-    return c3_tilde_jet(f, g, ctx, 0).value()
+    return c3_tilde_jet(f, g, ctx).value()
 
 
 # -- the product -------------------------------------------------------------------
 
 
 def star_product_jets(
-    f, g, ctx: ChartContext, variant: StarVariant = StarVariant.STANDARD, trunc: int = 0
+    f, g, ctx: ChartContext, variant: StarVariant = StarVariant.STANDARD, depth: int = 0
 ) -> tuple[Jet, Jet, Jet, Jet]:
-    """Jets of the four coefficient functions of ``f * g``."""
+    """Jets of the four coefficient functions of ``f * g``, the coefficient of ``nu^r``
+    to degree ``max(depth - r, 0)``.  ``depth`` (at most 3) is the highest order of
+    ``nu`` a nested product is read to: an outer operator of order ``i`` meets the
+    coefficient of ``nu^r`` in that of ``nu^(i + r)``, so ``i <= depth - r``."""
+    if not 0 <= depth <= 3:
+        raise ValueError(f"star product depth {depth} is not between 0 and 3")
     fj, gj = _pair_jets(f, g, ctx)
     order3 = c3_tilde_jet if variant is StarVariant.MODIFIED else c3_jet
     return (
-        fj.truncated(trunc) * gj.truncated(trunc),
-        c1_jet(fj, gj, ctx, trunc),
-        c2_jet(fj, gj, ctx, trunc),
-        order3(fj, gj, ctx, trunc),
+        fj.truncated(depth) * gj.truncated(depth),
+        c1_jet(fj, gj, ctx, max(depth - 1, 0)),
+        c2_jet(fj, gj, ctx, max(depth - 2, 0)),
+        order3(fj, gj, ctx),
     )
 
 

@@ -56,7 +56,6 @@ from .oracle import build_left_mult
 
 __all__ = [
     "DEFAULT_TOLERANCES",
-    "MIN_SUITE_ORDER",
     "CheckResult",
     "RandomChartSpec",
     "random_polynomial",
@@ -88,10 +87,6 @@ DEFAULT_TOLERANCES = {
     "covariance": 1e-7,
     "finite_differences": 1e-6,
 }
-
-#: least jet order the suite runs at: associativity carries its inner products at
-#: degree 3, and curvature jets at truncation 3 need ``trunc <= order - 4``
-MIN_SUITE_ORDER = MIN_CHART_ORDER + 1
 
 #: preset configurations of the default suite: name, dimension, base point
 SUITE_PRESETS = (
@@ -234,16 +229,12 @@ def check_associativity(
 ) -> list[CheckResult]:
     """Associativity residual per formal order 0..3.
 
-    Inner products are carried as jets of degree 3, as deep as the outer
-    operators differentiate them.
+    The inner products' coefficient of ``nu^j`` is carried to degree ``3 - j``, as
+    deep as the outer operators of the orders up to 3 differentiate it: the
+    third-order one at the base point only.
     """
-    if ctx.order < MIN_SUITE_ORDER:
-        raise ValueError(
-            f"insufficient jet order for nested star evaluation (need >= {MIN_SUITE_ORDER})"
-        )
     tol = DEFAULT_TOLERANCES["associativity"]
     fj, gj, hj = (as_chart_jet(x, ctx) for x in (f, g, h))
-    # 3 is the highest order of any operator: the most an outer one differentiates
     fg = star_product_jets(fj, gj, ctx, variant, 3)
     gh = star_product_jets(gj, hj, ctx, variant, 3)
     order3 = c3_tilde if variant is StarVariant.MODIFIED else c3

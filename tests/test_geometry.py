@@ -101,6 +101,14 @@ def test_singular_metric_rejected():
         build_chart("-(z1*zb1)", (0.1,), order=8)  # negative definite
 
 
+def test_formal_points_need_only_an_invertible_metric():
+    # at zb0 = 1j, not the conjugate of z0 = 1, the metric 1 + 4j is not Hermitian,
+    # also when it is large
+    for scale in ("1", "10000000000"):
+        ctx = build_chart(f"{scale}*(z1*zb1+z1^2*zb1^2)", (1.0,), (1j,), order=6)
+        assert ctx.metric_values()[0, 0] == float(scale) * (1 + 4j)
+
+
 def test_insufficient_order_rejected():
     with pytest.raises(ValueError):
         build_chart(FS, (0.0,), order=4)
@@ -342,13 +350,23 @@ def test_suite_checks_read_chart_tensors_no_deeper_than_they_need(monkeypatch):
         return original(ctx, trunc)
 
     _patch_everywhere(monkeypatch, "chart_tensors", recorded)
-    # associativity's inner products at degree 3 read curvature there, which reads
-    # g_up at 5, and third covariant derivatives there, which read the Christoffel
-    # symbols at 4: the depth does not follow the jet order
-    for order in (10, 12):
+    inverses = []  # the chart's own, not the recursion's
+    inverse = geometry.jet_matrix_inverse
+
+    def counted(matrix, n, trunc):
+        inverses.append(trunc)
+        return inverse(matrix, n, trunc)
+
+    monkeypatch.setattr(geometry, "jet_matrix_inverse", counted)
+    # curvature at the base point reads g_up at 2, and a derivative bundle at
+    # truncation t is at most 3 - t deep, so it reads the Christoffel symbols at 1
+    # at most: the depth does not follow the jet order, and the metric is inverted once
+    for order in (6, 10, 12):
         reads.clear()
+        inverses.clear()
         potential, ctx, rng = random_chart(RandomChartSpec(n=2, seed=4), order=order)
         results = verify._chart_checks(potential, ctx, rng, "")
         assert all(r.passed for r in results)
-        assert max(reads) == 5
-        assert ctx._cache["chart_tensors"][0] == 5
+        assert max(reads) == 2
+        assert ctx._cache["chart_tensors"][0] == 2
+        assert inverses == [2]

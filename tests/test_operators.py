@@ -249,12 +249,21 @@ def random_n2():
 )
 def test_operator_truncation_coherence(random_n2, op):
     f, g = "zb1^2*z2 + zb2^3 + z1*zb1*zb2", "z1^3*zb2 + z2^2*z1 + z1*zb1"
-    full = op(f, g, random_n2, 4)
-    for t in range(5):
-        expected = full.truncated(t)
-        scale = expected.max_abs()
-        assert scale > 0
-        assert (op(f, g, random_n2, t) - expected).max_abs() <= 1e-12 * scale
+    if op in (c1_jet, c2_jet):
+        full = op(f, g, random_n2, 4)
+        for t in range(5):
+            expected = full.truncated(t)
+            scale = expected.max_abs()
+            assert scale > 0
+            assert (op(f, g, random_n2, t) - expected).max_abs() <= 1e-12 * scale
+        return
+    # a third-order operator is a jet of truncation 0 only, and its value does not
+    # depend on the chart's memo having been read deeper first
+    deep_first = dataclasses.replace(random_n2, _cache={})
+    c2_jet(f, g, deep_first, 4)
+    got = op(f, g, deep_first)
+    assert got.trunc == 0 and got.value() != 0
+    assert got._vec.tobytes() == op(f, g, dataclasses.replace(random_n2, _cache={}))._vec.tobytes()
 
 
 # -- covariant-derivative bundles and the independence of the checks -------------
@@ -277,19 +286,21 @@ def test_derivative_bundles_are_built_once(monkeypatch):
     original = geometry.covariant_derivative_jets
 
     def counting(jet, *args, **kwargs):
-        built.append((kwargs["barred"], jet.trunc))
+        built.append((kwargs["barred"], jet.trunc, kwargs["up_to"]))
         return original(jet, *args, **kwargs)
 
     _patch_everywhere(monkeypatch, "covariant_derivative_jets", counting)
-    star_product_jets(f, g, ctx, StarVariant.MODIFIED, 4)
+    star_product_jets(f, g, ctx, StarVariant.MODIFIED, 3)
     operator_breakdown(f, g, ctx)
-    # one bundle per (function, side, truncation), each read to depth 3 (the parent
-    # built 14 here: two per operator)
-    assert sorted(built) == [(False, 3), (False, 7), (True, 3), (True, 7)]
-    star_product_jets(f, g, ctx, StarVariant.STANDARD, 4)
+    # one bundle per (function, side, truncation t), each 3 - t deep and so read
+    # from the function's jet to degree 3: C1 at 2, C2 at 1 and C3~ and P/Q/R at 0
+    assert sorted(built) == [(barred, 3, depth) for barred in (False, True) for depth in (1, 2, 3)]
+    star_product_jets(f, g, ctx, StarVariant.STANDARD, 3)
     for op in (c1, c2, c3, c3_tilde, r_operator):
         op(f, g, ctx)
-    assert len(built) == 4
+    assert len(built) == 6
+    with pytest.raises(ValueError, match="between 0 and 3"):  # no C3 jet past 0
+        star_product_jets(f, g, ctx, StarVariant.STANDARD, 4)
 
 
 def test_derivative_bundles_are_read_only():
@@ -307,7 +318,7 @@ def test_dropped_jets_never_share_a_bundle(monkeypatch, same_id):
     sources = [f"zb1^{1 + i % 4} + {i}*z1*zb1^2" for i in range(40)]
     fresh = build_chart(FS, (0.3 - 0.1j,), order=10)
     g = as_chart_jet("z1^3 + z1*zb1", fresh)
-    expected = [c3_tilde_jet(as_chart_jet(src, fresh) * (1.0 + i), g, fresh, 2)
+    expected = [c3_tilde_jet(as_chart_jet(src, fresh) * (1.0 + i), g, fresh)
                 for i, src in enumerate(sources)]
     if same_id:
         # the worst case of id reuse: every jet the memo sees has the same id
@@ -316,20 +327,8 @@ def test_dropped_jets_never_share_a_bundle(monkeypatch, same_id):
     g = as_chart_jet("z1^3 + z1*zb1", ctx)
     for i, src in enumerate(sources):
         scaled = as_chart_jet(src, ctx) * (1.0 + i)  # dropped below, so its id is free again
-        assert c3_tilde_jet(scaled, g, ctx, 2) == expected[i]
+        assert c3_tilde_jet(scaled, g, ctx) == expected[i]
         del scaled
-
-
-def test_r_operator_at_zero_does_not_depend_on_an_earlier_deeper_read():
-    # r1 is not served as a prefix: at truncation 0 its three-index contraction
-    # sums in another order than the [0] of r1 built at 4 (they differ in the last bit)
-    _, ctx, rng = random_chart(RandomChartSpec(n=2, seed=7))
-    f, g = random_polynomial(rng, 2), random_polynomial(rng, 2)
-    deep_first = dataclasses.replace(ctx, _cache={})
-    r_operator_jet(f, g, deep_first, 4)
-    at_zero = r_operator_jet(f, g, deep_first, 0)
-    fresh = dataclasses.replace(ctx, _cache={})
-    assert at_zero._vec.tobytes() == r_operator_jet(f, g, fresh, 0)._vec.tobytes()
 
 
 class _Refused:
