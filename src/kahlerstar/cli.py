@@ -65,14 +65,8 @@ def _fmt(z: complex) -> str:
 
 
 def _config_dict(cfg: RunConfig) -> dict:
-    out = {}
-    for key, value in asdict(cfg).items():
-        if value is None:
-            continue
-        if key == "point":
-            out[key] = [_complex_pair(z) for z in value]
-        else:
-            out[key] = value
+    out = {key: value for key, value in asdict(cfg).items() if value is not None}
+    out["point"] = [_complex_pair(z) for z in cfg.point]
     return out
 
 
@@ -205,6 +199,16 @@ def _cmd_compare(cfg: RunConfig) -> int:
     return EXIT_CHECK_FAILURE if failed else EXIT_OK
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """Reads a token that starts with one ``-``, such as the point ``-0.2+0.1i`` or the
+    expression ``-(z1*zb1)``, as a value unless it names an option (only ``-h`` does)."""
+
+    def _parse_optional(self, arg_string):
+        if arg_string[:2] != "--" and arg_string not in self._option_string_actions:
+            return None  # argparse alone takes only a plain negative number for a value
+        return super()._parse_optional(arg_string)
+
+
 def _make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kahlerstar",
@@ -213,7 +217,7 @@ def _make_parser() -> argparse.ArgumentParser:
             "truncated at third order in the formal parameter."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     def add_chart_flags(p):
         p.add_argument("--preset", choices=PRESET_NAMES, help="built-in potential")

@@ -59,11 +59,15 @@ __all__ = [
 #: smallest admissible metric eigenvalue (or singular value) at the base point
 EIGENVALUE_FLOOR = 1e-8
 
+#: order of ``nu`` the product is carried to, and so the degree every argument is read
+#: to: ``C_r`` differentiates an argument ``r`` times, the recursion reads ``f`` to ``A_3``
+PRODUCT_ORDER = 3
+
 #: minimum jet order accepted by :func:`build_chart`, and so by every command and
-#: the suite.  An order bounds the truncation of ``g_up`` to ``order - 2``; the
-#: operators and the associativity check read it at 2 at most (curvature at the
-#: base point only, a derivative bundle at truncation ``t`` at most ``3 - t``
-#: deep, :func:`_derivs`) and the recursion reads the potential to order 4
+#: the suite.  The order sizes the potential's jet only: it bounds the truncation of
+#: ``g_up`` to ``order - 2``, which the operators and the associativity check read at
+#: 2 at most (curvature at the base point only, a derivative bundle read to degree 3,
+#: :func:`_derivs`), and the recursion reads the potential to order 4
 MIN_CHART_ORDER = 6
 
 
@@ -108,8 +112,8 @@ class ChartContext:
     the module docs; ``[0]`` is the value at the base point): ``g_dn_array`` is
     the metric, and the public ``g_up`` nests tuples of jets viewing the inverse.
     ``_cache`` holds jets derived on demand, among them one read-only jet per
-    distinct function passed to :func:`as_chart_jet`, kept until the chart is
-    dropped.
+    distinct function passed to :func:`as_chart_jet`, at degree
+    :data:`PRODUCT_ORDER` whatever ``order``, kept until the chart is dropped.
     """
 
     n: int
@@ -331,7 +335,7 @@ def covariant_derivative_jets(f_jet: Jet, ctx: ChartContext, *, barred: bool, up
     consumes one jet degree; the Christoffel corrections cap intermediate
     orders at the Christoffel jet order.
     """
-    if not 1 <= up_to <= 3:
+    if not 1 <= up_to <= PRODUCT_ORDER:
         raise ValueError("covariant derivative order must be between 1 and 3")
     n = ctx.n
     t1 = f_jet.trunc - 1
@@ -362,21 +366,17 @@ def covariant_derivative_jets(f_jet: Jet, ctx: ChartContext, *, barred: bool, up
     return out
 
 
-def _derivs(jet: Jet, ctx: ChartContext, barred: bool, up_to: int, trunc: int) -> list:
-    """Covariant derivative tensors of ``jet`` exact to degree ``trunc``, orders 1..up_to
-    or deeper.  One bundle per (jet, side, truncation) is built per chart, of depth
-    ``max(up_to, min(3 - trunc, jet.trunc - trunc))``: the operators read a bundle at
-    truncation ``t`` at most ``3 - t`` deep (C1 at 2, C2 at 1 and the third-order ones
-    at 0 in :func:`kahlerstar.operators.star_product_jets`, every operator at 0), so
-    such a bundle reads the Christoffel symbols at truncation 1 at most.  It reads
-    ``jet`` only up to degree ``trunc`` plus its depth.  Each entry keeps its jet, so a
-    recycled ``id`` cannot alias."""
-    key = ("cov", id(jet), barred, trunc)
+def _derivs(jet: Jet, ctx: ChartContext, barred: bool) -> list:
+    """Covariant derivative tensors of ``jet`` on one side, orders 1..d from
+    ``jet.truncated(d)`` with ``d = min(3, jet.trunc)``: entry ``r`` is exact to degree
+    ``d - r``, and each reader contracts the prefix it needs.  One bundle per (jet, side)
+    is built per chart; it reads the Christoffel symbols at truncation 1 at most.  Each
+    entry keeps its jet, so a recycled ``id`` cannot alias."""
+    key = ("cov", id(jet), barred)
     entry = ctx._cache.get(key)
-    if entry is None or entry[0] is not jet or len(entry[1]) <= up_to:
-        depth = max(up_to, min(3 - trunc, jet.trunc - trunc))
-        source = jet.truncated(min(trunc + depth, jet.trunc))
-        entry = (jet, covariant_derivative_jets(source, ctx, barred=barred, up_to=depth))
+    if entry is None or entry[0] is not jet:
+        d = min(PRODUCT_ORDER, jet.trunc)
+        entry = (jet, covariant_derivative_jets(jet.truncated(d), ctx, barred=barred, up_to=d))
         ctx._cache[key] = entry
     return entry[1]
 
@@ -384,10 +384,10 @@ def _derivs(jet: Jet, ctx: ChartContext, barred: bool, up_to: int, trunc: int) -
 def as_chart_jet(f, ctx: ChartContext) -> Jet:
     """Coerce an expression, source string or jet to a jet at the chart point.
 
-    An expression is evaluated once per chart: its jet is kept, read-only,
-    in the chart's cache under the (parsed) expression, so every operator
-    applied to the same function shares one jet.  A jet with a coefficient
-    that is not finite raises :class:`EvaluationError`.
+    An expression is evaluated once per chart, to degree :data:`PRODUCT_ORDER`: its
+    jet is kept, read-only, in the chart's cache under the (parsed) expression, so
+    every operator applied to the same function shares one jet.  A jet with a
+    coefficient that is not finite raises :class:`EvaluationError`.
     """
     if isinstance(f, Jet):
         if f.n != ctx.n:
@@ -398,7 +398,7 @@ def as_chart_jet(f, ctx: ChartContext) -> Jet:
     key = ("jet", f)
     jet = ctx._cache.get(key)
     if jet is None:
-        jet = eval_jet(f, ctx.z0, ctx.zb0, ctx.order)
+        jet = eval_jet(f, ctx.z0, ctx.zb0, PRODUCT_ORDER)
         if not np.isfinite(jet._vec).all():
             raise EvaluationError(f"the jet of '{to_source(f)}' is not finite at the base point")
         jet._vec.flags.writeable = False

@@ -14,18 +14,17 @@ covariant derivatives::
 
 The modified third-order operator adds one twelfth of the curvature-square
 one-differentiable operator ``R``, which makes the whole product
-expressible through the inverse metric alone.  The product is associative
-up to the third order only, so no outer operator differentiates a
-third-order value: ``C1`` and ``C2`` exist as jets at any truncation, while
-``C3``, ``C3~``, ``P``, ``Q`` and ``R`` exist at the base point only, as
-jets of truncation 0.
+expressible through the inverse metric alone.  The product is carried to
+the third order only, so an argument is read to degree 3 and no outer
+operator differentiates a third-order value: ``C1`` and ``C2`` exist as jets
+up to truncation 2 and 1, while ``C3``, ``C3~``, ``P``, ``Q`` and ``R``
+exist at the base point only, as jets of truncation 0.
 
 Every contraction is a chain of :func:`kahlerstar.jets.contract` calls on
 the chart's jet-tensor arrays; C1, C2, C3's triple term and R pair through
 :func:`_raised_pairing`, and P keeps its own chain as a second route.  The
-covariant derivatives of a function are built once per chart, side and
-truncation and kept in the chart's memo (:mod:`kahlerstar.geometry` alone
-knows its keys).
+covariant derivatives of a function are built once per chart and side and
+kept in the chart's memo (:mod:`kahlerstar.geometry` alone knows its keys).
 The raw-derivative forms (:func:`c2_expanded`, S and S-tilde, the Poisson
 bracket) are one :func:`numpy.einsum` per term over base-point partial
 derivatives read by :func:`kahlerstar.jets.derivative_values`.
@@ -39,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
+    PRODUCT_ORDER,
     ChartContext,
     _derivs,
     _r1_jets,
@@ -120,8 +120,8 @@ def _raised_pairing(raisers, f_tensor, g_tensor, n: int, trunc: int) -> Jet:
 
 def c1_jet(f, g, ctx: ChartContext, trunc: int = 0) -> Jet:
     fj, gj = _pair_jets(f, g, ctx)
-    f1 = _derivs(fj, ctx, True, 1, trunc)[1]
-    g1 = _derivs(gj, ctx, False, 1, trunc)[1]
+    f1 = _derivs(fj, ctx, True)[1]
+    g1 = _derivs(gj, ctx, False)[1]
     return _raised_pairing([chart_tensors(ctx, trunc).g_up], f1, g1, ctx.n, trunc)
 
 
@@ -132,8 +132,8 @@ def c1(f, g, ctx: ChartContext) -> complex:
 
 def c2_jet(f, g, ctx: ChartContext, trunc: int = 0) -> Jet:
     fj, gj = _pair_jets(f, g, ctx)
-    f2 = _derivs(fj, ctx, True, 2, trunc)[2]
-    g2 = _derivs(gj, ctx, False, 2, trunc)[2]
+    f2 = _derivs(fj, ctx, True)[2]
+    g2 = _derivs(gj, ctx, False)[2]
     return _raised_pairing([chart_tensors(ctx, trunc).g_up] * 2, f2, g2, ctx.n, trunc) * 0.5
 
 
@@ -169,8 +169,8 @@ def c2_expanded(f, g, ctx: ChartContext) -> complex:
 def _triple(fj: Jet, gj: Jet, ctx: ChartContext) -> Jet:
     """``g_up[l, k] g_up[q, p] g_up[t, s] f_/l̄q̄t̄ g_/kps``: the operator P, and six
     times the first term of C3."""
-    f3 = _derivs(fj, ctx, True, 3, 0)[3]
-    g3 = _derivs(gj, ctx, False, 3, 0)[3]
+    f3 = _derivs(fj, ctx, True)[3]
+    g3 = _derivs(gj, ctx, False)[3]
     return _raised_pairing([chart_tensors(ctx, 0).g_up] * 3, f3, g3, ctx.n, 0)
 
 
@@ -178,8 +178,8 @@ def _curvature_term(fj: Jet, gj: Jet, ctx: ChartContext) -> Jet:
     """``r_raised[l, k, q, p] f_/l̄q̄ g_/kp``: minus the operator Q, and four times the
     second term of C3."""
     n = ctx.n
-    f2 = _derivs(fj, ctx, True, 2, 0)[2]
-    g2 = _derivs(gj, ctx, False, 2, 0)[2]
+    f2 = _derivs(fj, ctx, True)[2]
+    g2 = _derivs(gj, ctx, False)[2]
     _, r_raised = curvature_jets(ctx)
     inner = contract("lkqp,lq->kp", r_raised, f2, n, 0)
     return Jet._of(n, 0, contract("kp,kp->", inner, g2, n, 0))
@@ -200,8 +200,8 @@ def _p_jet(f, g, ctx: ChartContext) -> Jet:
     raised first, so that comparing P with :func:`_triple` through C3 tests both."""
     fj, gj = _pair_jets(f, g, ctx)
     n, gu = ctx.n, chart_tensors(ctx, 0).g_up
-    f3 = _derivs(fj, ctx, True, 3, 0)[3]
-    g3 = _derivs(gj, ctx, False, 3, 0)[3]
+    f3 = _derivs(fj, ctx, True)[3]
+    g3 = _derivs(gj, ctx, False)[3]
     raised = contract("lk,kps->lps", gu, g3, n, 0)
     raised = contract("qp,lps->lqs", gu, raised, n, 0)
     raised = contract("ts,lqs->lqt", gu, raised, n, 0)
@@ -215,8 +215,8 @@ def _q_jet(f, g, ctx: ChartContext) -> Jet:
 def r_operator_jet(f, g, ctx: ChartContext) -> Jet:
     """One-differentiable curvature-square operator."""
     fj, gj = _pair_jets(f, g, ctx)
-    f1 = _derivs(fj, ctx, True, 1, 0)[1]
-    g1 = _derivs(gj, ctx, False, 1, 0)[1]
+    f1 = _derivs(fj, ctx, True)[1]
+    g1 = _derivs(gj, ctx, False)[1]
     return _raised_pairing([_r1_jets(ctx)], f1, g1, ctx.n, 0)
 
 
@@ -264,10 +264,10 @@ def star_product_jets(
     f, g, ctx: ChartContext, variant: StarVariant = StarVariant.STANDARD, depth: int = 0
 ) -> tuple[Jet, Jet, Jet, Jet]:
     """Jets of the four coefficient functions of ``f * g``, the coefficient of ``nu^r``
-    to degree ``max(depth - r, 0)``.  ``depth`` (at most 3) is the highest order of
-    ``nu`` a nested product is read to: an outer operator of order ``i`` meets the
-    coefficient of ``nu^r`` in that of ``nu^(i + r)``, so ``i <= depth - r``."""
-    if not 0 <= depth <= 3:
+    to degree ``max(depth - r, 0)``.  ``depth`` (at most ``PRODUCT_ORDER``, 3) is the
+    highest order of ``nu`` a nested product is read to: an outer operator of order ``i``
+    meets the coefficient of ``nu^r`` in that of ``nu^(i + r)``, so ``i <= depth - r``."""
+    if not 0 <= depth <= PRODUCT_ORDER:
         raise ValueError(f"star product depth {depth} is not between 0 and 3")
     fj, gj = _pair_jets(f, g, ctx)
     order3 = c3_tilde_jet if variant is StarVariant.MODIFIED else c3_jet

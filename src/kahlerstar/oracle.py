@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ChartContext, as_chart_jet
+from .geometry import PRODUCT_ORDER, ChartContext, as_chart_jet
 from .jets import contract, derivative_values, gradient, jet_matrix_inverse, truncate, unit_index
 
 __all__ = [
@@ -80,7 +80,7 @@ def build_left_mult(f, ctx: ChartContext, r_max: int = 3) -> list[FormalOperator
     potential's jet to order ``r_max + 1``, ``g_dn`` to ``r_max - 1`` and ``f`` to
     ``r_max``, which every chart holds.
     """
-    if not 0 <= r_max <= 3:
+    if not 0 <= r_max <= PRODUCT_ORDER:
         raise ValueError("recursion depth must be between 0 and 3")
     n = ctx.n
     levels = [[as_chart_jet(f, ctx)._vec]]

@@ -357,9 +357,9 @@ def check_gauge(
 ) -> CheckResult:
     """Recursion values are unchanged under a potential gauge shift.
 
-    ``h`` must be holomorphic and ``k`` antiholomorphic; the shifted
-    potential produces different left-multiplication operators but the same
-    bidifferential operator values.
+    ``h`` must be holomorphic and ``k`` antiholomorphic.  The recursion reads only ``g_dn`` and
+    ``∂^m ∂̄Φ`` (``m >= 1``), which ``Φ + h + k`` leaves bit for bit: this guards that it reads
+    no gauge-dependent part of ``Φ``, and cannot catch an error inside the recursion.
     """
     if classify(h) not in (HolomorphyClass.HOLOMORPHIC, HolomorphyClass.CONSTANT):
         raise ValueError("gauge term h must be holomorphic")

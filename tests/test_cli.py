@@ -425,3 +425,58 @@ def test_a_usage_error_leaves_nothing_for_the_next_request(capsys, bad):
     alone = run_cli(capsys, *EVAL_FS)
     assert run_cli(capsys, *bad)[0] == 2
     assert run_cli(capsys, *EVAL_FS) == alone
+
+
+@pytest.mark.parametrize(
+    "option, value, code",
+    [("--point", "-0.2+0.1i", 0), ("--potential", "-log(1-z1*zb1)", 0),
+     ("--potential", "-(z1*zb1)", 3), ("--f", "-zb1^2", 0), ("--g", "-z1", 0)],
+    ids=["point", "potential", "negative-definite-potential", "f", "g"],
+)
+def test_a_value_may_start_with_a_minus(capsys, option, value, code):
+    # argparse alone reads such a token as an unknown option (exit 2); only the '=' form
+    # worked, although the --point help text itself writes -0.5+0.2i.  -(z1*zb1) is
+    # negative definite: refused as a metric (exit 3), not as a usage
+    flags = {"--preset": "fubini-study", "--point": "0.3", "--f": "zb1", "--g": "z1"}
+    if option == "--potential":
+        del flags["--preset"]
+    flags.pop(option, None)
+    rest = [token for flag in flags.items() for token in flag]
+    for command in ("eval", "compare"):
+        got = run_cli(capsys, command, *rest, option, value, "--json")
+        assert got == run_cli(capsys, command, *rest, f"{option}={value}", "--json")
+        assert got[0] == code
+
+
+def test_a_point_coordinate_after_the_first_may_start_with_a_minus_too(capsys):
+    chart = ["--potential", "z1*zb1+z2*zb2+0.1*z1^2*zb1^2", "--n", "2"]
+    functions = ["--f", "zb1*zb2", "--g", "z1^2*z2", "--json"]
+    got = run_cli(capsys, "eval", *chart, "--point", "-0.2+0.1i", "0.3", *functions)
+    assert got == run_cli(capsys, "eval", *chart, "--point", "(-0.2+0.1i)", "0.3", *functions)
+    assert got[0] == 0
+    assert json.loads(got[1])["config"]["point"] == [[-0.2, -0.1], [0.3, 0.0]]
+    swapped = run_cli(capsys, "eval", *chart, "--point", "0.3", "-0.2+0.1i", *functions)
+    assert json.loads(swapped[1])["config"]["point"] == [[0.3, 0.0], [-0.2, -0.1]]
+
+
+def test_help_and_unknown_options_are_still_options(capsys):
+    code, out, _ = run_cli(capsys, "eval", "--point", "0.3", "-h")
+    assert code == 0 and out.startswith("usage: kahlerstar eval")
+    for unknown in ("--bogus", "-x"):
+        code, out, err = run_cli(capsys, "eval", "--preset", "flat", unknown)
+        assert code == 2 and out == ""
+        assert f"unrecognized arguments: {unknown}" in err
+
+
+def test_argument_coefficients_above_degree_3_are_never_read(capsys):
+    # the jet of g past degree 3 overflows (1e40^k), but no operator reads it
+    chart = ["--preset", "flat", "--point", "0.5", "--f", "zb1^3",
+             "--g", "1/(1-10000000000000000000000000000000000000000*(z1-0.5))", "--json"]
+    code, out, _ = run_cli(capsys, "eval", *chart)
+    assert code == 0
+    values = json.loads(out)["values"]
+    for key, expected in (("C1", 7.5e39), ("C2", 3e80), ("C3", 6e120)):
+        assert values[key] == pytest.approx([expected, 0.0], rel=1e-12)
+    code, out, _ = run_cli(capsys, "compare", *chart)
+    assert code == 0
+    assert [check["residual"] for check in json.loads(out)["checks"]] == [0.0, 0.0, 0.0]

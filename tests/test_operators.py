@@ -42,6 +42,7 @@ from kahlerstar.operators import (
 from kahlerstar.oracle import build_left_mult, oracle_cr
 from kahlerstar.verify import (
     RandomChartSpec,
+    check_separation,
     check_structural,
     oracle_agreement_checks,
     random_chart,
@@ -232,9 +233,10 @@ def test_each_function_is_evaluated_once_per_chart(monkeypatch):
 
     c3(f_src, g_src, other)
     assert len(evaluated) == 4
+    # an argument is read to degree 3 whatever the chart's order
     for chart in (ctx, other):
         for src in (f_src, g_src):
-            fresh = real_eval_jet(parse(src, 1), chart.z0, chart.zb0, chart.order)
+            fresh = real_eval_jet(parse(src, 1), chart.z0, chart.zb0, 3)
             assert as_chart_jet(src, chart) == fresh
 
 
@@ -250,8 +252,10 @@ def random_n2():
 def test_operator_truncation_coherence(random_n2, op):
     f, g = "zb1^2*z2 + zb2^3 + z1*zb1*zb2", "z1^3*zb2 + z2^2*z1 + z1*zb1"
     if op in (c1_jet, c2_jet):
-        full = op(f, g, random_n2, 4)
-        for t in range(5):
+        # C_r reads its arguments to degree 3, so it exists up to truncation 3 - r
+        top = 2 if op is c1_jet else 1
+        full = op(f, g, random_n2, top)
+        for t in range(top + 1):
             expected = full.truncated(t)
             scale = expected.max_abs()
             assert scale > 0
@@ -260,10 +264,16 @@ def test_operator_truncation_coherence(random_n2, op):
     # a third-order operator is a jet of truncation 0 only, and its value does not
     # depend on the chart's memo having been read deeper first
     deep_first = dataclasses.replace(random_n2, _cache={})
-    c2_jet(f, g, deep_first, 4)
+    c2_jet(f, g, deep_first, 1)
     got = op(f, g, deep_first)
     assert got.trunc == 0 and got.value() != 0
     assert got._vec.tobytes() == op(f, g, dataclasses.replace(random_n2, _cache={}))._vec.tobytes()
+
+
+@pytest.mark.parametrize("op,trunc", [(c1_jet, 3), (c2_jet, 2)], ids=["c1_jet", "c2_jet"])
+def test_operator_jets_past_the_argument_degree_are_refused(random_n2, op, trunc):
+    with pytest.raises(ValueError, match="cannot extend a jet"):
+        op("zb1^2*z2 + zb2^3", "z1^3*zb2 + z2^2*z1", random_n2, trunc)
 
 
 # -- covariant-derivative bundles and the independence of the checks -------------
@@ -292,13 +302,13 @@ def test_derivative_bundles_are_built_once(monkeypatch):
     _patch_everywhere(monkeypatch, "covariant_derivative_jets", counting)
     star_product_jets(f, g, ctx, StarVariant.MODIFIED, 3)
     operator_breakdown(f, g, ctx)
-    # one bundle per (function, side, truncation t), each 3 - t deep and so read
-    # from the function's jet to degree 3: C1 at 2, C2 at 1 and C3~ and P/Q/R at 0
-    assert sorted(built) == [(barred, 3, depth) for barred in (False, True) for depth in (1, 2, 3)]
+    # one bundle per (function, side), built from the function's jet at degree 3 to
+    # depth 3: C1 at truncation 2, C2 at 1 and C3~ and P/Q/R at 0 read its prefixes
+    assert sorted(built) == [(False, 3, 3), (True, 3, 3)]
     star_product_jets(f, g, ctx, StarVariant.STANDARD, 3)
     for op in (c1, c2, c3, c3_tilde, r_operator):
         op(f, g, ctx)
-    assert len(built) == 6
+    assert len(built) == 2
     with pytest.raises(ValueError, match="between 0 and 3"):  # no C3 jet past 0
         star_product_jets(f, g, ctx, StarVariant.STANDARD, 4)
 
@@ -427,3 +437,21 @@ def test_checks_catch_an_error_in_the_shared_pairing(monkeypatch, mutant):
     failed = results()
     assert sorted(failed) == sorted(names)
     assert not any(r.passed for r in failed.values())
+
+
+def test_checks_catch_derivative_bundles_built_on_the_wrong_side(monkeypatch):
+    # each argument is differentiated on one side only: a bundle of the other side
+    # must show in every separation check and against the recursion
+    _, ctx, rng = random_chart(RandomChartSpec(n=2, seed=1))
+    f, g = random_polynomial(rng, 2), random_polynomial(rng, 2)
+    a, b = (random_polynomial(rng, 2, kind=kind) for kind in ("holomorphic", "antiholomorphic"))
+
+    def results(chart):
+        return check_separation(chart, a, f, b) + oracle_agreement_checks(chart, f, g)
+
+    assert all(r.passed for r in results(ctx))
+    derivs = operators._derivs
+    monkeypatch.setattr(operators, "_derivs", lambda jet, chart, barred: derivs(jet, chart, not barred))
+    failed = results(dataclasses.replace(ctx, _cache={}))
+    assert len(failed) == 11
+    assert not any(r.passed for r in failed), [r.name for r in failed if r.passed]
