@@ -125,11 +125,7 @@ def _cmd_eval(cfg: RunConfig) -> int:
     f, g = parse(cfg.f, cfg.n), parse(cfg.g, cfg.n)
     variant = StarVariant(cfg.variant)
     product = star_product(f, g, ctx, variant)
-    # the product holds the variant's own order-3 value; only the other one is computed
-    if variant is StarVariant.MODIFIED:
-        order3 = {"C3": c3(f, g, ctx), "C3tilde": product[3]}
-    else:
-        order3 = {"C3": product[3], "C3tilde": c3_tilde(f, g, ctx)}
+    order3 = {"C3": c3(f, g, ctx), "C3tilde": c3_tilde(f, g, ctx)}
     values_c = {"C1": product[1], "C2": product[2], **order3}
     bd = operator_breakdown(f, g, ctx)
 

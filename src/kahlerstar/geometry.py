@@ -111,9 +111,10 @@ class ChartContext:
     jet-tensor array (coefficient axis first, then the indices in the order of
     the module docs; ``[0]`` is the value at the base point): ``g_dn_array`` is
     the metric, and the public ``g_up`` nests tuples of jets viewing the inverse.
-    ``_cache`` holds jets derived on demand, among them one read-only jet per
-    distinct function passed to :func:`as_chart_jet`, at degree
-    :data:`PRODUCT_ORDER` whatever ``order``, kept until the chart is dropped.
+    ``_cache`` holds what is derived on demand until the chart is dropped: one read-only
+    jet per distinct function passed to :func:`as_chart_jet`, at degree :data:`PRODUCT_ORDER`
+    whatever ``order``, and through :func:`_memo` one value per builder and argument objects
+    (derivative bundles, operator jets, left-multiplication builds), kept with its arguments.
     """
 
     n: int
@@ -128,10 +129,8 @@ class ChartContext:
 
     @property
     def g_up(self) -> tuple:
-        if "g_up_views" not in self._cache:
-            g_up = chart_tensors(self, self.order - 2).g_up
-            self._cache["g_up_views"] = _views(g_up, self.n, self.order - 2)
-        return self._cache["g_up_views"]
+        t = self.order - 2
+        return _memo(self, "g_up_views", (), lambda: _views(chart_tensors(self, t).g_up, self.n, t))
 
     def metric_values(self) -> np.ndarray:
         """Metric matrix at the base point, rows holomorphic."""
@@ -366,19 +365,31 @@ def covariant_derivative_jets(f_jet: Jet, ctx: ChartContext, *, barred: bool, up
     return out
 
 
+def _memo(ctx: ChartContext, key, args: tuple, build):
+    """``build()``, once per chart for ``key`` and the argument objects ``args``: the entry
+    keeps them, so a recycled ``id`` cannot alias and an equal but distinct argument gets
+    its own entry.  A jet it holds is read-only."""
+    full = (key, *map(id, args))
+    entry = ctx._cache.get(full)
+    if entry is None or any(a is not b for a, b in zip(entry[0], args)):
+        value = build()
+        if isinstance(value, Jet):
+            value._vec.flags.writeable = False
+        entry = ctx._cache[full] = (args, value)
+    return entry[1]
+
+
 def _derivs(jet: Jet, ctx: ChartContext, barred: bool) -> list:
     """Covariant derivative tensors of ``jet`` on one side, orders 1..d from
     ``jet.truncated(d)`` with ``d = min(3, jet.trunc)``: entry ``r`` is exact to degree
     ``d - r``, and each reader contracts the prefix it needs.  One bundle per (jet, side)
-    is built per chart; it reads the Christoffel symbols at truncation 1 at most.  Each
-    entry keeps its jet, so a recycled ``id`` cannot alias."""
-    key = ("cov", id(jet), barred)
-    entry = ctx._cache.get(key)
-    if entry is None or entry[0] is not jet:
-        d = min(PRODUCT_ORDER, jet.trunc)
-        entry = (jet, covariant_derivative_jets(jet.truncated(d), ctx, barred=barred, up_to=d))
-        ctx._cache[key] = entry
-    return entry[1]
+    is built per chart (:func:`_memo`, which keeps the jet with it); it reads the
+    Christoffel symbols at truncation 1 at most."""
+    d = min(PRODUCT_ORDER, jet.trunc)
+    return _memo(
+        ctx, ("cov", barred), (jet,),
+        lambda: covariant_derivative_jets(jet.truncated(d), ctx, barred=barred, up_to=d),
+    )
 
 
 def as_chart_jet(f, ctx: ChartContext) -> Jet:

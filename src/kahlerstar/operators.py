@@ -23,11 +23,12 @@ exist at the base point only, as jets of truncation 0.
 Every contraction is a chain of :func:`kahlerstar.jets.contract` calls on
 the chart's jet-tensor arrays; C1, C2, C3's triple term and R pair through
 :func:`_raised_pairing`, and P keeps its own chain as a second route.  The
-covariant derivatives of a function are built once per chart and side and
-kept in the chart's memo (:mod:`kahlerstar.geometry` alone knows its keys).
-The raw-derivative forms (:func:`c2_expanded`, S and S-tilde, the Poisson
-bracket) are one :func:`numpy.einsum` per term over base-point partial
-derivatives read by :func:`kahlerstar.jets.derivative_values`.
+derivative bundles (per side), C1 and C2 (per truncation), C3, R and the
+product's ``f g`` are built once per chart and argument jets, through
+:func:`kahlerstar.geometry._memo`; the second routes P, Q, S, S-tilde and
+:func:`c2_expanded` are computed afresh on each call.  The raw-derivative
+forms (``c2_expanded``, S and S-tilde, the Poisson bracket) are one
+:func:`numpy.einsum` per term over :func:`kahlerstar.jets.derivative_values`.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .geometry import (
     PRODUCT_ORDER,
     ChartContext,
     _derivs,
+    _memo,
     _r1_jets,
     as_chart_jet,
     chart_tensors,
@@ -120,9 +122,12 @@ def _raised_pairing(raisers, f_tensor, g_tensor, n: int, trunc: int) -> Jet:
 
 def c1_jet(f, g, ctx: ChartContext, trunc: int = 0) -> Jet:
     fj, gj = _pair_jets(f, g, ctx)
-    f1 = _derivs(fj, ctx, True)[1]
-    g1 = _derivs(gj, ctx, False)[1]
-    return _raised_pairing([chart_tensors(ctx, trunc).g_up], f1, g1, ctx.n, trunc)
+
+    def build():
+        f1, g1 = _derivs(fj, ctx, True)[1], _derivs(gj, ctx, False)[1]
+        return _raised_pairing([chart_tensors(ctx, trunc).g_up], f1, g1, ctx.n, trunc)
+
+    return _memo(ctx, ("c1", trunc), (fj, gj), build)
 
 
 def c1(f, g, ctx: ChartContext) -> complex:
@@ -132,9 +137,12 @@ def c1(f, g, ctx: ChartContext) -> complex:
 
 def c2_jet(f, g, ctx: ChartContext, trunc: int = 0) -> Jet:
     fj, gj = _pair_jets(f, g, ctx)
-    f2 = _derivs(fj, ctx, True)[2]
-    g2 = _derivs(gj, ctx, False)[2]
-    return _raised_pairing([chart_tensors(ctx, trunc).g_up] * 2, f2, g2, ctx.n, trunc) * 0.5
+
+    def build():
+        f2, g2 = _derivs(fj, ctx, True)[2], _derivs(gj, ctx, False)[2]
+        return _raised_pairing([chart_tensors(ctx, trunc).g_up] * 2, f2, g2, ctx.n, trunc) * 0.5
+
+    return _memo(ctx, ("c2", trunc), (fj, gj), build)
 
 
 def c2(f, g, ctx: ChartContext) -> complex:
@@ -187,7 +195,10 @@ def _curvature_term(fj: Jet, gj: Jet, ctx: ChartContext) -> Jet:
 
 def c3_jet(f, g, ctx: ChartContext) -> Jet:
     fj, gj = _pair_jets(f, g, ctx)
-    return _triple(fj, gj, ctx) * (1.0 / 6.0) + _curvature_term(fj, gj, ctx) * 0.25
+    return _memo(
+        ctx, "c3", (fj, gj),
+        lambda: _triple(fj, gj, ctx) * (1.0 / 6.0) + _curvature_term(fj, gj, ctx) * 0.25,
+    )
 
 
 def c3(f, g, ctx: ChartContext) -> complex:
@@ -215,9 +226,12 @@ def _q_jet(f, g, ctx: ChartContext) -> Jet:
 def r_operator_jet(f, g, ctx: ChartContext) -> Jet:
     """One-differentiable curvature-square operator."""
     fj, gj = _pair_jets(f, g, ctx)
-    f1 = _derivs(fj, ctx, True)[1]
-    g1 = _derivs(gj, ctx, False)[1]
-    return _raised_pairing([_r1_jets(ctx)], f1, g1, ctx.n, 0)
+
+    def build():
+        f1, g1 = _derivs(fj, ctx, True)[1], _derivs(gj, ctx, False)[1]
+        return _raised_pairing([_r1_jets(ctx)], f1, g1, ctx.n, 0)
+
+    return _memo(ctx, "r", (fj, gj), build)
 
 
 def r_operator(f, g, ctx: ChartContext) -> complex:
@@ -272,7 +286,7 @@ def star_product_jets(
     fj, gj = _pair_jets(f, g, ctx)
     order3 = c3_tilde_jet if variant is StarVariant.MODIFIED else c3_jet
     return (
-        fj.truncated(depth) * gj.truncated(depth),
+        _memo(ctx, ("product", depth), (fj, gj), lambda: fj.truncated(depth) * gj.truncated(depth)),
         c1_jet(fj, gj, ctx, max(depth - 1, 0)),
         c2_jet(fj, gj, ctx, max(depth - 2, 0)),
         order3(fj, gj, ctx),

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PRODUCT_ORDER, ChartContext, as_chart_jet
+from .geometry import PRODUCT_ORDER, ChartContext, _memo, as_chart_jet
 from .jets import contract, derivative_values, gradient, jet_matrix_inverse, truncate, unit_index
 
 __all__ = [
@@ -78,12 +78,18 @@ def build_left_mult(f, ctx: ChartContext, r_max: int = 3) -> list[FormalOperator
     ``r+1`` consumes one antiholomorphic derivative of them and only
     base-point values are ever read off the top level.  So the build reads the
     potential's jet to order ``r_max + 1``, ``g_dn`` to ``r_max - 1`` and ``f`` to
-    ``r_max``, which every chart holds.
+    ``r_max``, which every chart holds.  The chart's memo keeps one build per jet of
+    ``f`` and ``r_max``, its tensors read-only.
     """
     if not 0 <= r_max <= PRODUCT_ORDER:
         raise ValueError("recursion depth must be between 0 and 3")
+    fj = as_chart_jet(f, ctx)
+    return _memo(ctx, ("left_mult", r_max), (fj,), lambda: _recursion(fj, ctx, r_max))
+
+
+def _recursion(fj, ctx: ChartContext, r_max: int) -> list[FormalOperator]:
     n = ctx.n
-    levels = [[as_chart_jet(f, ctx)._vec]]
+    levels = [[fj._vec]]
     if r_max:
         # g_inv solves g_dn^T y = rhs; phi_mixed[m][:, l, i1..im] = d_i1..d_im dbar_l Phi,
         # read at truncation r_max - m, the highest any level needs
@@ -117,6 +123,7 @@ def _solve_level(prev: list, g_inv, phi_mixed: list, n: int, r: int, trunc: int)
         if n > 1:  # in one dimension no coefficient is pinned twice
             for axis in range(2, d + 2):
                 _require_agreement(y, y.swapaxes(1, axis), r)
+        y.flags.writeable = False
         tensors[d + 1] = y
     return tensors
 

@@ -366,10 +366,12 @@ def check_gauge(
     if classify(k) not in (HolomorphyClass.ANTIHOLOMORPHIC, HolomorphyClass.CONSTANT):
         raise ValueError("gauge term k must be antiholomorphic")
     shifted = build_chart(Add(Add(potential, h), k), ctx.z0, ctx.zb0, order=ctx.order, n=ctx.n)
-    base_ops = build_left_mult(f, ctx, r_max=3)
-    shifted_ops = build_left_mult(f, shifted, r_max=3)
+    # both charts share the base point, so they evaluate f and g to the same bits
+    fj, gj = as_chart_jet(f, ctx), as_chart_jet(g, ctx)
+    base_ops = build_left_mult(fj, ctx, r_max=3)
+    shifted_ops = build_left_mult(fj, shifted, r_max=3)
     residual = worst_abs(
-        base_ops[r].apply(g, ctx) - shifted_ops[r].apply(g, shifted) for r in (1, 2, 3)
+        base_ops[r].apply(gj, ctx) - shifted_ops[r].apply(gj, shifted) for r in (1, 2, 3)
     )
     return CheckResult("gauge_invariance", residual, DEFAULT_TOLERANCES["gauge"], label)
 

@@ -388,16 +388,17 @@ def test_eval_reads_its_own_order3_value_from_the_product(capsys, monkeypatch, v
     from kahlerstar import operators
 
     calls = []
-    original = operators.c3_jet
+    original = operators._triple
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(operators, "c3_jet", counted)
+    monkeypatch.setattr(operators, "_triple", counted)
     code, out, _ = run_cli(capsys, *EVAL_FS, "--variant", variant)
     assert code == 0
-    assert len(calls) == 2  # once in the product, once for the other variant's value
+    # C3 is built once, in the product; C3 and C3~ read it from the chart's memo
+    assert len(calls) == 1
     values = json.loads(out)["values"]
     assert values[own_key] == values["star"][3]
     assert values["C3"] != values["C3tilde"]

@@ -7,17 +7,19 @@ the inverse metric is 1, Christoffel symbols vanish and the only curvature
 component equals 2.
 """
 
+import collections
 import dataclasses
 import itertools
 import random
 import sys
 
+import numpy as np
 import pytest
 
-from kahlerstar import geometry, operators
+from kahlerstar import geometry, operators, oracle, verify
 from kahlerstar.expressions import parse
 from kahlerstar.geometry import as_chart_jet, build_chart
-from kahlerstar.jets import unit_index
+from kahlerstar.jets import Jet, unit_index
 from kahlerstar.operators import (
     StarVariant,
     _p_jet,
@@ -39,7 +41,7 @@ from kahlerstar.operators import (
     star_product,
     star_product_jets,
 )
-from kahlerstar.oracle import build_left_mult, oracle_cr
+from kahlerstar.oracle import FormalOperator, build_left_mult, oracle_cr
 from kahlerstar.verify import (
     RandomChartSpec,
     check_separation,
@@ -313,6 +315,69 @@ def test_derivative_bundles_are_built_once(monkeypatch):
         star_product_jets(f, g, ctx, StarVariant.STANDARD, 4)
 
 
+def test_each_value_is_built_once_per_suite_chart(monkeypatch):
+    counts = collections.Counter()
+    for module, name in (
+        (operators, "_triple"),
+        (geometry, "covariant_derivative_jets"),
+        (oracle, "_solve_level"),
+        (geometry, "eval_jet"),
+    ):
+        def counting(*args, _name=name, _original=getattr(module, name), **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        _patch_everywhere(monkeypatch, name, counting, module)
+    for seed in (1, 2):
+        potential, ctx, rng = random_chart(RandomChartSpec(n=2, seed=seed))
+        counts.clear()
+        verify._chart_checks(potential, ctx, rng, "")
+        # C3 once per argument pair: (f, g), (g, h), (f*g, h), (f, g*h), (a, f), (f, b);
+        # one bundle per argument jet and side, the nested products' shared by both
+        # variants; one recursion on each of the chart and the gauge-shifted chart, 3
+        # levels each; f, g, h, a, b on the chart and the shifted potential
+        assert counts == {
+            "_triple": 6, "covariant_derivative_jets": 13, "_solve_level": 6, "eval_jet": 6
+        }
+
+
+def _arrays(value):
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, Jet):
+        yield value._vec
+    elif isinstance(value, FormalOperator):
+        yield from _arrays(value.tensors)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _arrays(item)
+
+
+def test_memoised_values_are_read_only_and_keyed_by_their_argument_objects():
+    potential, ctx, rng = random_chart(RandomChartSpec(n=2, seed=2))
+    verify._chart_checks(potential, ctx, rng, "")
+    held = list(_arrays(list(ctx._cache.values())))
+    assert len(held) > 100 and not any(a.flags.writeable for a in held)
+
+    f = as_chart_jet("zb1^2*z2 + zb2^3 + z1*zb1*zb2", ctx)
+    g = as_chart_jet("z1^3*zb2 + z2*z1", ctx)
+    twin = Jet._of(f.n, f.trunc, f._vec.copy())  # equal to f, but another object
+    builders = (
+        lambda a: c1_jet(a, g, ctx, 2),
+        lambda a: c2_jet(a, g, ctx, 1),
+        lambda a: c3_jet(a, g, ctx),
+        lambda a: r_operator_jet(a, g, ctx),
+        lambda a: star_product_jets(a, g, ctx, StarVariant.STANDARD, 3)[0],
+        lambda a: build_left_mult(a, ctx),
+    )
+    for build in builders:
+        first = build(f)
+        assert build(f) is first
+        second = build(twin)
+        assert second is not first and build(twin) is second
+        assert list(map(bytes, _arrays(second))) == list(map(bytes, _arrays(first)))
+
+
 def test_derivative_bundles_are_read_only():
     ctx = build_chart(FS, (0.3 - 0.1j,), order=10)
     for barred in (False, True):
@@ -405,13 +470,14 @@ def test_c3_decomposition_catches_an_error_in_the_triple_contraction(monkeypatch
     _, ctx, rng = random_chart(RandomChartSpec(n=2, seed=6))
     f, g = random_polynomial(rng, 2), random_polynomial(rng, 2)
 
-    def decomposition():
-        return {r.name: r for r in check_structural(ctx, f, g)}["c3_decomposition"]
+    def decomposition(chart):
+        return {r.name: r for r in check_structural(chart, f, g)}["c3_decomposition"]
 
-    assert decomposition().passed
+    assert decomposition(ctx).passed
     triple = operators._triple
     monkeypatch.setattr(operators, "_triple", lambda *args: triple(*args) * (1.0 + 1e-6))
-    assert not decomposition().passed
+    # a fresh memo: the chart's own would serve the C3 built before the mutation
+    assert not decomposition(dataclasses.replace(ctx, _cache={})).passed
 
 
 @pytest.mark.parametrize("mutant", ["scaled", "transposed"])
@@ -423,18 +489,18 @@ def test_checks_catch_an_error_in_the_shared_pairing(monkeypatch, mutant):
     f, g = random_polynomial(rng, 2), random_polynomial(rng, 2)
     names = ("oracle_agreement_r1", "c2_expanded_equals_covariant", "c3_decomposition")
 
-    def results():
-        checks = oracle_agreement_checks(ctx, f, g) + check_structural(ctx, f, g)
+    def results(chart):
+        checks = oracle_agreement_checks(chart, f, g) + check_structural(chart, f, g)
         return {r.name: r for r in checks if r.name in names}
 
-    assert all(r.passed for r in results().values())
+    assert all(r.passed for r in results(ctx).values())
     pairing = operators._raised_pairing
     if mutant == "scaled":
         mutated = lambda raisers, *args: pairing(raisers, *args) * (1.0 + 1e-6)
     else:
         mutated = lambda raisers, *args: pairing([r.transpose(0, 2, 1) for r in raisers], *args)
     monkeypatch.setattr(operators, "_raised_pairing", mutated)
-    failed = results()
+    failed = results(dataclasses.replace(ctx, _cache={}))
     assert sorted(failed) == sorted(names)
     assert not any(r.passed for r in failed.values())
 
