@@ -114,7 +114,8 @@ class ChartContext:
     ``_cache`` holds what is derived on demand until the chart is dropped: one read-only
     jet per distinct function passed to :func:`as_chart_jet`, at degree :data:`PRODUCT_ORDER`
     whatever ``order``, and through :func:`_memo` one value per builder and argument objects
-    (derivative bundles, operator jets, left-multiplication builds), kept with its arguments.
+    (derivative bundles, operator jets, left-multiplication builds of ``A_0..A_3``), kept
+    with its arguments and as deep as they allow: no key carries a truncation or a depth.
     """
 
     n: int
@@ -325,43 +326,30 @@ def curvature(ctx: ChartContext) -> CurvatureData:
 # -- covariant derivatives -------------------------------------------------------
 
 
-def covariant_derivative_jets(f_jet: Jet, ctx: ChartContext, *, barred: bool, up_to: int = 3):
-    """Jet tensors of the pure covariant derivatives of a function, orders 1..up_to.
+def covariant_derivative_jets(f_jet: Jet, ctx: ChartContext, *, barred: bool):
+    """Jet tensors of the pure covariant derivatives of a function, orders 1..d with
+    ``d = min(3, f_jet.trunc)``: the product reads no argument deeper, so a deeper jet
+    (no caller passes one) gets entries exact to degree ``3 - r`` only.
 
-    Returns a list indexed by order; entry ``r`` is the read-only rank-``r``
-    tensor with ``[k, p, s] = ∇_s∇_p∇_k f``, and its ``[0]`` is the value at
-    the base point.  Each differentiation, a gather on the coefficient axis,
-    consumes one jet degree; the Christoffel corrections cap intermediate
-    orders at the Christoffel jet order.
+    Returns a list indexed by order; entry ``r`` is the read-only rank-``r`` tensor with
+    ``[k, p, s] = ∇_s∇_p∇_k f``, exact to degree ``d - r``; its ``[0]`` is the value at the
+    base point.  Each differentiation, a gather on the coefficient axis, consumes one degree.
     """
-    if not 1 <= up_to <= PRODUCT_ORDER:
-        raise ValueError("covariant derivative order must be between 1 and 3")
-    n = ctx.n
-    t1 = f_jet.trunc - 1
-    if t1 < 0:
-        raise ValueError("jet order too small for covariant derivatives")
-    d1 = gradient(f_jet._vec, n, f_jet.trunc, barred)
+    n, d = ctx.n, min(PRODUCT_ORDER, f_jet.trunc)
+    d1 = _read_only(gradient(f_jet._vec, n, d, barred))
     out = [None, d1]
-    t2 = min(t1 - 1, ctx.order - 3)
-    if up_to >= 2:
-        if t2 < 0:
-            raise ValueError("jet order too small for second covariant derivatives")
-        tensors = chart_tensors(ctx, t2 + 1)
+    if d >= 2:
+        tensors = chart_tensors(ctx, d - 1)
         gamma = tensors.gamma_anti if barred else tensors.gamma_hol
-        d2 = truncate(gradient(d1, n, t1, barred), n, t2) - contract("kps,s->kp", gamma, d1, n, t2)
+        d2 = _read_only(gradient(d1, n, d - 1, barred) - contract("kps,s->kp", gamma, d1, n, d - 2))
         out.append(d2)
-    if up_to == 3:
-        t3 = t2 - 1
-        if t3 < 0:
-            raise ValueError("jet order too small for third covariant derivatives")
+    if d == 3:
         d3 = (
-            truncate(gradient(d2, n, t2, barred), n, t3)
-            - contract("ksa,ap->kps", gamma, d2, n, t3)
-            - contract("psa,ka->kps", gamma, d2, n, t3)
+            gradient(d2, n, 1, barred)
+            - contract("ksa,ap->kps", gamma, d2, n, 0)
+            - contract("psa,ka->kps", gamma, d2, n, 0)
         )
-        out.append(d3)
-    for tensor in out[1:]:
-        tensor.flags.writeable = False
+        out.append(_read_only(d3))
     return out
 
 
@@ -380,15 +368,12 @@ def _memo(ctx: ChartContext, key, args: tuple, build):
 
 
 def _derivs(jet: Jet, ctx: ChartContext, barred: bool) -> list:
-    """Covariant derivative tensors of ``jet`` on one side, orders 1..d from
-    ``jet.truncated(d)`` with ``d = min(3, jet.trunc)``: entry ``r`` is exact to degree
-    ``d - r``, and each reader contracts the prefix it needs.  One bundle per (jet, side)
-    is built per chart (:func:`_memo`, which keeps the jet with it); it reads the
-    Christoffel symbols at truncation 1 at most."""
-    d = min(PRODUCT_ORDER, jet.trunc)
+    """:func:`covariant_derivative_jets` of ``jet`` on one side, entry ``r`` exact to
+    degree ``min(3, jet.trunc) - r``; each reader contracts the prefix it needs.  One
+    bundle per (jet, side) is built per chart (:func:`_memo`, which keeps the jet with
+    it); it reads the Christoffel symbols at truncation 1 at most."""
     return _memo(
-        ctx, ("cov", barred), (jet,),
-        lambda: covariant_derivative_jets(jet.truncated(d), ctx, barred=barred, up_to=d),
+        ctx, ("cov", barred), (jet,), lambda: covariant_derivative_jets(jet, ctx, barred=barred)
     )
 
 

@@ -16,15 +16,15 @@ The modified third-order operator adds one twelfth of the curvature-square
 one-differentiable operator ``R``, which makes the whole product
 expressible through the inverse metric alone.  The product is carried to
 the third order only, so an argument is read to degree 3 and no outer
-operator differentiates a third-order value: ``C1`` and ``C2`` exist as jets
-up to truncation 2 and 1, while ``C3``, ``C3~``, ``P``, ``Q`` and ``R``
-exist at the base point only, as jets of truncation 0.
+operator differentiates a third-order value: ``C_r(f, g)`` is a jet of degree
+``min(3, deg f, deg g) - r`` (:func:`_depth`), so ``C3``, ``C3~``, ``P``, ``Q``
+and ``R`` exist at the base point only, as jets of truncation 0.
 
 Every contraction is a chain of :func:`kahlerstar.jets.contract` calls on
 the chart's jet-tensor arrays; C1, C2, C3's triple term and R pair through
 :func:`_raised_pairing`, and P keeps its own chain as a second route.  The
-derivative bundles (per side), C1 and C2 (per truncation), C3, R and the
-product's ``f g`` are built once per chart and argument jets, through
+derivative bundles (per side), C1, C2, C3, R and the product's ``f g`` are
+built once per chart and argument jets, through
 :func:`kahlerstar.geometry._memo`; the second routes P, Q, S, S-tilde and
 :func:`c2_expanded` are computed afresh on each call.  The raw-derivative
 forms (``c2_expanded``, S and S-tilde, the Poisson bracket) are one
@@ -120,34 +120,42 @@ def _raised_pairing(raisers, f_tensor, g_tensor, n: int, trunc: int) -> Jet:
 # -- first and second order ------------------------------------------------------
 
 
-def c1_jet(f, g, ctx: ChartContext, trunc: int = 0) -> Jet:
+def _depth(fj: Jet, gj: Jet, r: int) -> int:
+    """Degree to which ``C_r(f, g)`` (``f g`` for ``r = 0``) is exact: ``C_r`` differentiates
+    each argument ``r`` times, and no argument is read past ``PRODUCT_ORDER``, 3."""
+    return min(PRODUCT_ORDER, fj.trunc, gj.trunc) - r
+
+
+def c1_jet(f, g, ctx: ChartContext) -> Jet:
     fj, gj = _pair_jets(f, g, ctx)
 
     def build():
+        t = _depth(fj, gj, 1)
         f1, g1 = _derivs(fj, ctx, True)[1], _derivs(gj, ctx, False)[1]
-        return _raised_pairing([chart_tensors(ctx, trunc).g_up], f1, g1, ctx.n, trunc)
+        return _raised_pairing([chart_tensors(ctx, t).g_up], f1, g1, ctx.n, t)
 
-    return _memo(ctx, ("c1", trunc), (fj, gj), build)
+    return _memo(ctx, "c1", (fj, gj), build)
 
 
 def c1(f, g, ctx: ChartContext) -> complex:
     """First-order operator: inverse metric contracted with first derivatives."""
-    return c1_jet(f, g, ctx, 0).value()
+    return c1_jet(f, g, ctx).value()
 
 
-def c2_jet(f, g, ctx: ChartContext, trunc: int = 0) -> Jet:
+def c2_jet(f, g, ctx: ChartContext) -> Jet:
     fj, gj = _pair_jets(f, g, ctx)
 
     def build():
+        t = _depth(fj, gj, 2)
         f2, g2 = _derivs(fj, ctx, True)[2], _derivs(gj, ctx, False)[2]
-        return _raised_pairing([chart_tensors(ctx, trunc).g_up] * 2, f2, g2, ctx.n, trunc) * 0.5
+        return _raised_pairing([chart_tensors(ctx, t).g_up] * 2, f2, g2, ctx.n, t) * 0.5
 
-    return _memo(ctx, ("c2", trunc), (fj, gj), build)
+    return _memo(ctx, "c2", (fj, gj), build)
 
 
 def c2(f, g, ctx: ChartContext) -> complex:
     """Second-order operator, covariant form."""
-    return c2_jet(f, g, ctx, 0).value()
+    return c2_jet(f, g, ctx).value()
 
 
 def c2_expanded(f, g, ctx: ChartContext) -> complex:
@@ -275,20 +283,18 @@ def c3_tilde(f, g, ctx: ChartContext) -> complex:
 
 
 def star_product_jets(
-    f, g, ctx: ChartContext, variant: StarVariant = StarVariant.STANDARD, depth: int = 0
+    f, g, ctx: ChartContext, variant: StarVariant = StarVariant.STANDARD
 ) -> tuple[Jet, Jet, Jet, Jet]:
-    """Jets of the four coefficient functions of ``f * g``, the coefficient of ``nu^r``
-    to degree ``max(depth - r, 0)``.  ``depth`` (at most ``PRODUCT_ORDER``, 3) is the
-    highest order of ``nu`` a nested product is read to: an outer operator of order ``i``
-    meets the coefficient of ``nu^r`` in that of ``nu^(i + r)``, so ``i <= depth - r``."""
-    if not 0 <= depth <= PRODUCT_ORDER:
-        raise ValueError(f"star product depth {depth} is not between 0 and 3")
+    """Jets of the four coefficient functions of ``f * g``, that of ``nu^r`` to degree
+    ``3 - r`` or less for shallower arguments (:func:`_depth`): an outer operator of
+    order ``i <= 3 - r`` meets it in a nested product's coefficient of ``nu^(i + r)``."""
     fj, gj = _pair_jets(f, g, ctx)
+    t = _depth(fj, gj, 0)
     order3 = c3_tilde_jet if variant is StarVariant.MODIFIED else c3_jet
     return (
-        _memo(ctx, ("product", depth), (fj, gj), lambda: fj.truncated(depth) * gj.truncated(depth)),
-        c1_jet(fj, gj, ctx, max(depth - 1, 0)),
-        c2_jet(fj, gj, ctx, max(depth - 2, 0)),
+        _memo(ctx, "product", (fj, gj), lambda: fj.truncated(t) * gj.truncated(t)),
+        c1_jet(fj, gj, ctx),
+        c2_jet(fj, gj, ctx),
         order3(fj, gj, ctx),
     )
 
@@ -297,7 +303,7 @@ def star_product(
     f, g, ctx: ChartContext, variant: StarVariant = StarVariant.STANDARD
 ) -> tuple[complex, complex, complex, complex]:
     """Star product of ``f`` and ``g`` at the base point: its coefficients of ``nu^0..nu^3``."""
-    return tuple(j.value() for j in star_product_jets(f, g, ctx, variant, 0))
+    return tuple(j.value() for j in star_product_jets(f, g, ctx, variant))
 
 
 def poisson_antisymmetry(f, g, ctx: ChartContext) -> PoissonCheck:

@@ -71,41 +71,37 @@ class FormalOperator:
         ))
 
 
-def build_left_mult(f, ctx: ChartContext, r_max: int = 3) -> list[FormalOperator]:
-    """Components ``A_0 .. A_r_max`` of left multiplication by ``f``.
+def build_left_mult(f, ctx: ChartContext) -> list[FormalOperator]:
+    """Components ``A_0 .. A_3`` of left multiplication by ``f``.
 
-    Tensors at level ``r`` are carried as jets of order ``r_max - r``: level
-    ``r+1`` consumes one antiholomorphic derivative of them and only
-    base-point values are ever read off the top level.  So the build reads the
-    potential's jet to order ``r_max + 1``, ``g_dn`` to ``r_max - 1`` and ``f`` to
-    ``r_max``, which every chart holds.  The chart's memo keeps one build per jet of
-    ``f`` and ``r_max``, its tensors read-only.
+    Tensors at level ``r`` are carried as jets of order ``3 - r``: level ``r+1``
+    consumes one antiholomorphic derivative of them and only base-point values are
+    ever read off the top level.  So the build reads the potential's jet to order 4,
+    ``g_dn`` to 2 and ``f`` to 3, which every chart holds.  The chart's memo keeps
+    one build per jet of ``f``, its tensors read-only.
     """
-    if not 0 <= r_max <= PRODUCT_ORDER:
-        raise ValueError("recursion depth must be between 0 and 3")
     fj = as_chart_jet(f, ctx)
-    return _memo(ctx, ("left_mult", r_max), (fj,), lambda: _recursion(fj, ctx, r_max))
+    return _memo(ctx, "left_mult", (fj,), lambda: _recursion(fj, ctx))
 
 
-def _recursion(fj, ctx: ChartContext, r_max: int) -> list[FormalOperator]:
-    n = ctx.n
+def _recursion(fj, ctx: ChartContext) -> list[FormalOperator]:
+    n, top = ctx.n, PRODUCT_ORDER
+    # g_inv solves g_dn^T y = rhs; phi_mixed[m][:, l, i1..im] = d_i1..d_im dbar_l Phi,
+    # read at truncation top - m, the highest any level needs
+    phi_mixed = [gradient(ctx.phi._vec, n, top + 1, barred=True)]
+    for m in range(1, top + 1):
+        phi_mixed.append(gradient(phi_mixed[-1], n, top + 1 - m))
+    g_dn = truncate(ctx.g_dn_array, n, top - 1)
+    g_inv = jet_matrix_inverse(g_dn.transpose(0, 2, 1), n, top - 1)
     levels = [[fj._vec]]
-    if r_max:
-        # g_inv solves g_dn^T y = rhs; phi_mixed[m][:, l, i1..im] = d_i1..d_im dbar_l Phi,
-        # read at truncation r_max - m, the highest any level needs
-        phi_mixed = [gradient(ctx.phi._vec, n, r_max + 1, barred=True)]
-        for m in range(1, r_max + 1):
-            phi_mixed.append(gradient(phi_mixed[-1], n, r_max + 1 - m))
-        g_dn = truncate(ctx.g_dn_array, n, r_max - 1)
-        g_inv = jet_matrix_inverse(g_dn.transpose(0, 2, 1), n, r_max - 1)
-        for r in range(1, r_max + 1):
-            levels.append(_solve_level(levels[-1], g_inv, phi_mixed, n, r, r_max - r))
-        # the levels' cross-check constrains dbar g_dn only: the g_dn read must also be
-        # the potential's d_k dbar_l Phi
-        _require_agreement(
-            g_dn, truncate(phi_mixed[1], n, r_max - 1).transpose(0, 2, 1),
-            name=lambda axes: f"metric component g_dn[{axes[0]}][{axes[1]}]",
-        )
+    for r in range(1, top + 1):
+        levels.append(_solve_level(levels[-1], g_inv, phi_mixed, n, r, top - r))
+    # the levels' cross-check constrains dbar g_dn only: the g_dn read must also be
+    # the potential's d_k dbar_l Phi
+    _require_agreement(
+        g_dn, truncate(phi_mixed[1], n, top - 1).transpose(0, 2, 1),
+        name=lambda axes: f"metric component g_dn[{axes[0]}][{axes[1]}]",
+    )
     return [FormalOperator(n=n, order=r, tensors=t) for r, t in enumerate(levels)]
 
 
@@ -149,6 +145,7 @@ def _require_agreement(first: np.ndarray, second: np.ndarray, r: int = 0, name=N
 
 
 def oracle_cr(f, g, ctx: ChartContext, r: int) -> complex:
-    """Value of the order-``r`` bidifferential operator via the recursion."""
-    operators = build_left_mult(f, ctx, r_max=r)
-    return operators[r].apply(g, ctx)
+    """Value of the order-``r`` bidifferential operator via the recursion: ``A_r g``."""
+    if not 0 <= r <= PRODUCT_ORDER:
+        raise ValueError("recursion depth must be between 0 and 3")
+    return build_left_mult(f, ctx)[r].apply(g, ctx)

@@ -43,6 +43,9 @@ from .geometry import (
 from .jets import derivative_values, iter_multi_indices_upto, unit_index
 from .operators import (
     StarVariant,
+    _p_jet,
+    _q_jet,
+    _s_values,
     c1,
     c2,
     c2_expanded,
@@ -229,14 +232,14 @@ def check_associativity(
 ) -> list[CheckResult]:
     """Associativity residual per formal order 0..3.
 
-    The inner products' coefficient of ``nu^j`` is carried to degree ``3 - j``, as
-    deep as the outer operators of the orders up to 3 differentiate it: the
-    third-order one at the base point only.
+    The inner products' coefficient of ``nu^j`` is a jet of degree ``3 - j``, as deep
+    as the outer operators of the orders up to 3 differentiate it, and each outer
+    operator's jet is as deep as that degree allows.
     """
     tol = DEFAULT_TOLERANCES["associativity"]
     fj, gj, hj = (as_chart_jet(x, ctx) for x in (f, g, h))
-    fg = star_product_jets(fj, gj, ctx, variant, 3)
-    gh = star_product_jets(gj, hj, ctx, variant, 3)
+    fg = star_product_jets(fj, gj, ctx, variant)
+    gh = star_product_jets(gj, hj, ctx, variant)
     order3 = c3_tilde if variant is StarVariant.MODIFIED else c3
     ops = (
         lambda a, b: a.value() * b.value(),
@@ -305,11 +308,11 @@ def check_prop1(
     second = np.einsum("nm,qsn,tkp,st->mqpk", gu0, dgu_bar, dgu, gd0)
     second -= np.einsum("qmn,nkp->mqpk", dgu_bar, dgu)
 
-    bd = operator_breakdown(f, g, ctx)
+    s, s_tilde = _s_values(f, g, ctx)
     return [
         CheckResult("prop1_first_identity", worst_abs(first.ravel()), tol, label),
         CheckResult("prop1_second_identity", worst_abs(second.ravel()), tol, label),
-        CheckResult("prop1_s_equals_stilde", abs(bd.s - bd.s_tilde), tol, label),
+        CheckResult("prop1_s_equals_stilde", abs(s - s_tilde), tol, label),
     ]
 
 
@@ -317,8 +320,8 @@ def check_structural(ctx: ChartContext, f, g, label: str = "") -> list[CheckResu
     """Decomposition of the third-order operator, the two second-order
     forms, curvature index raising and the Jacobi identity."""
     tols = DEFAULT_TOLERANCES
-    bd = operator_breakdown(f, g, ctx)
-    decomposition = abs(c3(f, g, ctx) - (bd.p / 6.0 - bd.q / 4.0))
+    p, q = _p_jet(f, g, ctx).value(), _q_jet(f, g, ctx).value()
+    decomposition = abs(c3(f, g, ctx) - (p / 6.0 - q / 4.0))
     forms = abs(c2(f, g, ctx) - c2_expanded(f, g, ctx))
     data = curvature(ctx)
     gu0 = chart_tensors(ctx, 0).g_up[0]
@@ -368,8 +371,8 @@ def check_gauge(
     shifted = build_chart(Add(Add(potential, h), k), ctx.z0, ctx.zb0, order=ctx.order, n=ctx.n)
     # both charts share the base point, so they evaluate f and g to the same bits
     fj, gj = as_chart_jet(f, ctx), as_chart_jet(g, ctx)
-    base_ops = build_left_mult(fj, ctx, r_max=3)
-    shifted_ops = build_left_mult(fj, shifted, r_max=3)
+    base_ops = build_left_mult(fj, ctx)
+    shifted_ops = build_left_mult(fj, shifted)
     residual = worst_abs(
         base_ops[r].apply(gj, ctx) - shifted_ops[r].apply(gj, shifted) for r in (1, 2, 3)
     )
@@ -429,7 +432,7 @@ def check_covariance(
 def covariant_and_recursion(ctx: ChartContext, f, g):
     """Yield ``(r, a, b, |a - b| / (1 + |b|))`` for r = 1..3: the covariant C_r as ``a``
     against the recursion's value ``b``, from one left-multiplication build."""
-    ops = build_left_mult(f, ctx, r_max=3)
+    ops = build_left_mult(f, ctx)
     for r, formula in ((1, c1), (2, c2), (3, c3)):
         a, b = formula(f, g, ctx), ops[r].apply(g, ctx)
         yield r, a, b, abs(a - b) / (1.0 + abs(b))

@@ -254,28 +254,54 @@ def random_n2():
 def test_operator_truncation_coherence(random_n2, op):
     f, g = "zb1^2*z2 + zb2^3 + z1*zb1*zb2", "z1^3*zb2 + z2^2*z1 + z1*zb1"
     if op in (c1_jet, c2_jet):
-        # C_r reads its arguments to degree 3, so it exists up to truncation 3 - r
-        top = 2 if op is c1_jet else 1
-        full = op(f, g, random_n2, top)
-        for t in range(top + 1):
+        # C_r reads its arguments to degree 3, so it is a jet of truncation 3 - r, and
+        # its prefix of degree t is C_r of the arguments cut to degree t + r
+        r = 1 if op is c1_jet else 2
+        full = op(f, g, random_n2)
+        assert full.trunc == 3 - r
+        fj, gj = as_chart_jet(f, random_n2), as_chart_jet(g, random_n2)
+        for t in range(full.trunc + 1):
             expected = full.truncated(t)
             scale = expected.max_abs()
             assert scale > 0
-            assert (op(f, g, random_n2, t) - expected).max_abs() <= 1e-12 * scale
+            got = op(fj.truncated(t + r), gj.truncated(t + r), random_n2)
+            assert got.trunc == t
+            assert (got - expected).max_abs() <= 1e-12 * scale
         return
     # a third-order operator is a jet of truncation 0 only, and its value does not
     # depend on the chart's memo having been read deeper first
     deep_first = dataclasses.replace(random_n2, _cache={})
-    c2_jet(f, g, deep_first, 1)
+    c2_jet(f, g, deep_first)
     got = op(f, g, deep_first)
     assert got.trunc == 0 and got.value() != 0
     assert got._vec.tobytes() == op(f, g, dataclasses.replace(random_n2, _cache={}))._vec.tobytes()
 
 
-@pytest.mark.parametrize("op,trunc", [(c1_jet, 3), (c2_jet, 2)], ids=["c1_jet", "c2_jet"])
-def test_operator_jets_past_the_argument_degree_are_refused(random_n2, op, trunc):
-    with pytest.raises(ValueError, match="cannot extend a jet"):
-        op("zb1^2*z2 + zb2^3", "z1^3*zb2 + z2^2*z1", random_n2, trunc)
+def test_nested_operator_jets_follow_the_product_depth(random_n2):
+    # the coefficient of nu^j of a product is a jet of degree 3 - j, and an outer C_r
+    # of it one of degree 3 - j - r
+    f, g, h = "zb1^2*z2 + zb2^3 + z1*zb1*zb2", "z1^3*zb2 + z2^2*z1 + z1*zb1", "z1*z2^2 + zb1*z2"
+    fg = star_product_jets(f, g, random_n2)
+    assert [jet.trunc for jet in fg] == [3, 2, 1, 0]
+    for j in (0, 1, 2):
+        assert c1_jet(fg[j], h, random_n2).trunc == 2 - j
+    for j in (0, 1):
+        assert c2_jet(fg[j], h, random_n2).trunc == 1 - j
+
+
+@pytest.mark.parametrize("variant", list(StarVariant), ids=lambda v: v.value)
+def test_product_values_read_the_product_jets(variant):
+    # one memo entry per value and argument pair: the product's values and C1, C2 read
+    # the jets that star_product_jets built as deep as their arguments allow
+    ctx = random_chart(RandomChartSpec(n=2, seed=5))[1]
+    f, g = "zb1^2*z2 + zb2^3 + z1*zb1*zb2", "z1^3*zb2 + z2^2*z1 + z1*zb1"
+    jets = star_product_jets(f, g, ctx, variant)
+    assert [jet.trunc for jet in jets] == [3, 2, 1, 0]
+    held = dict(ctx._cache)
+    values = star_product(f, g, ctx, variant)
+    assert (c1(f, g, ctx), c2(f, g, ctx)) == values[1:3]
+    assert values == tuple(jet.value() for jet in jets)
+    assert ctx._cache.keys() == held.keys()
 
 
 # -- covariant-derivative bundles and the independence of the checks -------------
@@ -298,27 +324,29 @@ def test_derivative_bundles_are_built_once(monkeypatch):
     original = geometry.covariant_derivative_jets
 
     def counting(jet, *args, **kwargs):
-        built.append((kwargs["barred"], jet.trunc, kwargs["up_to"]))
+        built.append((kwargs["barred"], jet.trunc))
         return original(jet, *args, **kwargs)
 
     _patch_everywhere(monkeypatch, "covariant_derivative_jets", counting)
-    star_product_jets(f, g, ctx, StarVariant.MODIFIED, 3)
+    star_product_jets(f, g, ctx, StarVariant.MODIFIED)
     operator_breakdown(f, g, ctx)
-    # one bundle per (function, side), built from the function's jet at degree 3 to
-    # depth 3: C1 at truncation 2, C2 at 1 and C3~ and P/Q/R at 0 read its prefixes
-    assert sorted(built) == [(False, 3, 3), (True, 3, 3)]
-    star_product_jets(f, g, ctx, StarVariant.STANDARD, 3)
+    # one bundle per (function, side), built from the function's jet at degree 3:
+    # C1 at truncation 2, C2 at 1 and C3~ and P/Q/R at 0 read its prefixes
+    assert sorted(built) == [(False, 3), (True, 3)]
+    star_product_jets(f, g, ctx, StarVariant.STANDARD)
     for op in (c1, c2, c3, c3_tilde, r_operator):
         op(f, g, ctx)
     assert len(built) == 2
-    with pytest.raises(ValueError, match="between 0 and 3"):  # no C3 jet past 0
-        star_product_jets(f, g, ctx, StarVariant.STANDARD, 4)
 
 
 def test_each_value_is_built_once_per_suite_chart(monkeypatch):
     counts = collections.Counter()
     for module, name in (
         (operators, "_triple"),
+        (operators, "_raised_pairing"),
+        (operators, "_p_jet"),
+        (operators, "_q_jet"),
+        (operators, "_s_values"),
         (geometry, "covariant_derivative_jets"),
         (oracle, "_solve_level"),
         (geometry, "eval_jet"),
@@ -333,11 +361,14 @@ def test_each_value_is_built_once_per_suite_chart(monkeypatch):
         counts.clear()
         verify._chart_checks(potential, ctx, rng, "")
         # C3 once per argument pair: (f, g), (g, h), (f*g, h), (f, g*h), (a, f), (f, b);
+        # C1, C2, C3's triple term and R pair through one routine, each once per pair;
+        # the second routes P, Q, S and S~ once, for the check that reports them;
         # one bundle per argument jet and side, the nested products' shared by both
         # variants; one recursion on each of the chart and the gauge-shifted chart, 3
         # levels each; f, g, h, a, b on the chart and the shifted potential
         assert counts == {
-            "_triple": 6, "covariant_derivative_jets": 13, "_solve_level": 6, "eval_jet": 6
+            "_triple": 6, "_raised_pairing": 30, "_p_jet": 1, "_q_jet": 1, "_s_values": 1,
+            "covariant_derivative_jets": 13, "_solve_level": 6, "eval_jet": 6,
         }
 
 
@@ -363,11 +394,11 @@ def test_memoised_values_are_read_only_and_keyed_by_their_argument_objects():
     g = as_chart_jet("z1^3*zb2 + z2*z1", ctx)
     twin = Jet._of(f.n, f.trunc, f._vec.copy())  # equal to f, but another object
     builders = (
-        lambda a: c1_jet(a, g, ctx, 2),
-        lambda a: c2_jet(a, g, ctx, 1),
+        lambda a: c1_jet(a, g, ctx),
+        lambda a: c2_jet(a, g, ctx),
         lambda a: c3_jet(a, g, ctx),
         lambda a: r_operator_jet(a, g, ctx),
-        lambda a: star_product_jets(a, g, ctx, StarVariant.STANDARD, 3)[0],
+        lambda a: star_product_jets(a, g, ctx, StarVariant.STANDARD)[0],
         lambda a: build_left_mult(a, ctx),
     )
     for build in builders:

@@ -13,7 +13,7 @@ import random
 import numpy as np
 import pytest
 
-from kahlerstar import operators, verify
+from kahlerstar import operators, oracle, verify
 from kahlerstar.geometry import build_chart
 from kahlerstar.jets import Jet, _tables
 from kahlerstar.operators import c1, c2, c3
@@ -40,7 +40,7 @@ def fs1():
 
 def test_flat_closed_forms(flat1):
     f = "zb1^3+z1*zb1"
-    ops = build_left_mult(f, flat1, r_max=3)
+    ops = build_left_mult(f, flat1)
     zb = flat1.zb0[0]
     z = flat1.z0[0]
     # dbar f = 3 zb^2 + z, dbar^2 f = 6 zb, dbar^3 f = 6; the coefficient of
@@ -54,24 +54,24 @@ def test_flat_closed_forms(flat1):
 
 
 def test_apply_order_zero(fs1):
-    ops = build_left_mult("z1", fs1, r_max=0)
+    ops = build_left_mult("z1", fs1)
     assert ops[0].apply("zb1", fs1) == pytest.approx(1.0)
 
 
 def test_flat_first_order(flat1):
-    ops = build_left_mult("zb1", flat1, r_max=1)
+    ops = build_left_mult("zb1", flat1)
     assert ops[1].apply("z1", flat1) == pytest.approx(1.0)
 
 
 def test_zero_operator(flat1):
-    ops = build_left_mult("z1^2", flat1, r_max=3)  # holomorphic: A_r = 0 for r >= 1
+    ops = build_left_mult("z1^2", flat1)  # holomorphic: A_r = 0 for r >= 1
     for r in range(1, 4):
         assert all(t is None or np.abs(t).max() == 0.0 for t in ops[r].tensors)
         assert ops[r].apply("z1*zb1^3", flat1) == 0.0
 
 
 def test_annihilates_constants(fs1):
-    ops = build_left_mult("zb1^2+z1*zb1", fs1, r_max=3)
+    ops = build_left_mult("zb1^2+z1*zb1", fs1)
     for r in range(1, 4):
         assert ops[r].tensors[0] is None
         assert ops[r].apply("1", fs1) == 0.0
@@ -87,13 +87,32 @@ def test_oracle_confirms_covariant_values_at_curved_point(fs1):
     assert oracle_cr("zb1", "z1", fs1, 3) == pytest.approx(32.0, abs=1e-10)
 
 
+def test_oracle_values_of_every_order_share_one_recursion(monkeypatch):
+    ctx = build_chart(FS, (0.3 - 0.1j,), order=10)
+    f, g = "zb1^3*z1 + zb1^2 + z1*zb1", "z1^3*zb1 + z1^2"
+    runs = []
+    recursion = oracle._recursion
+
+    def counting(*args):
+        runs.append(args)
+        return recursion(*args)
+
+    monkeypatch.setattr(oracle, "_recursion", counting)
+    values = [oracle_cr(f, g, ctx, r) for r in (1, 2, 3)]
+    assert len(runs) == 1 and all(values)
+    # a negative order would otherwise wrap to A_3
+    for r in (-1, 4):
+        with pytest.raises(ValueError, match="between 0 and 3"):
+            oracle_cr(f, g, ctx, r)
+
+
 def test_low_order_charts_give_the_same_operators():
-    # the recursion reads Phi to order r_max + 1 and g_dn to r_max - 1, so the
-    # least chart order serves every depth
+    # the recursion reads Phi to order 4 and g_dn to 2, so the least chart order
+    # serves it
     f, g, point = "zb1^3*z1 + zb1^2 + z1*zb1", "z1^3*zb1 + z1^2", (0.3 - 0.1j,)
     low, high = build_chart(FS, point, order=6), build_chart(FS, point, order=10)
     for r in (1, 2, 3):
-        values = [build_left_mult(f, ctx, r_max=r)[r].apply(g, ctx) for ctx in (low, high)]
+        values = [build_left_mult(f, ctx)[r].apply(g, ctx) for ctx in (low, high)]
         assert values[0] == values[1] != 0
 
 
@@ -124,7 +143,7 @@ def test_covariant_formulas_match_oracle(n):
         ctx = _random_hermitian_chart(rng, n)
         f = _random_poly(rng, n)
         g = _random_poly(rng, n)
-        ops = build_left_mult(f, ctx, r_max=3)
+        ops = build_left_mult(f, ctx)
         for r, covariant in ((1, c1), (2, c2), (3, c3)):
             via_oracle = ops[r].apply(g, ctx)
             via_formula = covariant(f, g, ctx)
@@ -179,14 +198,14 @@ def test_corrupted_metric_is_caught_in_a_build():
         "z1*zb1+z2*zb2+0.2*z1^2*zb1*zb2+0.2*z1*z2*zb1^2", (0.1 - 0.05j, 0.12 + 0.08j), order=10
     )
     f, trunc = "zb1^2*z2+zb2^3", ctx.order - 2
-    build_left_mult(f, ctx, r_max=2)
+    build_left_mult(f, ctx)
     # dbar_2 g_dn[0][0] no longer equals dbar_1 g_dn[0][1], which the level-2
     # coefficient of d_1 d_2 is solved from as well
     g_dn = np.array(ctx.g_dn_array)
     g_dn[_tables(2, trunc).index[(0, 0, 0, 1)], 0, 0] += 1e-6
     corrupted = dataclasses.replace(ctx, g_dn_array=g_dn, _cache={})
     with pytest.raises(OracleConsistencyError, match=r"coefficient \(1, 1\) of level 2"):
-        build_left_mult(f, corrupted, r_max=2)
+        build_left_mult(f, corrupted)
 
 
 def test_nonfinite_gap_is_inconsistent():
@@ -207,9 +226,9 @@ def test_corrupted_holomorphic_metric_derivative_is_caught(f):
         "z1*zb1+z2*zb2+0.2*z1^2*zb1*zb2+0.2*z1*z2*zb1^2", (0.1 - 0.05j, 0.12 + 0.08j), order=10
     )
     trunc = ctx.order - 2
-    build_left_mult(f, ctx, r_max=2)
+    build_left_mult(f, ctx)
     g_dn = np.array(ctx.g_dn_array)
     g_dn[_tables(2, trunc).index[(0, 1, 0, 0)], 0, 0] += 1e-6
     corrupted = dataclasses.replace(ctx, g_dn_array=g_dn, _cache={})
     with pytest.raises(OracleConsistencyError, match=r"metric component g_dn\[0\]\[0\]"):
-        build_left_mult(f, corrupted, r_max=2)
+        build_left_mult(f, corrupted)

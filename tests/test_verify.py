@@ -187,11 +187,11 @@ def test_gauge_check_sees_a_recursion_that_reads_a_gauge_dependent_derivative(mo
     assert check_gauge(potential, h, k, ctx, f, g).residual == 0.0
     recursion = oracle._recursion
 
-    def mutant(fj, chart, r_max):
+    def mutant(fj, chart):
         scale = 1.0 + 1e-3 * derivative_values(chart.phi._vec, chart.n, 1, 0)[0]
         return [
             FormalOperator(op.n, op.order, [None if t is None else t * scale for t in op.tensors])
-            for op in recursion(fj, chart, r_max)
+            for op in recursion(fj, chart)
         ]
 
     monkeypatch.setattr(oracle, "_recursion", mutant)
