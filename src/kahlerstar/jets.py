@@ -17,8 +17,8 @@ highest order seen.  Product pairs are sorted by output, then left factor, so
 a coefficient is summed in the same order whatever order the tables have
 (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 13).
 :meth:`Jet.polynomial` writes the jet of a polynomial around a base point by
-one Taylor shift of its term table, one variable at a time and only over the
-exponents each term reaches, with no jet product and no jet addition.
+one Taylor shift of its term table: one row per term and output it reaches, read
+from a position list kept per clipped power pattern, with no jet product or addition.
 
 A jet *tensor* is one complex array with the coefficient axis first and one
 axis per component index after it.  :func:`contract` is the one product of
@@ -127,16 +127,19 @@ class _Tables:
         self.deg = exps.sum(axis=1)
         self.deg_start = [int(i) for i in np.searchsorted(self.deg, np.arange(order + 2))]
         # base-(order+1) digits encode a monomial; a product's code is the sum of codes
-        self.radix = radix = (order + 1) ** np.arange(width, dtype=np.int64)
+        radix = (order + 1) ** np.arange(width, dtype=np.int64)
         code = exps @ radix
-        by_code = np.argsort(code)
-        self._by_code, self._sorted_code = by_code, code[by_code]
+        by_code, sorted_code = np.argsort(code), np.sort(code)  # codes are distinct
+
+        def position(codes):  # basis positions of the monomials with codes ``codes``
+            return by_code[np.searchsorted(sorted_code, codes)]
+
         # every pair (i, j) with deg i + deg j <= order, then sorted by (k, i)
         counts = np.array(self.deg_start, dtype=np.intp)[order + 1 - self.deg]
         pair_i = np.repeat(np.arange(size, dtype=np.intp), counts)
         starts = np.repeat(np.cumsum(counts) - counts, counts)
         pair_j = np.arange(len(pair_i), dtype=np.intp) - starts
-        pair_k = self.position(code[pair_i] + code[pair_j])
+        pair_k = position(code[pair_i] + code[pair_j])
         perm = np.argsort(pair_k, kind="stable")  # keeps i ascending within each k
         self.pair_i, self.pair_j = pair_i[perm], pair_j[perm]
         self.seg = np.concatenate(([0], np.cumsum(np.bincount(pair_k, minlength=size))))
@@ -145,14 +148,21 @@ class _Tables:
         # row pos of deriv_src/deriv_fac gathers the derivative along flat variable pos
         lower = exps[: self.deg_start[order]]
         self.deriv_src = np.array(
-            [self.position(lower @ radix + radix[pos]) for pos in range(width)], dtype=np.intp
+            [position(lower @ radix + radix[pos]) for pos in range(width)], dtype=np.intp
         ).reshape(width, len(lower))
         self.deriv_fac = (lower.T + 1).astype(float)
         self.derivative_gathers: dict = {}  # (hol, anti) -> derivative_values' positions, factors
+        self._reach: dict = {}  # (trunc, clipped powers) -> positions, see reach
 
-    def position(self, code: np.ndarray) -> np.ndarray:
-        """Basis positions of the monomials with codes ``code`` (``exps @ radix``)."""
-        return self._by_code[np.searchsorted(self._sorted_code, code)]
+    def reach(self, trunc: int, clipped: MultiIndex) -> np.ndarray:
+        """Ascending, read-only positions of the exponents ``e <= clipped`` of degree
+        ``<= trunc``: the outputs of a term of powers ``p`` with ``min(p, trunc) == clipped``."""
+        pos = self._reach.get((trunc, clipped))
+        if pos is None:
+            pos = self._reach[trunc, clipped] = np.flatnonzero(
+                (self.exps[: self.deg_start[trunc + 1]] <= clipped).all(axis=1))
+            pos.flags.writeable = False
+        return pos
 
 
 _TABLES: dict[int, _Tables] = {}
@@ -309,40 +319,42 @@ class Jet:
         """Jet of ``sum coeff * prod_v x_v**powers[v]`` over the term table
         ``{powers: coeff}`` around ``base``, both over the ``2n`` flat variables.
 
-        The classical Taylor shift, one variable at a time: a term of power ``p`` in
-        ``x_v`` splits into the terms ``C(p, e) * base_v**(p - e) * dx_v**e`` for
-        ``e = 0..p``, and only the rows of total degree ``<= trunc`` are kept, so an
-        ``e > p`` gets exactly 0 and a high power costs no dense grid.  Each row's
-        coefficient is one product over its factors, then rows are summed into the
+        The classical Taylor shift: a term of powers ``p`` reaches exactly the outputs
+        ``e <= min(p, trunc)`` (componentwise) of degree ``<= trunc``, with the coefficient
+        ``coeff * prod_v C(p_v, e_v) * base_v**(p_v - e_v)``.  Those outputs are the kept
+        list of the clipped pattern ``min(p, trunc)`` (:meth:`_Tables.reach`), so a high
+        power costs no dense grid and a coefficient no term reaches is exactly 0.  Each
+        row's coefficient is one product over its factors, then rows are summed into the
         graded basis in term order: a lower order is a bitwise prefix.
         """
         width = 2 * n
-        if len(base) != width or any(len(p) != width or min(p, default=0) < 0 for p in terms):
+        shaped = len(base) == width and set(map(len, terms)) <= {width}
+        powers = np.fromiter(itertools.chain.from_iterable(terms if shaped else ()), np.intp)
+        if not shaped or (powers < 0).any():
             raise ValueError(f"a monomial needs {width} non-negative powers and base values")
+        powers = powers.reshape(len(terms), width)
         tables, vec = _tables(n, trunc), _zeros(n, trunc)
-        powers = np.array(list(terms), dtype=np.intp).reshape(len(terms), width)
-        # rows are (term, exponents) pairs, term-major; the exponents of the
-        # variables shifted so far are the columns, ``deg`` their sum
-        src, deg, cols = np.arange(len(terms)), np.zeros(len(terms), dtype=np.intp), []
-        for v in range(width):
-            count = np.minimum(powers[src, v], trunc - deg) + 1
-            rows = np.repeat(np.arange(len(src)), count)
-            e = np.arange(len(rows)) - np.repeat(np.cumsum(count) - count, count)
-            src, deg, cols = src[rows], deg[rows] + e, [c[rows] for c in cols] + [e]
-        # per variable, factors C(p, e) * x**(p - e) only for the powers that occur
+        # rows pair a term with an output it reaches, term-major (see _Tables.reach)
+        clipped = np.minimum(powers, trunc)
+        reach = [tables.reach(trunc, q) for q in map(tuple, clipped.tolist())]
+        pos = np.concatenate(reach or [np.empty(0, dtype=np.intp)])
+        src = np.repeat(np.arange(len(terms)), [len(r) for r in reach])
+        # C(p, e) * x_v**(p - e), e <= min(p, trunc): one run per (v, p) that occurs
+        distinct = np.array(sorted(set(powers.ravel().tolist())), dtype=np.intp)
+        rank = np.searchsorted(distinct, powers)
+        runs = np.zeros((width, len(distinct)), dtype=np.intp)
+        runs[np.arange(width), rank] = clipped + 1
+        var, which = runs.nonzero()
+        table = np.array([math.comb(p, e) * base[v] ** (p - e)
+                          for v, p in zip(var.tolist(), distinct[which].tolist())
+                          for e in range(min(p, trunc) + 1)], dtype=complex)
+        slot = (runs.cumsum() - runs.ravel()).reshape(runs.shape)[np.arange(width), rank]
         factors = np.empty((len(src), width + 1), dtype=complex)
         factors[:, 0] = np.array(list(terms.values()), dtype=complex)[src]
-        for v, x in enumerate(base):
-            occurring, which = np.unique(powers[:, v], return_inverse=True)
-            table = np.array(
-                [[math.comb(p, e) * x ** (p - e) if e <= p else 0 for e in range(trunc + 1)]
-                 for p in occurring.tolist()], dtype=complex).reshape(-1, trunc + 1)
-            factors[:, v + 1] = table[which[src], cols[v]]
+        factors[:, 1:] = table[slot[src] + tables.exps[pos]]
         # one reduction per row, the same whatever the number of rows (a length-1
         # elementwise product may round differently from a longer one)
         values = factors.prod(axis=1)
-        code = tables.radix @ np.array(cols, dtype=np.int64).reshape(width, len(src))
-        pos = tables.position(code)
         vec.real = np.bincount(pos, values.real, minlength=len(vec))
         vec.imag = np.bincount(pos, values.imag, minlength=len(vec))
         return cls._of(n, trunc, vec)

@@ -123,7 +123,10 @@ def _raised_pairing(raisers, f_tensor, g_tensor, n: int, trunc: int) -> Jet:
 def _depth(fj: Jet, gj: Jet, r: int) -> int:
     """Degree to which ``C_r(f, g)`` (``f g`` for ``r = 0``) is exact: ``C_r`` differentiates
     each argument ``r`` times, and no argument is read past ``PRODUCT_ORDER``, 3."""
-    return min(PRODUCT_ORDER, fj.trunc, gj.trunc) - r
+    depth = min(PRODUCT_ORDER, fj.trunc, gj.trunc) - r
+    if depth < 0:
+        raise ValueError(f"C{r} needs argument jets of degree {r} or more, not {depth + r}")
+    return depth
 
 
 def c1_jet(f, g, ctx: ChartContext) -> Jet:
@@ -203,6 +206,7 @@ def _curvature_term(fj: Jet, gj: Jet, ctx: ChartContext) -> Jet:
 
 def c3_jet(f, g, ctx: ChartContext) -> Jet:
     fj, gj = _pair_jets(f, g, ctx)
+    _depth(fj, gj, 3)
     return _memo(
         ctx, "c3", (fj, gj),
         lambda: _triple(fj, gj, ctx) * (1.0 / 6.0) + _curvature_term(fj, gj, ctx) * 0.25,

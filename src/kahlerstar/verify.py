@@ -149,18 +149,14 @@ def random_polynomial(
     ``degree`` in each group, ``holomorphic``/``antiholomorphic`` use one
     group only (and no constant term, so the result is never degenerate).
     """
-    zero = (0,) * n
+    zero, indices = (0,) * n, list(iter_multi_indices_upto(n, degree))
     if kind == "mixed":
-        terms = [
-            (_disk_coefficient(rng), alpha + beta)
-            for alpha in iter_multi_indices_upto(n, degree)
-            for beta in iter_multi_indices_upto(n, degree)
-        ]
+        terms = [(_disk_coefficient(rng), alpha + beta) for alpha in indices for beta in indices]
     elif kind in ("holomorphic", "antiholomorphic"):
         barred = kind == "antiholomorphic"
         terms = [
             (_disk_coefficient(rng), zero + alpha if barred else alpha + zero)
-            for alpha in iter_multi_indices_upto(n, degree)
+            for alpha in indices
             if sum(alpha)
         ]
     else:

@@ -501,6 +501,52 @@ def test_polynomial_matches_sums_of_repeated_products(n):
             assert (got - expected).max_abs() <= 1e-12 * scale, (trunc, base)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_unreached_polynomial_coefficients_are_positive_zeros(n):
+    rng, seen = random.Random(79 + n), 0
+    for trunc in range(9):
+        for terms, base in _polynomial_cases(rng, n):
+            vec = Jet.polynomial(n, trunc, terms, base)._vec
+            keys = jets_module._tables(n, trunc).keys[: len(vec)]
+            reached = [
+                any(all(e <= p for e, p in zip(key, powers)) for powers in terms) for key in keys
+            ]
+            unreached = vec[~np.array(reached)]
+            assert not unreached.any()
+            assert not np.signbit(unreached.real).any() and not np.signbit(unreached.imag).any()
+            seen += unreached.size
+    assert seen
+
+
+def test_polynomial_independent_of_table_history():
+    rng = random.Random(83)
+    cases = _polynomial_cases(rng, 2)
+    jets_module._TABLES.clear()
+    before = [Jet.polynomial(2, 4, terms, base) for terms, base in cases]  # order-4 tables
+    _ = Jet.zero(2, 7)  # replaces them by the order-7 tables
+    assert jets_module._tables(2, 4).order == 7
+    after = [Jet.polynomial(2, 4, terms, base) for terms, base in cases]
+    assert [bytes(j._vec) for j in before] == [bytes(j._vec) for j in after]
+
+
+def test_reach_lists_are_the_reached_outputs_and_read_only():
+    rng = random.Random(89)
+    for trunc in (0, 3, 6):
+        for terms, base in _polynomial_cases(rng, 2):
+            Jet.polynomial(2, trunc, terms, base)
+    tables = jets_module._tables(2, 6)
+    assert len(tables._reach) > 10
+    for (trunc, clipped), pos in tables._reach.items():
+        expected = [
+            i for i, key in enumerate(tables.keys)
+            if sum(key) <= trunc and all(e <= q for e, q in zip(key, clipped))
+        ]
+        assert pos.tolist() == expected
+        assert not pos.flags.writeable
+        with pytest.raises(ValueError):
+            pos[0] = 0
+
+
 def test_monomial_rejects_bad_shapes():
     with pytest.raises(ValueError):
         Jet.polynomial(1, 3, {(1,): 1.0}, (0j, 0j))

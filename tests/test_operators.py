@@ -356,6 +356,13 @@ def test_each_value_is_built_once_per_suite_chart(monkeypatch):
             return _original(*args, **kwargs)
 
         _patch_everywhere(monkeypatch, name, counting, module)
+    polynomial = Jet.polynomial
+
+    def counting_polynomial(cls, *args, **kwargs):
+        counts["Jet.polynomial"] += 1
+        return polynomial(*args, **kwargs)
+
+    monkeypatch.setattr(Jet, "polynomial", classmethod(counting_polynomial))
     for seed in (1, 2):
         potential, ctx, rng = random_chart(RandomChartSpec(n=2, seed=seed))
         counts.clear()
@@ -365,10 +372,12 @@ def test_each_value_is_built_once_per_suite_chart(monkeypatch):
         # the second routes P, Q, S and S~ once, for the check that reports them;
         # one bundle per argument jet and side, the nested products' shared by both
         # variants; one recursion on each of the chart and the gauge-shifted chart, 3
-        # levels each; f, g, h, a, b on the chart and the shifted potential
+        # levels each; f, g, h, a, b on the chart and the shifted potential, each one
+        # polynomial jet
         assert counts == {
             "_triple": 6, "_raised_pairing": 30, "_p_jet": 1, "_q_jet": 1, "_s_values": 1,
             "covariant_derivative_jets": 13, "_solve_level": 6, "eval_jet": 6,
+            "Jet.polynomial": 6,
         }
 
 
@@ -407,6 +416,19 @@ def test_memoised_values_are_read_only_and_keyed_by_their_argument_objects():
         second = build(twin)
         assert second is not first and build(twin) is second
         assert list(map(bytes, _arrays(second))) == list(map(bytes, _arrays(first)))
+
+
+@pytest.mark.parametrize("op, r", [(c1_jet, 1), (c2_jet, 2), (c3_jet, 3)])
+def test_an_operator_refuses_an_argument_too_shallow_for_its_order(op, r):
+    ctx = build_chart(FS, (0.3 - 0.1j,), order=6)
+    f = as_chart_jet("z1^2*zb1^3 + zb1", ctx)
+    g = as_chart_jet("z1^3 + z1*zb1", ctx)
+    message = f"C{r} needs argument jets of degree {r} or more, not {r - 1}"
+    with pytest.raises(ValueError, match=message):
+        op(f.truncated(r - 1), g, ctx)
+    with pytest.raises(ValueError, match=message):
+        op(f, g.truncated(r - 1), ctx)
+    assert op(f.truncated(r), g, ctx).trunc == 0
 
 
 def test_derivative_bundles_are_read_only():

@@ -9,7 +9,7 @@ import pytest
 from kahlerstar import geometry, operators, oracle, verify
 from kahlerstar.expressions import eval_value, parse, to_source
 from kahlerstar.geometry import build_chart, jacobi_residual, metric_derivative_values, worst_abs
-from kahlerstar.jets import derivative_values
+from kahlerstar.jets import derivative_values, iter_multi_indices_upto
 from kahlerstar.operators import OperatorBreakdown, StarVariant, star_product
 from kahlerstar.oracle import FormalOperator
 from kahlerstar.verify import (
@@ -71,6 +71,34 @@ def test_random_potential_is_real_on_diagonal():
         zb = [v.conjugate() for v in z]
         value = eval_value(potential, z, zb)
         assert abs(value.imag) < 1e-14
+
+
+def _random_polynomial_reference(rng, n, degree=3, kind="mixed"):
+    """``random_polynomial`` as it was written first: the multi-index generator re-run
+    for every alpha."""
+    zero = (0,) * n
+    if kind == "mixed":
+        return [
+            (verify._disk_coefficient(rng), alpha + beta)
+            for alpha in iter_multi_indices_upto(n, degree)
+            for beta in iter_multi_indices_upto(n, degree)
+        ]
+    barred = kind == "antiholomorphic"
+    return [
+        (verify._disk_coefficient(rng), zero + alpha if barred else alpha + zero)
+        for alpha in iter_multi_indices_upto(n, degree)
+        if sum(alpha)
+    ]
+
+
+@pytest.mark.parametrize("kind", ["mixed", "holomorphic", "antiholomorphic"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_random_polynomial_draws_the_reference_terms(n, kind):
+    for seed in range(10):
+        rng, reference_rng = random.Random(seed), random.Random(seed)
+        for _ in range(2):  # and leaves the stream where the reference leaves it
+            terms = random_polynomial(rng, n, kind=kind).terms
+            assert terms == tuple(_random_polynomial_reference(reference_rng, n, kind=kind))
 
 
 def test_associativity_on_presets():
