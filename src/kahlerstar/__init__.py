@@ -33,7 +33,6 @@ from .geometry import (
 from .jets import Jet, MultiIndex, jet_matrix_inverse, solve_linear_system
 from .operators import (
     OperatorBreakdown,
-    PoissonCheck,
     StarVariant,
     c1,
     c2,
@@ -41,7 +40,6 @@ from .operators import (
     c3,
     c3_tilde,
     operator_breakdown,
-    poisson_antisymmetry,
     star_product,
     star_product_jets,
 )
@@ -86,7 +84,6 @@ __all__ = [
     "jacobi_residual",
     "StarVariant",
     "OperatorBreakdown",
-    "PoissonCheck",
     "c1",
     "c2",
     "c2_expanded",
@@ -95,7 +92,6 @@ __all__ = [
     "operator_breakdown",
     "star_product",
     "star_product_jets",
-    "poisson_antisymmetry",
     "FormalOperator",
     "OracleConsistencyError",
     "build_left_mult",

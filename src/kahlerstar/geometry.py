@@ -19,10 +19,11 @@ point.  Index conventions used throughout (axes are 0-based):
   ordered (antiholomorphic, holomorphic, antiholomorphic, holomorphic).
 
 Every jet tensor is one complex array, the coefficient axis first and the
-indices above after it (``chart_tensors(ctx, t).g_up[:, l, k]`` is the jet of
+indices above after it (``chart_tensors(ctx).g_up[:, l, k]`` is the jet of
 ``g_up[l][k]``).
-A chart builds ``g_up`` and the Christoffel symbols when they are first read,
-through :func:`chart_tensors`, only as deep as their reader needs.
+A chart holds ``g_dn`` and ``g_up`` to degree :data:`CHART_DEGREE` = 2 and the
+Christoffel symbols to 1, whatever its order; ``g_up`` and the Christoffel symbols
+are built once, on first read, through :func:`chart_tensors`.
 Derivatives are :func:`kahlerstar.jets.gradient` gathers and every product is
 a :func:`kahlerstar.jets.contract` call; no tensor is assembled component by
 component.  The identities at the base point (``r_dn``, the Jacobi identity)
@@ -39,7 +40,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .expressions import EvaluationError, Expr, eval_jet, parse, to_source
-from .jets import Jet, contract, derivative_values, gradient, jet_matrix_inverse, truncate
+from .jets import Jet, contract, derivative_values, gradient, jet_matrix_inverse
 
 __all__ = [
     "SingularMetricError",
@@ -63,11 +64,15 @@ EIGENVALUE_FLOOR = 1e-8
 #: to: ``C_r`` differentiates an argument ``r`` times, the recursion reads ``f`` to ``A_3``
 PRODUCT_ORDER = 3
 
+#: degree ``g_dn`` and ``g_up`` are held to, one less for the Christoffel symbols: C1 of
+#: a degree-3 argument is a degree-2 jet, and curvature takes two derivatives of ``g_up``
+#: at the base point only
+CHART_DEGREE = PRODUCT_ORDER - 1
+
 #: minimum jet order accepted by :func:`build_chart`, and so by every command and
-#: the suite.  The order sizes the potential's jet only: it bounds the truncation of
-#: ``g_up`` to ``order - 2``, which the operators and the associativity check read at
-#: 2 at most (curvature at the base point only, a derivative bundle read to degree 3,
-#: :func:`_derivs`), and the recursion reads the potential to order 4
+#: the suite.  The order sizes the potential's jet only, which the metric and the
+#: recursion read to order 4; the floor is kept at 6 as the least ``--jet-order``
+#: every command accepts
 MIN_CHART_ORDER = 6
 
 
@@ -103,19 +108,15 @@ class ChartContext:
     """Geometric state of one chart at one base point.
 
     The potential's jet is carried at ``order`` and the metric at
-    ``order - 2``, both built with the chart, which refuses a metric that is
-    not admissible at the base point.  The inverse metric and the
-    Christoffel symbols are built on first read, through :func:`chart_tensors`,
-    at the truncation their reader needs; the public ``g_up`` (at
-    ``order - 2``) reads the same memo.  Each tensor is one read-only
-    jet-tensor array (coefficient axis first, then the indices in the order of
-    the module docs; ``[0]`` is the value at the base point): ``g_dn_array`` is
-    the metric, and the public ``g_up`` nests tuples of jets viewing the inverse.
-    ``_cache`` holds what is derived on demand until the chart is dropped: one read-only
-    jet per distinct function passed to :func:`as_chart_jet`, at degree :data:`PRODUCT_ORDER`
-    whatever ``order``, and through :func:`_memo` one value per builder and argument objects
-    (derivative bundles, operator jets, left-multiplication builds of ``A_0..A_3``), kept
-    with its arguments and as deep as they allow: no key carries a truncation or a depth.
+    :data:`CHART_DEGREE`, both built with the chart, which refuses a metric that is
+    not admissible at the base point.  Each tensor is one read-only jet-tensor array
+    (coefficient axis first, then the indices in the order of the module docs; ``[0]``
+    is the value at the base point): ``g_dn_array`` is the metric, and the public
+    ``g_up`` nests tuples of jets viewing :func:`chart_tensors`' inverse.
+    ``_cache`` holds what is derived on demand until the chart is dropped, written only
+    by :func:`_memo`: the chart tensors, curvature, one jet per distinct function passed
+    to :func:`as_chart_jet`, and one value per builder and argument objects (derivative
+    bundles, operator jets, left-multiplication builds of ``A_0..A_3``).
     """
 
     n: int
@@ -130,8 +131,7 @@ class ChartContext:
 
     @property
     def g_up(self) -> tuple:
-        t = self.order - 2
-        return _memo(self, "g_up_views", (), lambda: _views(chart_tensors(self, t).g_up, self.n, t))
+        return _memo(self, "g_up_views", (), lambda: _views(chart_tensors(self).g_up, self.n))
 
     def metric_values(self) -> np.ndarray:
         """Metric matrix at the base point, rows holomorphic."""
@@ -139,8 +139,8 @@ class ChartContext:
 
 
 class ChartTensors(NamedTuple):
-    """Chart tensors read at one truncation ``t``: ``g_up`` at ``t``, and the Christoffel
-    symbols, which take one more derivative of the metric, at ``t - 1``."""
+    """``g_up`` at :data:`CHART_DEGREE` and the Christoffel symbols, which take one more
+    derivative of the metric, at one less."""
 
     g_up: np.ndarray
     gamma_hol: np.ndarray
@@ -183,7 +183,8 @@ def build_chart(
     zb0 = tuple(v.conjugate() for v in z0) if zb0 is None else tuple(complex(v) for v in zb0)
 
     phi = eval_jet(potential, z0, zb0, order)
-    g_dn = _read_only(gradient(gradient(phi._vec, n, order), n, order - 1, barred=True))
+    top = CHART_DEGREE + 2  # the metric takes two derivatives of the potential
+    g_dn = _read_only(gradient(gradient(phi._vec, n, top), n, top - 1, barred=True))
     _require_admissible_metric(g_dn[0])
     return ChartContext(
         n=n,
@@ -196,39 +197,21 @@ def build_chart(
     )
 
 
-def chart_tensors(ctx: ChartContext, trunc: int) -> ChartTensors:
-    """The inverse metric at truncation ``trunc`` and the Christoffel symbols at
-    ``trunc - 1``, as read-only views; ``trunc`` is at most ``ctx.order - 2``.
+def chart_tensors(ctx: ChartContext) -> ChartTensors:
+    """The inverse metric at :data:`CHART_DEGREE` and the Christoffel symbols at one
+    less, read-only, built on first read and kept in the chart's memo.  Each reader
+    contracts or differentiates the prefix it needs."""
 
-    One memo per chart holds them at the deepest truncation asked for so far, and a
-    smaller request reads its prefix: every coefficient of the inverse and of a
-    contraction over one index is summed degree by degree over the same product pairs
-    whatever the truncation, so a prefix is bitwise the tensor built at the smaller
-    truncation.
-    """
-    n = ctx.n
-    if not 0 <= trunc <= ctx.order - 2:
-        raise ValueError(
-            f"no chart tensors at truncation {trunc}: a chart of order {ctx.order} "
-            f"holds them from 0 to {ctx.order - 2}"
-        )
-    built = ctx._cache.get("chart_tensors")
-    if built is None or built[0] < trunc:
-        t = max(trunc, 1)  # the Christoffel symbols need one degree
-        g_dn = ctx.g_dn_array
+    def build():
+        n, t, g_dn = ctx.n, CHART_DEGREE, ctx.g_dn_array
         g_up = _read_only(jet_matrix_inverse(g_dn, n, t))
         # gamma_hol[k,p,s] = d_k d_p dbar_t phi g_up[t,s]
         # gamma_anti[l,q,t] = g_up[t,s] d_s dbar_q dbar_l phi
         gamma_hol = contract("ktp,ts->kps", gradient(g_dn, n, t), g_up, n, t - 1)
         gamma_anti = contract("ts,sql->lqt", g_up, gradient(g_dn, n, t, True), n, t - 1)
-        built = (t, ChartTensors(g_up, _read_only(gamma_hol), _read_only(gamma_anti)))
-        ctx._cache["chart_tensors"] = built
-    g_up, gamma_hol, gamma_anti = built[1]
-    return ChartTensors(
-        truncate(g_up, n, trunc),
-        truncate(gamma_hol, n, trunc - 1),
-        truncate(gamma_anti, n, trunc - 1),
-    )
+        return ChartTensors(g_up, _read_only(gamma_hol), _read_only(gamma_anti))
+
+    return _memo(ctx, "chart_tensors", (), build)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -236,11 +219,11 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _views(a: np.ndarray, n: int, trunc: int):
+def _views(a: np.ndarray, n: int):
     """Nested tuples of jets viewing the components of the jet tensor ``a``."""
     if a.ndim == 1:
-        return Jet._of(n, trunc, a)
-    return tuple(_views(a[:, i], n, trunc) for i in range(a.shape[1]))
+        return Jet._of(n, CHART_DEGREE, a)
+    return tuple(_views(a[:, i], n) for i in range(a.shape[1]))
 
 
 def _require_admissible_metric(m: np.ndarray) -> None:
@@ -269,16 +252,17 @@ def _require_admissible_metric(m: np.ndarray) -> None:
 
 
 def curvature_jets(ctx: ChartContext) -> tuple:
-    """Jet tensors ``r_up`` and ``r_raised`` at truncation 0 (cached, read-only): only
+    """Jet tensors ``r_up`` and ``r_raised`` at truncation 0 (memoised, read-only): only
     third-order operators read curvature, and only at the base point.
 
     ``r_up`` follows the inverse-metric formula: the mixed second
     derivative of ``g_up`` minus the metric-contracted product of its first
     derivatives.
     """
-    if "curvature_jets" not in ctx._cache:
+
+    def build():
         n = ctx.n
-        gu = chart_tensors(ctx, 2).g_up
+        gu = chart_tensors(ctx).g_up
         dgu = gradient(gu, n, 2)  # [a, b, k] = d_k g_up[a, b]
         dgu_bar = gradient(gu, n, 2, barred=True)  # [a, b, l] = dbar_l g_up[a, b]
         ddgu = gradient(dgu, n, 1, barred=True)  # [q, p, k, l]
@@ -288,19 +272,22 @@ def curvature_jets(ctx: ChartContext) -> tuple:
         # r_raised[l,k,q,p] = g_up[q,a] g_up[b,p] r_up[l,k,a,b]
         half = contract("lkab,bp->lkap", r_up, gu, n, 0)
         r_raised = contract("qa,lkap->lkqp", gu, half, n, 0)
-        ctx._cache["curvature_jets"] = (_read_only(r_up), _read_only(r_raised))
-    return ctx._cache["curvature_jets"]
+        return _read_only(r_up), _read_only(r_raised)
+
+    return _memo(ctx, "curvature_jets", (), build)
 
 
 def _r1_jets(ctx: ChartContext):
     """Curvature-square tensor ``r1[l, k] = g_up[nn, m] r_up[l, p, m, q] r_up[q, k, p, nn]``
-    contracting the one-differentiable operator, at truncation 0 (cached, read-only)."""
-    if "r1_jets" not in ctx._cache:
+    contracting the one-differentiable operator, at truncation 0 (memoised, read-only)."""
+
+    def build():
         n = ctx.n
         r_up, _ = curvature_jets(ctx)
-        half = contract("nm,lpmq->nlpq", chart_tensors(ctx, 0).g_up, r_up, n, 0)
-        ctx._cache["r1_jets"] = _read_only(contract("nlpq,qkpn->lk", half, r_up, n, 0))
-    return ctx._cache["r1_jets"]
+        half = contract("nm,lpmq->nlpq", chart_tensors(ctx).g_up, r_up, n, 0)
+        return _read_only(contract("nlpq,qkpn->lk", half, r_up, n, 0))
+
+    return _memo(ctx, "r1_jets", (), build)
 
 
 def curvature(ctx: ChartContext) -> CurvatureData:
@@ -315,7 +302,7 @@ def curvature(ctx: ChartContext) -> CurvatureData:
     #                 - d_p d_k dbar_q dbar_l phi
     r_dn = np.einsum(
         "nm,mql,pkn->pqkl",
-        chart_tensors(ctx, 0).g_up[0],
+        chart_tensors(ctx).g_up[0],
         derivative_values(phi, n, 1, 2),
         derivative_values(phi, n, 2, 1),
     ) - derivative_values(phi, n, 2, 2).transpose(0, 2, 1, 3)
@@ -339,7 +326,7 @@ def covariant_derivative_jets(f_jet: Jet, ctx: ChartContext, *, barred: bool):
     d1 = _read_only(gradient(f_jet._vec, n, d, barred))
     out = [None, d1]
     if d >= 2:
-        tensors = chart_tensors(ctx, d - 1)
+        tensors = chart_tensors(ctx)
         gamma = tensors.gamma_anti if barred else tensors.gamma_hol
         d2 = _read_only(gradient(d1, n, d - 1, barred) - contract("kps,s->kp", gamma, d1, n, d - 2))
         out.append(d2)
@@ -371,7 +358,7 @@ def _derivs(jet: Jet, ctx: ChartContext, barred: bool) -> list:
     """:func:`covariant_derivative_jets` of ``jet`` on one side, entry ``r`` exact to
     degree ``min(3, jet.trunc) - r``; each reader contracts the prefix it needs.  One
     bundle per (jet, side) is built per chart (:func:`_memo`, which keeps the jet with
-    it); it reads the Christoffel symbols at truncation 1 at most."""
+    it)."""
     return _memo(
         ctx, ("cov", barred), (jet,), lambda: covariant_derivative_jets(jet, ctx, barred=barred)
     )
@@ -381,8 +368,8 @@ def as_chart_jet(f, ctx: ChartContext) -> Jet:
     """Coerce an expression, source string or jet to a jet at the chart point.
 
     An expression is evaluated once per chart, to degree :data:`PRODUCT_ORDER`: its
-    jet is kept, read-only, in the chart's cache under the (parsed) expression, so
-    every operator applied to the same function shares one jet.  A jet with a
+    jet is kept, read-only, in the chart's memo under the (parsed) expression's value,
+    so every operator applied to the same function shares one jet.  A jet with a
     coefficient that is not finite raises :class:`EvaluationError`.
     """
     if isinstance(f, Jet):
@@ -391,15 +378,14 @@ def as_chart_jet(f, ctx: ChartContext) -> Jet:
         return f
     if isinstance(f, str):
         f = parse(f, ctx.n)
-    key = ("jet", f)
-    jet = ctx._cache.get(key)
-    if jet is None:
+
+    def build():
         jet = eval_jet(f, ctx.z0, ctx.zb0, PRODUCT_ORDER)
         if not np.isfinite(jet._vec).all():
             raise EvaluationError(f"the jet of '{to_source(f)}' is not finite at the base point")
-        jet._vec.flags.writeable = False
-        ctx._cache[key] = jet
-    return jet
+        return jet
+
+    return _memo(ctx, ("jet", f), (), build)
 
 
 # -- scalar identities -----------------------------------------------------------
@@ -409,7 +395,7 @@ def metric_derivative_values(ctx: ChartContext):
     """First derivatives ``(dgu, dgu_bar)`` of the inverse metric at the base point, in the
     layout of :func:`kahlerstar.jets.derivative_values`: ``dgu[l, k, p]`` is
     ``∂_p g_up[l][k]`` and ``dgu_bar[l, k, q]`` is ``∂̄_q g_up[l][k]``."""
-    n, gu = ctx.n, chart_tensors(ctx, 1).g_up
+    n, gu = ctx.n, chart_tensors(ctx).g_up
     return derivative_values(gu, n, 1, 0), derivative_values(gu, n, 0, 1)
 
 
@@ -424,7 +410,7 @@ def jacobi_residual(ctx: ChartContext) -> float:
     symmetric in ``(k, p)`` (and likewise on the barred side), so this
     measures roundoff only.
     """
-    gu0 = chart_tensors(ctx, 0).g_up[0]
+    gu0 = chart_tensors(ctx).g_up[0]
     dgu, dgu_bar = metric_derivative_values(ctx)
     # hol[l,nn,m] = g_up[l,k] d_k g_up[nn,m], to be symmetric in (l, nn)
     hol = np.einsum("lk,nmk->lnm", gu0, dgu)

@@ -56,7 +56,6 @@ __all__ = [
     "jet_matrix_inverse",
     "contract",
     "gradient",
-    "truncate",
     "derivative_values",
 ]
 
@@ -217,11 +216,6 @@ def contract(spec: str, a: np.ndarray, b: np.ndarray, n: int, trunc: int) -> np.
     inputs, output = spec.split("->")
     left, right = inputs.split(",")
     return _convolve(tables, trunc, a, b, f"{left}...,{right}...->{output}...")
-
-
-def truncate(a: np.ndarray, n: int, trunc: int) -> np.ndarray:
-    """The coefficients of degree ``<= trunc`` of a jet tensor (a view)."""
-    return a[: _tables(n, trunc).deg_start[trunc + 1]]
 
 
 def gradient(a: np.ndarray, n: int, trunc: int, barred: bool = False) -> np.ndarray:

@@ -27,7 +27,7 @@ derivative bundles (per side), C1, C2, C3, R and the product's ``f g`` are
 built once per chart and argument jets, through
 :func:`kahlerstar.geometry._memo`; the second routes P, Q, S, S-tilde and
 :func:`c2_expanded` are computed afresh on each call.  The raw-derivative
-forms (``c2_expanded``, S and S-tilde, the Poisson bracket) are one
+forms (``c2_expanded``, S and S-tilde) are one
 :func:`numpy.einsum` per term over :func:`kahlerstar.jets.derivative_values`.
 """
 
@@ -54,7 +54,6 @@ from .jets import Jet, contract, derivative_values
 __all__ = [
     "StarVariant",
     "OperatorBreakdown",
-    "PoissonCheck",
     "c1",
     "c2",
     "c2_expanded",
@@ -68,7 +67,6 @@ __all__ = [
     "operator_breakdown",
     "star_product",
     "star_product_jets",
-    "poisson_antisymmetry",
 ]
 
 
@@ -88,14 +86,6 @@ class OperatorBreakdown:
     r: complex
     s: complex
     s_tilde: complex
-
-
-@dataclass(frozen=True)
-class PoissonCheck:
-    """Antisymmetrized first-order operator against the Poisson bracket."""
-
-    antisymmetrized: complex
-    bracket: complex
 
 
 # -- contraction helpers -------------------------------------------------------
@@ -135,7 +125,7 @@ def c1_jet(f, g, ctx: ChartContext) -> Jet:
     def build():
         t = _depth(fj, gj, 1)
         f1, g1 = _derivs(fj, ctx, True)[1], _derivs(gj, ctx, False)[1]
-        return _raised_pairing([chart_tensors(ctx, t).g_up], f1, g1, ctx.n, t)
+        return _raised_pairing([chart_tensors(ctx).g_up], f1, g1, ctx.n, t)
 
     return _memo(ctx, "c1", (fj, gj), build)
 
@@ -151,7 +141,7 @@ def c2_jet(f, g, ctx: ChartContext) -> Jet:
     def build():
         t = _depth(fj, gj, 2)
         f2, g2 = _derivs(fj, ctx, True)[2], _derivs(gj, ctx, False)[2]
-        return _raised_pairing([chart_tensors(ctx, t).g_up] * 2, f2, g2, ctx.n, t) * 0.5
+        return _raised_pairing([chart_tensors(ctx).g_up] * 2, f2, g2, ctx.n, t) * 0.5
 
     return _memo(ctx, "c2", (fj, gj), build)
 
@@ -169,7 +159,7 @@ def c2_expanded(f, g, ctx: ChartContext) -> complex:
     consistency check.
     """
     fj, gj = _pair_jets(f, g, ctx)
-    n, gu0 = ctx.n, chart_tensors(ctx, 0).g_up[0]
+    n, gu0 = ctx.n, chart_tensors(ctx).g_up[0]
     dgu, dgu_bar = metric_derivative_values(ctx)
     f1, f2 = (derivative_values(fj._vec, n, 0, r) for r in (1, 2))
     g1, g2 = (derivative_values(gj._vec, n, r, 0) for r in (1, 2))
@@ -190,7 +180,7 @@ def _triple(fj: Jet, gj: Jet, ctx: ChartContext) -> Jet:
     times the first term of C3."""
     f3 = _derivs(fj, ctx, True)[3]
     g3 = _derivs(gj, ctx, False)[3]
-    return _raised_pairing([chart_tensors(ctx, 0).g_up] * 3, f3, g3, ctx.n, 0)
+    return _raised_pairing([chart_tensors(ctx).g_up] * 3, f3, g3, ctx.n, 0)
 
 
 def _curvature_term(fj: Jet, gj: Jet, ctx: ChartContext) -> Jet:
@@ -222,7 +212,7 @@ def _p_jet(f, g, ctx: ChartContext) -> Jet:
     """The operator P by a second route: the holomorphic indices of ``g_/kps`` are
     raised first, so that comparing P with :func:`_triple` through C3 tests both."""
     fj, gj = _pair_jets(f, g, ctx)
-    n, gu = ctx.n, chart_tensors(ctx, 0).g_up
+    n, gu = ctx.n, chart_tensors(ctx).g_up
     f3 = _derivs(fj, ctx, True)[3]
     g3 = _derivs(gj, ctx, False)[3]
     raised = contract("lk,kps->lps", gu, g3, n, 0)
@@ -309,17 +299,3 @@ def star_product(
     """Star product of ``f`` and ``g`` at the base point: its coefficients of ``nu^0..nu^3``."""
     return tuple(j.value() for j in star_product_jets(f, g, ctx, variant))
 
-
-def poisson_antisymmetry(f, g, ctx: ChartContext) -> PoissonCheck:
-    """Antisymmetrized first-order operator next to the Poisson bracket.
-
-    The two numbers are the same contraction arranged differently; no
-    convention for the imaginary prefactor of the bracket is asserted.
-    """
-    fj, gj = _pair_jets(f, g, ctx)
-    n, gu0 = ctx.n, chart_tensors(ctx, 0).g_up[0]
-    anti = c1(fj, gj, ctx) - c1(gj, fj, ctx)
-    f_bar, f_hol = derivative_values(fj._vec, n, 0, 1), derivative_values(fj._vec, n, 1, 0)
-    g_bar, g_hol = derivative_values(gj._vec, n, 0, 1), derivative_values(gj._vec, n, 1, 0)
-    bracket = np.einsum("lk,l,k->", gu0, f_bar, g_hol) - np.einsum("lk,l,k->", gu0, g_bar, f_hol)
-    return PoissonCheck(antisymmetrized=anti, bracket=complex(bracket))

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import PRODUCT_ORDER, ChartContext, _memo, as_chart_jet
-from .jets import contract, derivative_values, gradient, jet_matrix_inverse, truncate, unit_index
+from .jets import contract, derivative_values, gradient, jet_matrix_inverse, unit_index
 
 __all__ = [
     "OracleConsistencyError",
@@ -91,7 +91,7 @@ def _recursion(fj, ctx: ChartContext) -> list[FormalOperator]:
     phi_mixed = [gradient(ctx.phi._vec, n, top + 1, barred=True)]
     for m in range(1, top + 1):
         phi_mixed.append(gradient(phi_mixed[-1], n, top + 1 - m))
-    g_dn = truncate(ctx.g_dn_array, n, top - 1)
+    g_dn = ctx.g_dn_array
     g_inv = jet_matrix_inverse(g_dn.transpose(0, 2, 1), n, top - 1)
     levels = [[fj._vec]]
     for r in range(1, top + 1):
@@ -99,7 +99,7 @@ def _recursion(fj, ctx: ChartContext) -> list[FormalOperator]:
     # the levels' cross-check constrains dbar g_dn only: the g_dn read must also be
     # the potential's d_k dbar_l Phi
     _require_agreement(
-        g_dn, truncate(phi_mixed[1], n, top - 1).transpose(0, 2, 1),
+        g_dn, phi_mixed[1].transpose(0, 2, 1),
         name=lambda axes: f"metric component g_dn[{axes[0]}][{axes[1]}]",
     )
     return [FormalOperator(n=n, order=r, tensors=t) for r, t in enumerate(levels)]

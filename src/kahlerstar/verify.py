@@ -297,7 +297,7 @@ def check_prop1(
     """The two contracted metric-derivative identities behind the proof that
     the auxiliary operators agree up to regular terms, plus ``S == S~``."""
     tol = DEFAULT_TOLERANCES["prop1"]
-    gu0, gd0 = chart_tensors(ctx, 0).g_up[0], ctx.g_dn_array[0]
+    gu0, gd0 = chart_tensors(ctx).g_up[0], ctx.g_dn_array[0]
     dgu, dgu_bar = metric_derivative_values(ctx)
     first = np.einsum("nm,laq,bpm,ab->lqnp", gu0, dgu_bar, dgu, gd0)
     first -= np.einsum("lmq,npm->lqnp", dgu_bar, dgu)
@@ -320,7 +320,7 @@ def check_structural(ctx: ChartContext, f, g, label: str = "") -> list[CheckResu
     decomposition = abs(c3(f, g, ctx) - (p / 6.0 - q / 4.0))
     forms = abs(c2(f, g, ctx) - c2_expanded(f, g, ctx))
     data = curvature(ctx)
-    gu0 = chart_tensors(ctx, 0).g_up[0]
+    gu0 = chart_tensors(ctx).g_up[0]
     raising = worst_abs((data.r_up - np.einsum("qc,bp,cbkl->qpkl", gu0, gu0, data.r_dn)).ravel())
     return [
         CheckResult("c3_decomposition", decomposition, tols["c3_decomposition"], label),

@@ -48,7 +48,7 @@ C3_TILDE_TERMS = (
 
 def c3_tilde_through_pi(f, g, ctx) -> complex:
     """C3~(f, g) at the base point from the table: pi, f and g only."""
-    n, pi = ctx.n, chart_tensors(ctx, 2).g_up
+    n, pi = ctx.n, chart_tensors(ctx).g_up
     f_vec, g_vec = as_chart_jet(f, ctx)._vec, as_chart_jet(g, ctx)._vec
     arrays = {f"P{i}{j}": derivative_values(pi, n, i, j) for i in range(3) for j in range(3 - i)}
     arrays.update({f"F{a}": derivative_values(f_vec, n, 0, a) for a in (1, 2, 3)})

@@ -4,28 +4,10 @@ against ``oracle.oracle_cr`` and a read of each chart's metric.  The benchmark's
 tests replay only ``verify`` charts, so these reads are exercised here, on one random
 and one preset request of the eval stream."""
 
-import importlib.util
 import math
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
-
-WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-
-
-@pytest.fixture(scope="module")
-def workloads():
-    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    # its dataclasses look their module up while they are built
-    sys.modules[spec.name] = module
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        del sys.modules[spec.name]
-    return module
 
 
 @pytest.mark.parametrize("i,kind", [(0, "random"), (4, "fubini-study")])

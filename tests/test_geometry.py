@@ -16,6 +16,7 @@ import pytest
 from kahlerstar import geometry, jets, verify
 from kahlerstar.expressions import parse
 from kahlerstar.geometry import (
+    CHART_DEGREE,
     SingularMetricError,
     as_chart_jet,
     build_chart,
@@ -24,7 +25,7 @@ from kahlerstar.geometry import (
     curvature,
     jacobi_residual,
 )
-from kahlerstar.jets import Jet, iter_multi_indices_upto, truncate
+from kahlerstar.jets import Jet, _tables, iter_multi_indices_upto
 from kahlerstar.verify import (
     RandomChartSpec,
     check_gauge,
@@ -39,14 +40,14 @@ DISK = "-(log(1-z1*zb1))"
 
 def _metric_jet(ctx, k, l):
     """The jet of ``g_dn[k][l]``, read from the chart's metric array."""
-    return Jet._of(ctx.n, ctx.order - 2, ctx.g_dn_array[:, k, l])
+    return Jet._of(ctx.n, CHART_DEGREE, ctx.g_dn_array[:, k, l])
 
 
 def test_flat_chart_is_trivial():
     ctx = build_chart("z1*zb1", (0.37 - 0.4j,), order=8)
-    assert _metric_jet(ctx, 0, 0) == Jet.constant(1.0, 1, 6)
-    assert ctx.g_up[0][0] == Jet.constant(1.0, 1, 6)
-    tensors = chart_tensors(ctx, ctx.order - 2)
+    assert _metric_jet(ctx, 0, 0) == Jet.constant(1.0, 1, 2)
+    assert ctx.g_up[0][0] == Jet.constant(1.0, 1, 2)
+    tensors = chart_tensors(ctx)
     assert tensors.gamma_hol[0].tolist() == [[[0j]]]
     assert tensors.gamma_anti[0].tolist() == [[[0j]]]
 
@@ -56,12 +57,12 @@ def test_fubini_study_at_origin():
     assert _metric_jet(ctx, 0, 0).value() == pytest.approx(1.0)
     assert _metric_jet(ctx, 0, 0).coeff((1,), (1,)) == pytest.approx(-2.0)
     assert ctx.g_up[0][0].coeff((1,), (1,)) == pytest.approx(2.0)
-    assert chart_tensors(ctx, ctx.order - 2).gamma_hol[0, 0, 0, 0] == pytest.approx(0.0)
+    assert chart_tensors(ctx).gamma_hol[0, 0, 0, 0] == pytest.approx(0.0)
 
 
 def test_fubini_study_christoffel_at_one():
     ctx = build_chart(FS, (1.0,), order=8)
-    tensors = chart_tensors(ctx, ctx.order - 2)
+    tensors = chart_tensors(ctx)
     assert tensors.gamma_hol[0, 0, 0, 0] == pytest.approx(-1.0, abs=1e-12)
     # barred symbol is the conjugate picture at a real point
     assert tensors.gamma_anti[0, 0, 0, 0] == pytest.approx(-1.0, abs=1e-12)
@@ -69,7 +70,7 @@ def test_fubini_study_christoffel_at_one():
 
 def test_poincare_christoffel():
     ctx = build_chart(DISK, (0.3,), order=8)
-    gamma_hol = chart_tensors(ctx, ctx.order - 2).gamma_hol
+    gamma_hol = chart_tensors(ctx).gamma_hol
     assert gamma_hol[0, 0, 0, 0] == pytest.approx(0.6 / 0.91, abs=1e-12)
 
 
@@ -82,7 +83,7 @@ def test_metric_inverse_duality():
             for m in range(n):
                 prod = sum(
                     (_metric_jet(ctx, k, l) * ctx.g_up[l][m] for l in range(n)),
-                    Jet.zero(n, ctx.order - 2),
+                    Jet.zero(n, CHART_DEGREE),
                 )
                 target = 1.0 if k == m else 0.0
                 assert (prod - target).max_abs() < 1e-11
@@ -166,7 +167,7 @@ def test_curvature_symmetries_and_raising():
     point = [complex(rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2)) for _ in range(n)]
     ctx = build_chart(potential, point, order=8)
     data = curvature(ctx)
-    gu0 = chart_tensors(ctx, 0).g_up[0]
+    gu0 = chart_tensors(ctx).g_up[0]
     for p in range(n):
         for q in range(n):
             for k in range(n):
@@ -252,7 +253,7 @@ def test_flat_metric_jets_are_exact():
     # the binomial theorem leaves every non-constant coefficient exactly zero,
     # which the flat_qrss_vanish check's exact 0.0 bound relies on
     ctx = build_chart("z1*zb1+z2*zb2", (0.37 - 0.4j, -0.2 + 0.5j), order=10)
-    for matrix in (ctx.g_dn_array, chart_tensors(ctx, ctx.order - 2).g_up):
+    for matrix in (ctx.g_dn_array, chart_tensors(ctx).g_up):
         for k in range(2):
             for l in range(2):
                 vec = matrix[:, k, l]
@@ -262,7 +263,7 @@ def test_flat_metric_jets_are_exact():
 
 def test_chart_tensors_are_read_only_views_and_charts_compare_by_value():
     ctx = build_chart(FS, (0.4 - 0.3j,), order=8)
-    tensors = chart_tensors(ctx, ctx.order - 2)
+    tensors = chart_tensors(ctx)
     assert np.shares_memory(ctx.g_up[0][0]._vec, tensors.g_up)
     data, f = curvature(ctx), as_chart_jet("z1^3*zb1^2", ctx)
     covariant = [covariant_derivative_jets(f, ctx, barred=barred)[1:] for barred in (False, True)]
@@ -275,44 +276,6 @@ def test_chart_tensors_are_read_only_views_and_charts_compare_by_value():
 
 
 # -- chart tensors on first read ------------------------------------------------
-
-
-def _tensor_bytes(tensors, trunc, n=2):
-    g_up, gamma_hol, gamma_anti = tensors
-    return (truncate(g_up, n, trunc).tobytes(), truncate(gamma_hol, n, trunc - 1).tobytes(),
-            truncate(gamma_anti, n, trunc - 1).tobytes())
-
-
-def test_chart_tensors_are_prefixes_whatever_the_order_of_reads():
-    ctx = random_chart(RandomChartSpec(n=2, seed=4))[1]
-    up = dataclasses.replace(ctx, _cache={})
-    low_first = chart_tensors(up, 2)
-    assert up._cache["chart_tensors"][0] == 2  # built no deeper than asked
-    high_after = chart_tensors(up, 6)
-    down = dataclasses.replace(ctx, _cache={})
-    high_first = chart_tensors(down, 6)
-    low_after = chart_tensors(down, 2)
-    full = chart_tensors(dataclasses.replace(ctx, _cache={}), ctx.order - 2)
-    assert len(full[0]) == len(truncate(full[0], 2, ctx.order - 2))
-    assert len(full[1]) == len(truncate(full[1], 2, ctx.order - 3))
-    for t in (2, 6):
-        expected = _tensor_bytes(full, t)
-        for got in (high_after, high_first) + ((low_first, low_after) if t == 2 else ()):
-            assert _tensor_bytes(got, t) == expected
-    assert np.shares_memory(low_after.g_up, high_first.g_up)  # a prefix of the one entry
-    with pytest.raises(ValueError, match="from 0 to 8"):
-        chart_tensors(ctx, ctx.order - 1)
-
-
-def test_christoffel_symbols_at_zero_from_a_read_at_zero_are_a_prefix():
-    # a read at 0 builds the memo at 1, the least depth holding a Christoffel symbol
-    ctx = random_chart(RandomChartSpec(n=2, seed=7))[1]
-    shallow, deep = dataclasses.replace(ctx, _cache={}), dataclasses.replace(ctx, _cache={})
-    chart_tensors(shallow, 0)
-    assert shallow._cache["chart_tensors"][0] == 1
-    got, full = chart_tensors(shallow, 1), chart_tensors(deep, 6)
-    assert len(got.gamma_hol) == 1
-    assert _tensor_bytes(got, 1) == _tensor_bytes(full, 1)
 
 
 def test_a_chart_build_inverts_nothing(monkeypatch):
@@ -336,20 +299,10 @@ def test_a_chart_build_inverts_nothing(monkeypatch):
     assert check_gauge(potential, gauge_h, gauge_k, ctx, f, g).passed
     # one inverse of g_dn^T per oracle build, for the chart and the shifted chart
     assert inverses == [2, 2]
-    assert "chart_tensors" not in ctx._cache
+    assert ("chart_tensors",) not in ctx._cache
 
 
 def test_suite_checks_read_chart_tensors_no_deeper_than_they_need(monkeypatch):
-    from tests.test_operators import _patch_everywhere
-
-    reads = []
-    original = geometry.chart_tensors
-
-    def recorded(ctx, trunc):
-        reads.append(trunc)
-        return original(ctx, trunc)
-
-    _patch_everywhere(monkeypatch, "chart_tensors", recorded)
     inverses = []  # the chart's own, not the recursion's
     inverse = geometry.jet_matrix_inverse
 
@@ -358,15 +311,29 @@ def test_suite_checks_read_chart_tensors_no_deeper_than_they_need(monkeypatch):
         return inverse(matrix, n, trunc)
 
     monkeypatch.setattr(geometry, "jet_matrix_inverse", counted)
-    # curvature at the base point reads g_up at 2, and a derivative bundle at
-    # truncation t is at most 3 - t deep, so it reads the Christoffel symbols at 1
-    # at most: the depth does not follow the jet order, and the metric is inverted once
+    # C1 of a degree-3 argument is a degree-2 jet and curvature is read at the base
+    # point: the chart holds its tensors at 2 whatever the jet order, and inverts its
+    # metric once, the public g_up included
+    tables = _tables(2, CHART_DEGREE)
     for order in (6, 10, 12):
-        reads.clear()
         inverses.clear()
         potential, ctx, rng = random_chart(RandomChartSpec(n=2, seed=4), order=order)
         results = verify._chart_checks(potential, ctx, rng, "")
         assert all(r.passed for r in results)
-        assert max(reads) == 2
-        assert ctx._cache["chart_tensors"][0] == 2
-        assert inverses == [2]
+        assert ctx.g_up[0][0].trunc == CHART_DEGREE
+        assert inverses == [CHART_DEGREE]
+        g_up, gamma_hol, gamma_anti = chart_tensors(ctx)
+        assert len(ctx.g_dn_array) == len(g_up) == tables.deg_start[CHART_DEGREE + 1]
+        assert len(gamma_hol) == len(gamma_anti) == tables.deg_start[CHART_DEGREE]
+
+
+def test_every_chart_cache_entry_is_a_memo_entry():
+    # _memo is the only writer: each key is (builder key, *ids of the arguments) and
+    # each value (arguments, value), so a recycled id cannot alias
+    potential, ctx, rng = random_chart(RandomChartSpec(n=2, seed=4))
+    verify._chart_checks(potential, ctx, rng, "")
+    ctx.g_up
+    assert len(ctx._cache) > 10
+    for key, (args, _) in ctx._cache.items():
+        assert isinstance(args, tuple)
+        assert key[1:] == tuple(map(id, args))

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kahlerstar import jets as jets_module
-from kahlerstar.geometry import _r1_jets, build_chart, chart_tensors, curvature_jets
+from kahlerstar.geometry import CHART_DEGREE, _r1_jets, build_chart, chart_tensors, curvature_jets
 from kahlerstar.jets import (
     Jet,
     contract,
@@ -644,11 +644,15 @@ def test_derivative_values_match_derivative_at(n):
     ctx = build_chart(potential, [0.2 - 0.1j * k for k in range(n)], order=6)
     for hol, anti in itertools.product(range(3), repeat=2):
         on_phi = derivative_values(ctx.phi._vec, n, hol, anti)
-        on_g_up = derivative_values(chart_tensors(ctx, ctx.order - 2).g_up, n, hol, anti)
         assert on_phi.shape == (n,) * (hol + anti)
-        assert on_g_up.shape == (n,) * (2 + hol + anti)
         for axes in itertools.product(range(n), repeat=hol + anti):
             alpha, beta = unit_index(n, *axes[:hol]), unit_index(n, *axes[hol:])
             assert on_phi[axes] == ctx.phi.derivative_at(alpha, beta)
+        if hol + anti > CHART_DEGREE:  # the chart holds g_up to degree 2
+            continue
+        on_g_up = derivative_values(chart_tensors(ctx).g_up, n, hol, anti)
+        assert on_g_up.shape == (n,) * (2 + hol + anti)
+        for axes in itertools.product(range(n), repeat=hol + anti):
+            alpha, beta = unit_index(n, *axes[:hol]), unit_index(n, *axes[hol:])
             for l, k in itertools.product(range(n), repeat=2):
                 assert on_g_up[(l, k, *axes)] == ctx.g_up[l][k].derivative_at(alpha, beta)

@@ -18,8 +18,8 @@ import pytest
 
 from kahlerstar import geometry, operators, oracle, verify
 from kahlerstar.expressions import parse
-from kahlerstar.geometry import as_chart_jet, build_chart
-from kahlerstar.jets import Jet, unit_index
+from kahlerstar.geometry import as_chart_jet, build_chart, chart_tensors
+from kahlerstar.jets import Jet, derivative_values, unit_index
 from kahlerstar.operators import (
     StarVariant,
     _p_jet,
@@ -35,7 +35,6 @@ from kahlerstar.operators import (
     c3_tilde,
     c3_tilde_jet,
     operator_breakdown,
-    poisson_antisymmetry,
     r_operator,
     r_operator_jet,
     star_product,
@@ -203,15 +202,24 @@ def test_separation_of_variables(fs1):
             assert abs(right[r]) <= 1e-10
 
 
-def test_poisson_antisymmetry(fs1):
-    chk = poisson_antisymmetry("zb1^2+z1", "z1^2+zb1", fs1)
-    assert chk.antisymmetrized == pytest.approx(chk.bracket, abs=1e-12)
+def test_c1_antisymmetrized_is_the_poisson_bracket(fs1):
     flat = build_chart("z1*zb1", (0.0,), order=10)
-    assert poisson_antisymmetry("zb1", "z1", flat).antisymmetrized == pytest.approx(1.0)
-    same = poisson_antisymmetry("z1*zb1", "z1*zb1", fs1)
-    assert abs(same.antisymmetrized) <= 1e-14
-    hol = poisson_antisymmetry("z1^2", "z1", fs1)
-    assert abs(hol.antisymmetrized) == 0.0
+    assert c1("zb1", "z1", flat) == pytest.approx(1.0)
+    # a holomorphic first argument has no antiholomorphic derivative
+    assert c1("z1^2", "z1", fs1) == 0.0
+    assert c1("z1", "z1^2", fs1) == 0.0
+    # {f, g} = g_up[l, k] (dbar_l f d_k g - dbar_l g d_k f)
+    f, g = "zb1^2+z1", "z1^2+zb1"
+    fj, gj = as_chart_jet(f, fs1), as_chart_jet(g, fs1)
+    gu0 = chart_tensors(fs1).g_up[0]
+
+    def pairing(a, b):
+        a_bar, b_hol = derivative_values(a._vec, 1, 0, 1), derivative_values(b._vec, 1, 1, 0)
+        return np.einsum("lk,l,k->", gu0, a_bar, b_hol)
+
+    bracket = pairing(fj, gj) - pairing(gj, fj)
+    assert c1(f, g, fs1) - c1(g, f, fs1) == pytest.approx(bracket, abs=1e-12)
+    assert abs(bracket) > 0.1
 
 
 def test_each_function_is_evaluated_once_per_chart(monkeypatch):
