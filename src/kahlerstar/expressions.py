@@ -20,6 +20,7 @@ literals, so :func:`to_source` round-trips structurally.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import functools
 import itertools
@@ -350,9 +351,19 @@ def parse(src: str, n: int) -> Expr:
 
 
 def parse_complex(text: str) -> complex:
-    """Parse a constant such as ``0.3+0.2i`` into a complex number."""
+    """Parse a constant such as ``0.3+0.2i`` into a finite complex number.
+
+    A literal is read without a jet; adding ``0j`` adds each part to ``+0.0``, as the
+    coefficient sum of its jet would (``-0`` reads ``0j``).  Any other constant is
+    evaluated."""
     node = parse(text, 0)
-    return eval_value(node, (), ())
+    if isinstance(node, Literal):
+        value = node.value + 0j
+    else:
+        value = eval_value(node, (), ())
+    if not cmath.isfinite(value):
+        raise ValueError(f"the constant {text!r} is not finite")
+    return value
 
 
 # -- printing ----------------------------------------------------------------

@@ -24,7 +24,11 @@ A jet *tensor* is one complex array with the coefficient axis first and one
 axis per component index after it.  :func:`contract` is the one product of
 jet tensors: it gathers the product pairs along the coefficient axis, runs
 :func:`numpy.einsum` over the component indices and sums each output's pairs;
-:meth:`Jet.__mul__` is its rank-0 case through the same routine.
+:meth:`Jet.__mul__` multiplies through the same pair routine.  At truncation 0,
+where the base-point operators live, the one pair is the product of the ``[0]``
+slices, so :func:`contract` runs one einsum over C-order copies of them: the copies
+are laid out as the pair routine's gathers are, so einsum sums the component
+indices in the same order and the result is the same bit for bit.
 :func:`gradient` differentiates a tensor along every variable of one kind,
 a gather on the coefficient axis; :func:`derivative_values` reads the
 base-point partial derivatives of a tensor as one array.
@@ -209,13 +213,22 @@ def contract(spec: str, a: np.ndarray, b: np.ndarray, n: int, trunc: int) -> np.
     Each coefficient sums the same product pairs in the same order whatever ``trunc``,
     but einsum sums the component indices: with one pair left (``trunc == 0``) it may
     sum several contracted indices in another order, so the result is not always
-    bitwise the prefix of the same contraction at a higher ``trunc``."""
+    bitwise the prefix of the same contraction at a higher ``trunc``.
+
+    At ``trunc == 0`` the one pair is the base-point values ``a[0] * b[0]``: one einsum
+    over them, a trailing unit axis standing in for the pair axis, with no gather or
+    pair sum.  The slices are copied because einsum's summation order follows the
+    memory layout: C-order copies are laid out as :func:`_convolve`'s gathers are, so
+    the result is the same bit for bit (plain views of a transposed tensor may not be)."""
     tables = _tables(n, trunc)
     if min(len(a), len(b)) < tables.deg_start[trunc + 1]:
         raise ValueError("cannot extend a jet to a higher truncation order")
     inputs, output = spec.split("->")
     left, right = inputs.split(",")
-    return _convolve(tables, trunc, a, b, f"{left}...,{right}...->{output}...")
+    full = f"{left}...,{right}...->{output}..."
+    if trunc == 0:
+        return np.einsum(full, a[0].copy()[..., None], b[0].copy()[..., None])[None, ..., 0]
+    return _convolve(tables, trunc, a, b, full)
 
 
 def gradient(a: np.ndarray, n: int, trunc: int, barred: bool = False) -> np.ndarray:

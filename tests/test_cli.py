@@ -84,6 +84,14 @@ def test_eval_poincare_outside_disk_exit_code(capsys):
     assert code == 3
 
 
+def test_eval_non_finite_point_exit_code(capsys):
+    code, _, err = run_cli(
+        capsys, "eval", "--preset", "fubini-study", "--point", "9" * 401, "--f", "zb1", "--g", "z1"
+    )
+    assert code == 2
+    assert "is not finite" in err and "RuntimeWarning" not in err
+
+
 def test_preset_dimension_conflict(capsys):
     code, _, err = run_cli(
         capsys, "eval", "--preset", "fubini-study", "--n", "2",

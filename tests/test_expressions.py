@@ -88,6 +88,22 @@ def test_complex_literals():
     assert parse_complex("0.2i-0.5") == -0.5 + 0.2j
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["-0.5", "0.3", "-0.5+0.2i", "0-0.123+0.045i", "-0", "0i", "-0i", "-(0.1-0.2i)",
+     "0.2i-0.5", "i", "-i", "(1+2i)^2*i-3", "1/2"],
+)
+def test_parse_complex_reads_literals_as_their_evaluation_does(text):
+    # a literal skips the jet; -0 still reads 0j, as the jet's coefficient sum gives
+    assert repr(parse_complex(text)) == repr(eval_value(parse(text, 0), (), ()))
+
+
+@pytest.mark.parametrize("text", ["9" * 401, "9" * 401 + "i", "-" + "9" * 401])
+def test_parse_complex_refuses_a_non_finite_constant(text):
+    with pytest.raises(ValueError, match="is not finite"):
+        parse_complex(text)
+
+
 def test_integer_powers_only():
     assert parse("z1^3", 1) == Pow(Var(1, False), 3)
     assert parse("z1^-2", 1) == Pow(Var(1, False), -2)

@@ -621,6 +621,29 @@ def test_contract_matches_nested_jet_products(n):
                 assert gap <= 1e-12 * scale, (spec, trunc, index)
 
 
+def _laid_out_operands(rng, n, rank):
+    """Operands laid out as the program passes them: a deeper C-order tensor and, for
+    rank >= 1, the transposed view that gradient returns."""
+    yield _tensor(rng, n, 2, rank)
+    if rank:
+        yield gradient(_tensor(rng, n, 2, rank - 1), n, 2, barred=True)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_contract_at_truncation_zero_matches_the_pair_product_bit_for_bit(n):
+    rng = random.Random(29 + n)
+    for spec in CONTRACT_SPECS:
+        inputs, output = spec.split("->")
+        left, right = inputs.split(",")
+        full = f"{left}...,{right}...->{output}..."
+        for a in _laid_out_operands(rng, n, len(left)):
+            for b in _laid_out_operands(rng, n, len(right)):
+                got = contract(spec, a, b, n, 0)
+                expected = jets_module._convolve(jets_module._tables(n, 0), 0, a, b, full)
+                assert got.shape == expected.shape == (1,) + (n,) * len(output), spec
+                assert np.array_equal(got, expected), (spec, a.strides, b.strides)
+
+
 def test_contract_refuses_short_operands():
     a = np.ones((len(Jet.zero(2, 2)._vec), 2), dtype=complex)
     with pytest.raises(ValueError):

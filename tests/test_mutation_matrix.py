@@ -5,6 +5,11 @@ recursion, with the exact set of check names it fails when
 ``verify._chart_checks`` runs on one random n=1 and one random n=2 chart, each
 with a fresh memo.  A set that grows or shrinks shows a check that started or
 stopped guarding its term.
+
+The unmutated suite's residuals on those charts are pinned to the bit: each
+residual's ``float.hex`` must equal the entry of the same name in ``RESIDUALS``,
+captured at commit 4860714.  A change that moves a last bit fails here: it updates
+the entry and records the move in ``CHANGES.md``.
 """
 
 import dataclasses
@@ -67,16 +72,87 @@ def chart(request):
     return potential, ctx, rng.getstate()
 
 
-def _failing(chart) -> set:
+def _results(chart) -> list:
     potential, ctx, state = chart
     rng = random.Random()
     rng.setstate(state)
-    results = verify._chart_checks(potential, dataclasses.replace(ctx, _cache={}), rng, "")
-    return {r.name for r in results if not r.passed}
+    return verify._chart_checks(potential, dataclasses.replace(ctx, _cache={}), rng, "")
+
+
+def _failing(chart) -> set:
+    return {r.name for r in _results(chart) if not r.passed}
 
 
 def test_the_unmutated_suite_passes(chart):
     assert _failing(chart) == set()
+
+
+#: n -> {check name: float.hex of its residual}
+RESIDUALS = {
+    1: {
+        "oracle_agreement_r1": "0x1.5cc876905ab08p-55",
+        "oracle_agreement_r2": "0x1.00d847233d085p-53",
+        "oracle_agreement_r3": "0x1.115a7870f12d0p-53",
+        "associativity_standard_order0": "0x0.0p+0",
+        "associativity_standard_order1": "0x1.8000000000000p-54",
+        "associativity_standard_order2": "0x1.4000000000000p-50",
+        "associativity_standard_order3": "0x1.2000000000000p-47",
+        "associativity_modified_order0": "0x0.0p+0",
+        "associativity_modified_order1": "0x1.8000000000000p-54",
+        "associativity_modified_order2": "0x1.4000000000000p-50",
+        "associativity_modified_order3": "0x1.0000000000000p-47",
+        "separation_hol_order1": "0x0.0p+0",
+        "separation_anti_order1": "0x0.0p+0",
+        "separation_hol_order2": "0x0.0p+0",
+        "separation_anti_order2": "0x0.0p+0",
+        "separation_hol_order3": "0x0.0p+0",
+        "separation_anti_order3": "0x0.0p+0",
+        "separation_hol_order3_modified": "0x0.0p+0",
+        "separation_anti_order3_modified": "0x0.0p+0",
+        "prop1_first_identity": "0x1.1eed72faed6bcp-56",
+        "prop1_second_identity": "0x1.1eed72faed6bcp-56",
+        "prop1_s_equals_stilde": "0x1.94c583ada5b53p-60",
+        "c3_decomposition": "0x1.6000000000000p-51",
+        "c2_expanded_equals_covariant": "0x1.0000000000000p-51",
+        "curvature_raising_consistency": "0x1.007a1e4f5f895p-54",
+        "jacobi_identity": "0x0.0p+0",
+        "gauge_invariance": "0x0.0p+0",
+    },
+    2: {
+        "oracle_agreement_r1": "0x0.0p+0",
+        "oracle_agreement_r2": "0x1.711f363050c9dp-55",
+        "oracle_agreement_r3": "0x1.709dda3cc0e55p-54",
+        "associativity_standard_order0": "0x0.0p+0",
+        "associativity_standard_order1": "0x1.8000000000000p-52",
+        "associativity_standard_order2": "0x0.0p+0",
+        "associativity_standard_order3": "0x1.65c55827df1d2p-47",
+        "associativity_modified_order0": "0x0.0p+0",
+        "associativity_modified_order1": "0x1.8000000000000p-52",
+        "associativity_modified_order2": "0x0.0p+0",
+        "associativity_modified_order3": "0x1.4975cd5768088p-47",
+        "separation_hol_order1": "0x0.0p+0",
+        "separation_anti_order1": "0x0.0p+0",
+        "separation_hol_order2": "0x0.0p+0",
+        "separation_anti_order2": "0x0.0p+0",
+        "separation_hol_order3": "0x0.0p+0",
+        "separation_anti_order3": "0x0.0p+0",
+        "separation_hol_order3_modified": "0x0.0p+0",
+        "separation_anti_order3_modified": "0x0.0p+0",
+        "prop1_first_identity": "0x1.854bfb363dc39p-56",
+        "prop1_second_identity": "0x1.854bfb363dc39p-55",
+        "prop1_s_equals_stilde": "0x1.465655f122ff6p-55",
+        "c3_decomposition": "0x1.6a09e667f3bcdp-52",
+        "c2_expanded_equals_covariant": "0x1.25b89092b8fbfp-51",
+        "curvature_raising_consistency": "0x1.01fe03f61bad0p-52",
+        "jacobi_identity": "0x1.1e3779b97f4a8p-55",
+        "gauge_invariance": "0x0.0p+0",
+    },
+}
+
+
+def test_the_unmutated_suite_keeps_its_residual_bits(chart):
+    n = chart[1].n
+    assert {r.name: float(r.residual).hex() for r in _results(chart)} == RESIDUALS[n]
 
 
 @pytest.mark.parametrize("name, module, wrap, expected", CAUGHT)
