@@ -30,6 +30,8 @@ from dataclasses import dataclass, fields
 from decimal import Decimal
 from typing import NamedTuple, Sequence
 
+import numpy as np
+
 from .jets import Jet, unit_index
 
 __all__ = [
@@ -355,12 +357,14 @@ def parse_complex(text: str) -> complex:
 
     A literal is read without a jet; adding ``0j`` adds each part to ``+0.0``, as the
     coefficient sum of its jet would (``-0`` reads ``0j``).  Any other constant is
-    evaluated."""
+    evaluated with numpy's floating-point warnings off: a value that overflows is
+    refused here, with no warning before the refusal."""
     node = parse(text, 0)
     if isinstance(node, Literal):
         value = node.value + 0j
     else:
-        value = eval_value(node, (), ())
+        with np.errstate(all="ignore"):
+            value = eval_value(node, (), ())
     if not cmath.isfinite(value):
         raise ValueError(f"the constant {text!r} is not finite")
     return value

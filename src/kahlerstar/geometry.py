@@ -70,9 +70,9 @@ PRODUCT_ORDER = 3
 CHART_DEGREE = PRODUCT_ORDER - 1
 
 #: minimum jet order accepted by :func:`build_chart`, and so by every command and
-#: the suite.  The order sizes the potential's jet only, which the metric and the
-#: recursion read to order 4; the floor is kept at 6 as the least ``--jet-order``
-#: every command accepts
+#: the suite.  The order sizes nothing: the potential's jet is read to degree
+#: ``CHART_DEGREE + 2`` = 4, whatever it is; the floor is kept at 6 as the least
+#: ``--jet-order`` every command accepts
 MIN_CHART_ORDER = 6
 
 
@@ -107,12 +107,14 @@ class SingularMetricError(ArithmeticError):
 class ChartContext:
     """Geometric state of one chart at one base point.
 
-    The potential's jet is carried at ``order`` and the metric at
-    :data:`CHART_DEGREE`, both built with the chart, which refuses a metric that is
-    not admissible at the base point.  Each tensor is one read-only jet-tensor array
-    (coefficient axis first, then the indices in the order of the module docs; ``[0]``
-    is the value at the base point): ``g_dn_array`` is the metric, and the public
-    ``g_up`` nests tuples of jets viewing :func:`chart_tensors`' inverse.
+    The potential's jet is carried at degree ``CHART_DEGREE + 2`` = 4 and the metric
+    at :data:`CHART_DEGREE`, both built with the chart, which refuses a metric that is
+    not admissible at the base point; ``order`` is the validated order the chart was
+    asked for, kept for labels and reports and read by nothing.  Each tensor is one
+    read-only jet-tensor array (coefficient axis first, then the indices in the order
+    of the module docs; ``[0]`` is the value at the base point): ``g_dn_array`` is the
+    metric, and the public ``g_up`` nests tuples of jets viewing :func:`chart_tensors`'
+    inverse.
     ``_cache`` holds what is derived on demand until the chart is dropped, written only
     by :func:`_memo`: the chart tensors, curvature, one jet per distinct function passed
     to :func:`as_chart_jet`, and one value per builder and argument objects (derivative
@@ -167,10 +169,13 @@ def build_chart(
     """Assemble the geometric data of a chart at a base point.
 
     ``zb0`` defaults to the componentwise conjugate of ``z0``, which is the
-    diagonal of a real-analytic chart.  Requires ``order >= 6`` so that all
-    third-order operator ingredients stay exact.  Builds the potential's jet
-    and the metric and checks the metric at the point; the inverse metric
-    and the Christoffel symbols wait for their first read (:func:`chart_tensors`).
+    diagonal of a real-analytic chart.  ``order`` must be at least
+    :data:`MIN_CHART_ORDER` and is kept on the chart, but sizes nothing: the
+    potential's jet is built to degree ``CHART_DEGREE + 2`` = 4, the deepest any
+    reader goes (the metric to degree 2, curvature and the recursion's
+    ``∂^m ∂̄ Φ`` to 4).  Builds that jet and the metric and checks the metric at the
+    point; the inverse metric and the Christoffel symbols wait for their first read
+    (:func:`chart_tensors`).
     """
     n = require_dimension(len(z0) if n is None else n)
     if len(z0) != n:
@@ -182,8 +187,8 @@ def build_chart(
     z0 = tuple(complex(v) for v in z0)
     zb0 = tuple(v.conjugate() for v in z0) if zb0 is None else tuple(complex(v) for v in zb0)
 
-    phi = eval_jet(potential, z0, zb0, order)
     top = CHART_DEGREE + 2  # the metric takes two derivatives of the potential
+    phi = eval_jet(potential, z0, zb0, top)
     g_dn = _read_only(gradient(gradient(phi._vec, n, top), n, top - 1, barred=True))
     _require_admissible_metric(g_dn[0])
     return ChartContext(

@@ -127,8 +127,8 @@ class _Tables:
         size = len(self.keys)
         exps = np.array(self.keys, dtype=np.intp).reshape(size, width)
         self.exps = exps
-        self.deg = exps.sum(axis=1)
-        self.deg_start = [int(i) for i in np.searchsorted(self.deg, np.arange(order + 2))]
+        deg = exps.sum(axis=1)
+        self.deg_start = [int(i) for i in np.searchsorted(deg, np.arange(order + 2))]
         # base-(order+1) digits encode a monomial; a product's code is the sum of codes
         radix = (order + 1) ** np.arange(width, dtype=np.int64)
         code = exps @ radix
@@ -138,7 +138,7 @@ class _Tables:
             return by_code[np.searchsorted(sorted_code, codes)]
 
         # every pair (i, j) with deg i + deg j <= order, then sorted by (k, i)
-        counts = np.array(self.deg_start, dtype=np.intp)[order + 1 - self.deg]
+        counts = np.array(self.deg_start, dtype=np.intp)[order + 1 - deg]
         pair_i = np.repeat(np.arange(size, dtype=np.intp), counts)
         starts = np.repeat(np.cumsum(counts) - counts, counts)
         pair_j = np.arange(len(pair_i), dtype=np.intp) - starts
@@ -273,7 +273,7 @@ class Jet:
     ``trunc``.
     """
 
-    __slots__ = ("n", "trunc", "_vec", "_degree_cache")
+    __slots__ = ("n", "trunc", "_vec")
 
     def __init__(self, n: int, trunc: int, coeffs: dict | None = None) -> None:
         if n < 0:
@@ -292,22 +292,14 @@ class Jet:
                     f"coefficient key {key!r} exceeds truncation order {trunc}"
                 )
             vec[index[tuple(key)]] = val
-        self.n, self.trunc, self._vec, self._degree_cache = n, trunc, vec, None
+        self.n, self.trunc, self._vec = n, trunc, vec
 
     @classmethod
-    def _of(cls, n: int, trunc: int, vec: np.ndarray, degree: int | None = None) -> Jet:
-        """Unchecked jet around ``vec``; ``degree``, if known, is its :meth:`_degree`."""
+    def _of(cls, n: int, trunc: int, vec: np.ndarray) -> Jet:
+        """Unchecked jet around ``vec``."""
         jet = object.__new__(cls)
-        jet.n, jet.trunc, jet._vec, jet._degree_cache = n, trunc, vec, degree
+        jet.n, jet.trunc, jet._vec = n, trunc, vec
         return jet
-
-    def _degree(self) -> int:
-        """Highest degree with a nonzero coefficient; ``-1`` for the zero jet."""
-        if self._degree_cache is None:
-            nonzero = self._vec.nonzero()[0]
-            deg = _tables(self.n, self.trunc).deg
-            self._degree_cache = int(deg[nonzero[-1]]) if nonzero.size else -1
-        return self._degree_cache
 
     # -- constructors ------------------------------------------------------
 
@@ -315,11 +307,11 @@ class Jet:
     def constant(cls, value: complex, n: int, trunc: int) -> Jet:
         vec = _zeros(n, trunc)
         vec[0] = value
-        return cls._of(n, trunc, vec, 0 if value != 0 else -1)
+        return cls._of(n, trunc, vec)
 
     @classmethod
     def zero(cls, n: int, trunc: int) -> Jet:
-        return cls._of(n, trunc, _zeros(n, trunc), -1)
+        return cls._of(n, trunc, _zeros(n, trunc))
 
     @classmethod
     def polynomial(cls, n: int, trunc: int, terms: dict, base) -> Jet:
@@ -465,16 +457,7 @@ class Jet:
             return NotImplemented
         self._require_compatible(other)
         tables = _tables(self.n, self.trunc)
-        out = np.zeros(len(self._vec), dtype=complex)
-        top_a, top_b = self._degree(), other._degree()
-        top = top_a + top_b if top_a >= 0 and top_b >= 0 else -1
-        if top >= 0:
-            # outputs above degree top_a + top_b are zero: visit only the pairs below
-            s = min(top, self.trunc)
-            out[: tables.deg_start[s + 1]] = _convolve(tables, s, self._vec, other._vec)
-        # the product's lex-leading top coefficient is a single term, so a top
-        # within the truncation is the exact degree (a bound if that underflows)
-        return Jet._of(self.n, self.trunc, out, top if top <= self.trunc else None)
+        return Jet._of(self.n, self.trunc, _convolve(tables, self.trunc, self._vec, other._vec))
 
     def __rmul__(self, other):
         if isinstance(other, _SCALARS):

@@ -29,7 +29,7 @@ from .expressions import (
     substitute,
 )
 from .geometry import (
-    MIN_CHART_ORDER,
+    CHART_DEGREE,
     ChartContext,
     SingularMetricError,
     as_chart_jet,
@@ -186,7 +186,7 @@ def random_potential(spec: RandomChartSpec, at=None) -> Polynomial:
         candidate = Polynomial(tuple(terms))
         try:
             # only the metric is checked here: the chart's tensors are built on first read
-            build_chart(candidate, at, order=MIN_CHART_ORDER, n=n)
+            build_chart(candidate, at, n=n)
         except SingularMetricError:
             continue
         return candidate
@@ -449,12 +449,16 @@ def oracle_agreement_checks(
 
 
 def check_finite_differences(potential, z0, order: int = 10, label: str = "") -> CheckResult:
-    """First-order jet derivatives against central finite differences of step 1e-5."""
+    """First-order jet derivatives against central finite differences of step 1e-5.
+
+    The jet is read to degree ``CHART_DEGREE + 2`` = 4, as
+    :func:`~kahlerstar.geometry.build_chart` reads a potential; ``order`` sizes
+    nothing."""
     n, step = len(z0), 1e-5
     potential = parse(potential, n) if isinstance(potential, str) else potential
     z0 = tuple(complex(v) for v in z0)
     zb0 = tuple(v.conjugate() for v in z0)
-    jet = eval_jet(potential, z0, zb0, order)
+    jet = eval_jet(potential, z0, zb0, CHART_DEGREE + 2)
     gradients = [derivative_values(jet._vec, n, *sides).tolist() for sides in ((1, 0), (0, 1))]
     errors = []
     for k in range(n):
@@ -546,9 +550,7 @@ def run_suite(
     for name, potential, ctx, label in preset_charts(order):
         rng = random.Random(f"{seed}:{name}:{ctx.n}")
         results.extend(_chart_checks(potential, ctx, rng, label, flat=(name == "flat")))
-        results.append(
-            check_finite_differences(potential, ctx.z0, order=order, label=label)
-        )
+        results.append(check_finite_differences(potential, ctx.z0, label=label))
 
     for i in range(trials):
         spec = RandomChartSpec(n=1 + i % 2, degree=degree, epsilon=epsilon, seed=seed + i)

@@ -8,6 +8,8 @@ single PASS/FAIL line.  Run with ``pytest tests/test_acceptance.py -v -s``
 to see the lines.
 """
 
+import hashlib
+
 import pytest
 
 from kahlerstar.geometry import build_chart, curvature
@@ -146,4 +148,13 @@ def test_criterion_9_jet_finite_differences(suite):
         "first-order jet derivatives vs central finite differences",
         ["jet_finite_differences"],
         1e-6,
+    )
+
+
+def test_the_seed_0_report_keeps_its_residual_bits(suite):
+    # every row of the report: name, context and the residual's exact bits
+    rows = "".join(f"{r.name}|{r.context}|{float(r.residual).hex()}\n" for r in suite)
+    assert len(suite) == 657
+    assert hashlib.sha256(rows.encode()).hexdigest() == (
+        "dfe7fdf024c5a640f2545c6cc465149fe38ce2886538684cbde49b11520397c9"
     )

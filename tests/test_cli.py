@@ -4,11 +4,14 @@ import json
 import re
 import runpy
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
+from kahlerstar import jets
 from kahlerstar.cli import main
+from kahlerstar.verify import run_suite
 
 
 def run_cli(capsys, *argv):
@@ -92,6 +95,17 @@ def test_eval_non_finite_point_exit_code(capsys):
     assert "is not finite" in err and "RuntimeWarning" not in err
 
 
+def test_eval_overflowing_point_prints_the_refusal_alone(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            capsys, "eval", "--preset", "fubini-study", "--point", "9" * 200 + "*" + "9" * 200,
+            "--f", "zb1", "--g", "z1",
+        )
+    assert code == 2
+    assert out == "" and len(err.splitlines()) == 1 and "is not finite" in err
+
+
 def test_preset_dimension_conflict(capsys):
     code, _, err = run_cli(
         capsys, "eval", "--preset", "fubini-study", "--n", "2",
@@ -148,13 +162,15 @@ def test_verify_json_with_random_n2_chart(capsys):
 
 
 def test_flat_dimension_beyond_jet_tables_fails_cleanly(capsys):
+    # a chart reads its potential to degree 4, whose monomial codes in 2n = 28
+    # variables, base 5, no longer fit an int64
     code, out, err = run_cli(
-        capsys, "eval", "--preset", "flat", "--n", "4", "--point", "0", "0", "0", "0",
+        capsys, "eval", "--preset", "flat", "--n", "14", "--point", *["0"] * 14,
         "--f", "zb1", "--g", "z1",
     )
     assert code == 2
     assert out == ""
-    assert "product pairs" in err
+    assert "jets of dimension 14 and order 4 overflow the monomial codes" in err
 
 
 def test_verify_impossible_tolerance_fails_honestly(capsys):
@@ -197,8 +213,9 @@ def test_compare_low_jet_order_rejected(capsys):
         ["--preset", "fubini-study", "--point", "0.3"],
         ["--potential", "z1*zb1+z2*zb2+0.2*z1^2*zb1*zb2+0.1*z1*z2*zb2^2+0.1*z2*zb1*zb2^2",
          "--n", "2", "--point", "0.1-0.05i", "0.12+0.08i"],
+        ["--preset", "flat", "--n", "4", "--point", "0.1-0.05i", "0.12+0.08i", "-0.1", "0.2i"],
     ],
-    ids=["fubini-study", "n2-potential"],
+    ids=["fubini-study", "n2-potential", "flat-n4"],
 )
 def test_compare_values_do_not_depend_on_jet_order(capsys, chart):
     requests = [["compare", *chart, "--seed", "7"]] + [
@@ -224,6 +241,21 @@ def test_verify_rows_do_not_depend_on_jet_order(capsys):
             check["context"] = re.sub(r" J=\d+", "", check["context"])
         rows.add(json.dumps(checks, sort_keys=True))
     assert len(rows) == 1
+
+
+def test_no_chart_builds_a_jet_past_degree_4(capsys, monkeypatch):
+    # the potential is read to degree 4 whatever the jet order, so no suite check
+    # or command needs product tables of a higher order
+    monkeypatch.setattr(jets, "_TABLES", {})
+    run_suite(trials=2)
+    charts = [["--preset", "fubini-study", "--point", "0.3"],
+              ["--preset", "poincare-disk", "--point", "0.2"],
+              ["--preset", "flat", "--n", "4", "--point", "0.1", "0", "0.2i", "0"]]
+    for chart in charts:
+        for request in (["eval", "--f", "zb1^2*z1+zb1", "--g", "z1^3"], ["compare"]):
+            code, _, _ = run_cli(capsys, *request, *chart, "--jet-order", "14")
+            assert code == 0, (request, chart)
+    assert jets._TABLES and all(t.order <= 4 for t in jets._TABLES.values())
 
 
 def test_verify_least_jet_order(capsys):

@@ -310,8 +310,7 @@ def test_product_matches_reference_convolution(n, trunc):
 
 
 def test_chained_products_match_reference():
-    # a product's cached degree feeds the next product: exact when the degrees
-    # fit the truncation, recomputed from the vector when they do not
+    # a product feeds the next product, whose degrees may sum past the truncation
     rng = random.Random(31)
     for a, b in [
         (Jet.polynomial(2, 5, {(1, 0, 0, 0): 1.0}, (0j,) * 4),

@@ -147,12 +147,14 @@ def test_associativity_catches_a_third_order_coefficient_error(monkeypatch, term
         (340304798, "c3_decomposition"),
         (312861499, "c3_decomposition"),
         (312861499, "prop1_s_equals_stilde"),
+        (880910718, "c3_decomposition"),
     ],
 )
 def test_c3_decomposition_passes_on_charts_with_large_operator_values(seed, name):
-    # random n=2 charts of the benchmark's verify-n2 streams (seeds 5002 and 23105, and
-    # seed 3001's 736th chart); f and g are drawn as _chart_checks draws them, and the
-    # residuals read 2.30e-11, 2.21e-11, 2.60e-10 and 8.65e-10
+    # random n=2 charts of the benchmark's verify-n2 streams (seeds 5002 and 23105,
+    # seed 3001's 736th chart and seed 30001's 709th); f and g are drawn as
+    # _chart_checks draws them, and the residuals read 2.30e-11, 2.21e-11, 2.60e-10,
+    # 8.65e-10 and 6.51e-11
     _, ctx, rng = random_chart(RandomChartSpec(n=2, seed=seed))
     f, g = random_polynomial(rng, 2), random_polynomial(rng, 2)
     check = check_prop1 if name.startswith("prop1") else check_structural
