@@ -11,11 +11,11 @@ Coefficients are addressed by flat keys of length ``2n`` (holomorphic
 multi-index, then antiholomorphic) and stored as one dense complex vector
 over the graded monomial basis: degree ascending, :func:`iter_multi_indices`
 order within a degree.  The basis of order ``t`` is a prefix of every higher
-one, so truncation is a prefix copy, and the index tables that products,
-derivatives and the linear solver gather through are kept per ``n`` for the
-highest order seen.  Product pairs are sorted by output, then left factor, so
-a coefficient is summed in the same order whatever order the tables have
-(Griewank & Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 13).
+one, so truncation is a prefix copy, and the index tables that products and
+derivatives gather through are kept per ``n`` for the highest order seen.
+Product pairs are sorted by output, then left factor, so a coefficient is summed
+in the same order whatever order the tables have (Griewank & Walther, *Evaluating
+Derivatives*, 2nd ed., SIAM 2008, ch. 13).
 :meth:`Jet.polynomial` writes the jet of a polynomial around a base point by
 one Taylor shift of its term table: one row per term and output it reaches, read
 from a position list kept per clipped power pattern, with no jet product or addition.
@@ -33,8 +33,11 @@ indices in the same order and the result is the same bit for bit.
 a gather on the coefficient axis; :func:`derivative_values` reads the
 base-point partial derivatives of a tensor as one array.
 :func:`solve_linear_system` solves a ``[coeff, a, b]`` matrix tensor against
-a ``[coeff, b, ...]`` right-hand side degree by degree, one column at a time;
-:func:`jet_matrix_inverse` is that solve with an identity right-hand side.
+a ``[coeff, b, ...]`` right-hand side degree by degree, one column at a time: the
+part of a degree that the lower ones already fix is one :func:`contract` of the
+matrix with the solution so far; :func:`jet_matrix_inverse` is that solve with an
+identity right-hand side.  :meth:`Jet.reciprocal`, :meth:`Jet.log` and
+:meth:`Jet.exp` sum one power series each, through the same loop.
 The product table has ``C(trunc + 4n, 4n)`` pairs; rings that need more than
 :data:`MAX_PRODUCT_PAIRS` are refused.
 """
@@ -489,18 +492,22 @@ class Jet:
 
     # -- analytic operations -------------------------------------------------
 
+    def _series(self, coefficient) -> Jet:
+        """``sum coefficient(m) * self**m`` for ``m = 0..trunc``, one power at a time."""
+        acc = Jet.constant(coefficient(0), self.n, self.trunc)
+        pw = Jet.constant(1.0, self.n, self.trunc)
+        for m in range(1, self.trunc + 1):
+            pw = pw * self
+            acc = acc + pw * coefficient(m)
+        return acc
+
     def reciprocal(self) -> Jet:
-        """Multiplicative inverse, solved order by order; needs a nonzero value."""
+        """Multiplicative inverse, a geometric series in ``self / c0 - 1``; needs a
+        nonzero value ``c0``."""
         c0 = self.value()
         if c0 == 0:
             raise ArithmeticError("reciprocal of a jet with zero constant term")
-        neg_u = -(self / c0 - 1.0)
-        acc = Jet.constant(1.0, self.n, self.trunc)
-        pw = acc
-        for _ in range(self.trunc):
-            pw = pw * neg_u
-            acc = acc + pw
-        return acc / c0
+        return (self / c0 - 1.0)._series(lambda m: (-1.0) ** m) / c0
 
     def log(self) -> Jet:
         """Principal-branch logarithm; the value must stay off ``(-inf, 0]``."""
@@ -509,22 +516,11 @@ class Jet:
             raise ArithmeticError(
                 "log of a jet whose value lies on the branch cut (-inf, 0]"
             )
-        u = self / c0 - 1.0
-        acc = Jet.constant(cmath.log(c0), self.n, self.trunc)
-        pw = Jet.constant(1.0, self.n, self.trunc)
-        for m in range(1, self.trunc + 1):
-            pw = pw * u
-            acc = acc + pw * ((-1.0) ** (m + 1) / m)
-        return acc
+        return (self / c0 - 1.0)._series(lambda m: (-1.0) ** (m + 1) / m if m else cmath.log(c0))
 
     def exp(self) -> Jet:
-        u = self - self.value()
-        acc = Jet.constant(1.0, self.n, self.trunc)
-        pw = acc
-        for m in range(1, self.trunc + 1):
-            pw = pw * u
-            acc = acc + pw * (1.0 / math.factorial(m))
-        return acc * cmath.exp(self.value())
+        series = (self - self.value())._series(lambda m: 1.0 / math.factorial(m))
+        return series * cmath.exp(self.value())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Jet(n={self.n}, trunc={self.trunc}, terms={len(self.coeffs)})"
@@ -544,25 +540,20 @@ def solve_linear_system(matrix: np.ndarray, rhs: np.ndarray, n: int, trunc: int)
     length = tables.deg_start[trunc + 1]
     if min(len(matrix), len(rhs)) < length:
         raise ValueError("cannot extend a jet to a higher truncation order")
-    mat = np.ascontiguousarray(matrix[:length].transpose(1, 2, 0))
     try:
-        m0_inv = np.linalg.inv(mat[:, :, 0])
+        m0_inv = np.linalg.inv(matrix[0])
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError("constant term of the system matrix is singular") from exc
 
     columns = rhs[:length].reshape(length, size, -1).transpose(2, 1, 0)
     out = np.zeros((size, len(columns), length), dtype=complex)
     for c, column in enumerate(columns):
-        x = np.zeros((size, length), dtype=complex)
         for degree in range(trunc + 1):
             lo, hi = tables.deg_start[degree], tables.deg_start[degree + 1]
-            # pairs through the constant matrix term meet the still-zero block of x
-            seg = tables.seg[lo : hi + 1]
-            i, j = tables.pair_i[seg[0] : seg[-1]], tables.pair_j[seg[0] : seg[-1]]
-            terms = np.einsum("abp,bp->ap", mat[:, :, i], x[:, j])
-            residual = column[:, lo:hi] - np.add.reduceat(terms, seg[:-1] - seg[0], axis=1)
-            x[:, lo:hi] = m0_inv @ residual
-        out[:, c] = x
+            # the solution's block of this degree is still zero: known is what the
+            # lower blocks contribute through the matrix
+            known = contract("ab,b->a", matrix, out[:, c].T, n, degree)[lo:hi]
+            out[:, c, lo:hi] = m0_inv @ (column[:, lo:hi] - known.T)
     out = out.reshape(size, *rhs.shape[2:], length)
     return out.transpose(out.ndim - 1, *range(out.ndim - 1))
 

@@ -22,13 +22,15 @@ and ``R`` exist at the base point only, as jets of truncation 0.
 
 Every contraction is a chain of :func:`kahlerstar.jets.contract` calls on
 the chart's jet-tensor arrays; C1, C2, C3's triple term and R pair through
-:func:`_raised_pairing`, and P keeps its own chain as a second route.  The
-derivative bundles (per side), C1, C2, C3, R and the product's ``f g`` are
-built once per chart and argument jets, through
+:func:`_raised_pairing`, and P keeps its own chain as a second route.
+:func:`c2_expanded` is C2's second route through the Poisson tensor ``π = g_up``:
+``contract`` calls over :func:`kahlerstar.jets.gradient` arrays of π and of the
+arguments' jets.  The derivative bundles (per side), C1, C2, C3, R and the
+product's ``f g`` are built once per chart and argument jets, through
 :func:`kahlerstar.geometry._memo`; the second routes P, Q, S, S-tilde and
-:func:`c2_expanded` are computed afresh on each call.  The raw-derivative
-forms (``c2_expanded``, S and S-tilde) are one
-:func:`numpy.einsum` per term over :func:`kahlerstar.jets.derivative_values`.
+:func:`c2_expanded` are computed afresh on each call.  Only S and S-tilde stay
+raw-derivative forms, one :func:`numpy.einsum` per term over
+:func:`kahlerstar.jets.derivative_values`.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .geometry import (
     curvature_jets,
     metric_derivative_values,
 )
-from .jets import Jet, contract, derivative_values
+from .jets import Jet, contract, derivative_values, gradient
 
 __all__ = [
     "StarVariant",
@@ -152,24 +154,18 @@ def c2(f, g, ctx: ChartContext) -> complex:
 
 
 def c2_expanded(f, g, ctx: ChartContext) -> complex:
-    """Second-order operator in raw-derivative form.
+    """Second-order operator through the Poisson tensor ``π = g_up`` alone.
 
-    Written entirely in partial derivatives of the inverse metric and of
-    the arguments; must agree with :func:`c2` and serves as its
-    consistency check.
+    With ``u^p = π[q, p] ∂̄_q f`` and ``v^l = π[l, k] ∂_k g`` as jets of degree 1,
+    ``C2 = 1/2 ∂̄_l u^p ∂_p v^l`` at the base point: no Christoffel symbol is read, so it
+    must agree with :func:`c2` and serves as its consistency check.
     """
     fj, gj = _pair_jets(f, g, ctx)
-    n, gu0 = ctx.n, chart_tensors(ctx).g_up[0]
-    dgu, dgu_bar = metric_derivative_values(ctx)
-    f1, f2 = (derivative_values(fj._vec, n, 0, r) for r in (1, 2))
-    g1, g2 = (derivative_values(gj._vec, n, r, 0) for r in (1, 2))
-    total = (
-        np.einsum("qp,lk,lq,kp->", gu0, gu0, f2, g2)
-        + np.einsum("qp,lkp,lq,k->", gu0, dgu, f2, g1)
-        + np.einsum("qpl,lk,q,kp->", dgu_bar, gu0, f1, g2)
-        + np.einsum("qpl,lkp,q,k->", dgu_bar, dgu, f1, g1)
-    )
-    return 0.5 * complex(total)
+    n, gu = ctx.n, chart_tensors(ctx).g_up
+    u = contract("qp,q->p", gu, gradient(fj._vec, n, 2, barred=True), n, 1)
+    v = contract("lk,k->l", gu, gradient(gj._vec, n, 2), n, 1)
+    du, dv = gradient(u, n, 1, barred=True), gradient(v, n, 1)
+    return 0.5 * complex(contract("pl,lp->", du, dv, n, 0)[0])
 
 
 # -- third order ------------------------------------------------------------------

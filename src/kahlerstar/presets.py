@@ -17,16 +17,12 @@ def preset_potential(name: str, n: int = 1) -> Expr:
     one-dimensional.  The Poincare disk requires ``|z| < 1``, which is
     enforced naturally by the branch cut of the logarithm.
     """
+    n = preset_dimension(name, n)
     if name == "flat":
-        require_dimension(n)
         return parse("+".join(f"z{k}*zb{k}" for k in range(1, n + 1)), n)
     if name == "fubini-study":
-        _require_dim(name, n)
         return parse("log(1+z1*zb1)", 1)
-    if name == "poincare-disk":
-        _require_dim(name, n)
-        return parse("-(log(1-z1*zb1))", 1)
-    raise ValueError(f"unknown preset {name!r}; choose from {', '.join(PRESET_NAMES)}")
+    return parse("-(log(1-z1*zb1))", 1)
 
 
 def preset_dimension(name: str, n: int | None) -> int:
@@ -39,7 +35,3 @@ def preset_dimension(name: str, n: int | None) -> int:
         return 1
     raise ValueError(f"unknown preset {name!r}; choose from {', '.join(PRESET_NAMES)}")
 
-
-def _require_dim(name: str, n: int) -> None:
-    if n != 1:
-        raise ValueError(f"preset {name!r} is one-dimensional")

@@ -156,5 +156,5 @@ def test_the_seed_0_report_keeps_its_residual_bits(suite):
     rows = "".join(f"{r.name}|{r.context}|{float(r.residual).hex()}\n" for r in suite)
     assert len(suite) == 657
     assert hashlib.sha256(rows.encode()).hexdigest() == (
-        "dfe7fdf024c5a640f2545c6cc465149fe38ce2886538684cbde49b11520397c9"
+        "97925d1474dea13f00ba109b32901d473a1762f70cd0e1592b9f1b9f976a6cf3"
     )

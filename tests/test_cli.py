@@ -11,6 +11,7 @@ import pytest
 
 from kahlerstar import jets
 from kahlerstar.cli import main
+from kahlerstar.presets import preset_potential
 from kahlerstar.verify import run_suite
 
 
@@ -112,6 +113,13 @@ def test_preset_dimension_conflict(capsys):
         "--point", "0", "0", "--f", "zb1", "--g", "z1",
     )
     assert code == 2
+
+
+def test_preset_potential_refuses_a_dimension_or_a_name():
+    with pytest.raises(ValueError, match="is one-dimensional"):
+        preset_potential("poincare-disk", 2)
+    with pytest.raises(ValueError, match="unknown preset"):
+        preset_potential("sphere", 1)
 
 
 def test_verify_presets_only(capsys):

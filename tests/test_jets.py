@@ -250,6 +250,22 @@ def test_solve_linear_system_roundtrip():
     assert np.abs(lhs - rhs).max() < 1e-11
 
 
+def test_solve_linear_system_solves_each_column_alone():
+    # every column meets the same arithmetic whatever the others hold, bit for bit
+    rng = random.Random(19)
+    n, trunc = 2, 4
+    matrix = [[_random_jet(rng, n, trunc) for _ in range(2)] for _ in range(2)]
+    matrix[0][0] = matrix[0][0] + 3.0
+    matrix[1][1] = matrix[1][1] + 3.0
+    columns = np.array([_random_jet(rng, n, trunc)._vec for _ in range(12)])
+    for shape in ((2, 6), (2, 3, 2)):  # right-hand sides of rank 2 and rank 3
+        rhs = columns.T.reshape(-1, *shape)
+        x = solve_linear_system(_jet_matrix(matrix), rhs, n, trunc)
+        for index in np.ndindex(*shape[1:]):
+            alone = solve_linear_system(_jet_matrix(matrix), rhs[(..., *index)], n, trunc)
+            assert np.array_equal(x[(..., *index)], alone)
+
+
 def test_jet_matrix_inverse():
     rng = random.Random(17)
     n, trunc = 2, 4

@@ -8,8 +8,10 @@ stopped guarding its term.
 
 The unmutated suite's residuals on those charts are pinned to the bit: each
 residual's ``float.hex`` must equal the entry of the same name in ``RESIDUALS``,
-captured at commit 4860714.  A change that moves a last bit fails here: it updates
-the entry and records the move in ``CHANGES.md``.
+captured at commit 4860714, except the n=2 ``c2_expanded_equals_covariant`` entry,
+recaptured when ``c2_expanded`` was rewritten through the Poisson tensor.  A change
+that moves a last bit fails here: it updates the entry and records the move in
+``CHANGES.md``.
 """
 
 import dataclasses
@@ -51,6 +53,16 @@ CAUGHT = [
         "_curvature_term", operators, _scaled(1 + 1e-6),
         {*_associativity(3), "oracle_agreement_r3"},
         id="_curvature_term",
+    ),
+    pytest.param(
+        "_triple", operators, _scaled(1 + 1e-6),
+        {*_associativity(3), "c3_decomposition", "oracle_agreement_r3"},
+        id="_triple",
+    ),
+    pytest.param(
+        "c2_expanded", operators, _scaled(1 + 1e-6),
+        {"c2_expanded_equals_covariant"},
+        id="c2_expanded",
     ),
     pytest.param(
         "c1_jet", operators, _scaled(1 + 1e-6),
@@ -142,7 +154,7 @@ RESIDUALS = {
         "prop1_second_identity": "0x1.854bfb363dc39p-55",
         "prop1_s_equals_stilde": "0x1.465655f122ff6p-55",
         "c3_decomposition": "0x1.6a09e667f3bcdp-52",
-        "c2_expanded_equals_covariant": "0x1.25b89092b8fbfp-51",
+        "c2_expanded_equals_covariant": "0x0.0p+0",
         "curvature_raising_consistency": "0x1.01fe03f61bad0p-52",
         "jacobi_identity": "0x1.1e3779b97f4a8p-55",
         "gauge_invariance": "0x0.0p+0",

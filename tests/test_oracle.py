@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from kahlerstar import operators, oracle, verify
-from kahlerstar.geometry import build_chart
+from kahlerstar.geometry import CHART_DEGREE, build_chart
 from kahlerstar.jets import Jet, _tables
 from kahlerstar.operators import c1, c2, c3
 from kahlerstar.oracle import OracleConsistencyError, _require_agreement, build_left_mult, oracle_cr
@@ -197,12 +197,12 @@ def test_corrupted_metric_is_caught_in_a_build():
     ctx = build_chart(
         "z1*zb1+z2*zb2+0.2*z1^2*zb1*zb2+0.2*z1*z2*zb1^2", (0.1 - 0.05j, 0.12 + 0.08j), order=10
     )
-    f, trunc = "zb1^2*z2+zb2^3", ctx.order - 2
+    f = "zb1^2*z2+zb2^3"
     build_left_mult(f, ctx)
     # dbar_2 g_dn[0][0] no longer equals dbar_1 g_dn[0][1], which the level-2
     # coefficient of d_1 d_2 is solved from as well
     g_dn = np.array(ctx.g_dn_array)
-    g_dn[_tables(2, trunc).index[(0, 0, 0, 1)], 0, 0] += 1e-6
+    g_dn[_tables(2, CHART_DEGREE).index[(0, 0, 0, 1)], 0, 0] += 1e-6
     corrupted = dataclasses.replace(ctx, g_dn_array=g_dn, _cache={})
     with pytest.raises(OracleConsistencyError, match=r"coefficient \(1, 1\) of level 2"):
         build_left_mult(f, corrupted)
@@ -225,10 +225,9 @@ def test_corrupted_holomorphic_metric_derivative_is_caught(f):
     ctx = build_chart(
         "z1*zb1+z2*zb2+0.2*z1^2*zb1*zb2+0.2*z1*z2*zb1^2", (0.1 - 0.05j, 0.12 + 0.08j), order=10
     )
-    trunc = ctx.order - 2
     build_left_mult(f, ctx)
     g_dn = np.array(ctx.g_dn_array)
-    g_dn[_tables(2, trunc).index[(0, 1, 0, 0)], 0, 0] += 1e-6
+    g_dn[_tables(2, CHART_DEGREE).index[(0, 1, 0, 0)], 0, 0] += 1e-6
     corrupted = dataclasses.replace(ctx, g_dn_array=g_dn, _cache={})
     with pytest.raises(OracleConsistencyError, match=r"metric component g_dn\[0\]\[0\]"):
         build_left_mult(f, corrupted)
