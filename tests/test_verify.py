@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from kahlerstar import geometry, oracle, verify
+from kahlerstar import geometry, operators, oracle, verify
 from kahlerstar.expressions import eval_value, parse, to_source
 from kahlerstar.geometry import build_chart, jacobi_residual, metric_derivative_values, worst_abs
 from kahlerstar.jets import derivative_values, iter_multi_indices_upto
@@ -119,6 +119,21 @@ def test_associativity_needs_jet_order():
     ctx = build_chart(FS, (0.0,), order=6)
     results = check_associativity(ctx, StarVariant.STANDARD, "zb1", "z1*zb1", "z1")
     assert len(results) == 4 and all(r.passed for r in results)
+
+
+@pytest.mark.parametrize("term", ["_curvature_term"])
+def test_associativity_catches_a_third_order_coefficient_error(monkeypatch, term):
+    # the inner C3 is carried at the base point only: still enough to see a relative
+    # error of 1e-6 in its curvature term (the _triple term is a mutation-matrix row)
+    original = getattr(operators, term)
+    monkeypatch.setattr(operators, term, lambda fj, gj, ctx: original(fj, gj, ctx) * (1 + 1e-6))
+    for n in (1, 2):
+        _, ctx, rng = random_chart(RandomChartSpec(n=n, seed=1))
+        f, g, h = (random_polynomial(rng, n) for _ in range(3))
+        results = [
+            r for variant in StarVariant for r in check_associativity(ctx, variant, f, g, h)
+        ]
+        assert not all(r.passed for r in results), (term, n)
 
 
 @pytest.mark.xfail(
