@@ -12,7 +12,6 @@ import json
 import math
 import random
 import sys
-from dataclasses import asdict, dataclass
 
 from .expressions import EvaluationError, parse, parse_complex
 from .geometry import SingularMetricError, build_chart, require_dimension
@@ -27,7 +26,7 @@ from .verify import (
     run_suite,
 )
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
@@ -37,23 +36,12 @@ EXIT_NUMERICAL = 3
 COMPARE_TOL = DEFAULT_TOLERANCES["oracle_agreement"]
 
 
-@dataclass
-class RunConfig:
-    command: str
-    preset: str | None = None
-    potential: str | None = None
-    n: int = 1
-    point: tuple = ()
-    f: str | None = None
-    g: str | None = None
-    variant: str = "standard"
-    jet_order: int = 10
-    seed: int = 0
-    trials: int = 20
-    epsilon: float = 0.1
-    degree: int = 3
-    tol: float | None = None
-    json_output: bool = False
+#: every setting of a request with its default: each command's parser takes them all, so
+#: the parsed arguments are the run's settings, and those that are not None its ``config``
+_DEFAULTS = dict(
+    preset=None, potential=None, n=1, point=(), f=None, g=None, variant="standard",
+    jet_order=10, seed=0, trials=20, epsilon=0.1, degree=3, tol=None, json_output=False,
+)
 
 
 def _complex_pair(z: complex) -> list[float]:
@@ -64,27 +52,21 @@ def _fmt(z: complex) -> str:
     return f"{z.real:.12g}{z.imag:+.12g}i"
 
 
-def _config_dict(cfg: RunConfig) -> dict:
-    out = {key: value for key, value in asdict(cfg).items() if value is not None}
+def _config_dict(cfg: argparse.Namespace) -> dict:
+    out = {key: value for key, value in vars(cfg).items() if value is not None}
     out["point"] = [_complex_pair(z) for z in cfg.point]
     return out
 
 
-def _build_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for key in vars(args):
-        if hasattr(cfg, key) and getattr(args, key) is not None:
-            setattr(cfg, key, getattr(args, key))
-    cfg.json_output = bool(getattr(args, "json", False))
-    if getattr(args, "point", None):
-        cfg.point = tuple(parse_complex(text) for text in args.point)
+def _build_config(cfg: argparse.Namespace) -> argparse.Namespace:
+    cfg.point = tuple(parse_complex(text) for text in cfg.point)
     # a tolerance of inf would pass a residual that worst_abs turned from NaN into inf
     if cfg.tol is not None and not 0.0 <= cfg.tol < math.inf:
         raise ValueError(f"{cfg.command} requires a finite --tol of at least 0")
     return cfg
 
 
-def _resolve_chart(cfg: RunConfig):
+def _resolve_chart(cfg: argparse.Namespace):
     if cfg.preset and cfg.potential:
         raise ValueError("give either --preset or --potential, not both")
     if cfg.preset:
@@ -103,7 +85,7 @@ def _resolve_chart(cfg: RunConfig):
     return build_chart(potential, point, order=cfg.jet_order, n=n)
 
 
-def _emit(cfg: RunConfig, checks: list, values: dict, text_lines: list[str]) -> None:
+def _emit(cfg: argparse.Namespace, checks: list, values: dict, text_lines: list[str]) -> None:
     if cfg.json_output:
         payload = {
             "config": _config_dict(cfg),
@@ -118,7 +100,7 @@ def _emit(cfg: RunConfig, checks: list, values: dict, text_lines: list[str]) -> 
             print(line)
 
 
-def _cmd_eval(cfg: RunConfig) -> int:
+def _cmd_eval(cfg: argparse.Namespace) -> int:
     if not cfg.f or not cfg.g:
         raise ValueError("eval requires --f and --g")
     ctx = _resolve_chart(cfg)
@@ -146,7 +128,7 @@ def _cmd_eval(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
+def _cmd_verify(cfg: argparse.Namespace) -> int:
     if cfg.trials < 0:
         raise ValueError("verify requires --trials of at least 0")
     if not math.isfinite(cfg.epsilon):
@@ -175,7 +157,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
     return EXIT_CHECK_FAILURE if failed else EXIT_OK
 
 
-def _cmd_compare(cfg: RunConfig) -> int:
+def _cmd_compare(cfg: argparse.Namespace) -> int:
     ctx = _resolve_chart(cfg)
     rng = random.Random(f"{cfg.seed}:compare")
     f = parse(cfg.f, cfg.n) if cfg.f else random_polynomial(rng, cfg.n)
@@ -218,7 +200,7 @@ def _make_parser() -> argparse.ArgumentParser:
     def add_chart_flags(p):
         p.add_argument("--preset", choices=PRESET_NAMES, help="built-in potential")
         p.add_argument("--potential", help="potential expression over z1..zn, zb1..zbn")
-        p.add_argument("--n", type=int, help="chart dimension (default 1)")
+        p.add_argument("--n", type=int, help="chart dimension (default %(default)s)")
         p.add_argument(
             "--point",
             nargs="+",
@@ -229,7 +211,7 @@ def _make_parser() -> argparse.ArgumentParser:
         p.add_argument("--f", help="first argument expression")
         p.add_argument("--g", help="second argument expression")
         p.add_argument("--jet-order", dest="jet_order", type=int, help="jet truncation order")
-        p.add_argument("--json", action="store_true", help="emit a JSON report")
+        p.add_argument("--json", dest="json_output", action="store_true", help="emit a JSON report")
         p.add_argument("--seed", type=int, help="seed for randomized pieces")
 
     p_eval = sub.add_parser("eval", help="evaluate a star product at a point")
@@ -237,21 +219,23 @@ def _make_parser() -> argparse.ArgumentParser:
     p_eval.add_argument(
         "--variant",
         choices=[v.value for v in StarVariant],
-        help="third-order operator choice (default standard)",
+        help="third-order operator choice (default %(default)s)",
     )
 
     p_verify = sub.add_parser("verify", help="run the full identity suite")
-    p_verify.add_argument("--trials", type=int, help="number of random charts (default 20)")
-    p_verify.add_argument("--seed", type=int, help="base seed (default 0)")
+    p_verify.add_argument("--trials", type=int, help="number of random charts (default %(default)s)")
+    p_verify.add_argument("--seed", type=int, help="base seed (default %(default)s)")
     p_verify.add_argument("--jet-order", dest="jet_order", type=int)
-    p_verify.add_argument("--epsilon", type=float, help="perturbation size (default 0.1)")
-    p_verify.add_argument("--degree", type=int, help="perturbation degree (default 3)")
+    p_verify.add_argument("--epsilon", type=float, help="perturbation size (default %(default)s)")
+    p_verify.add_argument("--degree", type=int, help="perturbation degree (default %(default)s)")
     p_verify.add_argument("--tol", type=float, help="override every tolerance")
-    p_verify.add_argument("--json", action="store_true")
+    p_verify.add_argument("--json", dest="json_output", action="store_true")
 
     p_compare = sub.add_parser("compare", help="covariant formulas vs the recursion")
     add_chart_flags(p_compare)
     p_compare.add_argument("--tol", type=float, help="comparison tolerance")
+    for p in (p_eval, p_verify, p_compare):
+        p.set_defaults(**_DEFAULTS)
 
     return parser
 

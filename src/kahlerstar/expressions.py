@@ -26,7 +26,7 @@ import functools
 import itertools
 import operator
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, replace
 from decimal import Decimal
 from typing import NamedTuple, Sequence
 
@@ -75,6 +75,7 @@ class EvaluationError(ArithmeticError):
 
 class Expr:
     __slots__ = ()
+    _subtrees: tuple = ()  # the names of the fields that hold subtrees
 
 
 #: the classes made by :func:`_node`
@@ -85,8 +86,10 @@ def _node(cls):
     """Frozen dataclass of a node that is hashed once, when it is built, from its
     children's hashes (or its terms): charts memoise jets under the expression, and a
     generated hash would walk the whole tree on every lookup.  Equality walks with an
-    explicit stack, so a long sum nests to any depth."""
+    explicit stack, so a long sum nests to any depth.  The fields annotated ``Expr`` are
+    its subtrees."""
     cls._fields = tuple(cls.__annotations__)
+    cls._subtrees = tuple(name for name in cls._fields if cls.__annotations__[name] == "Expr")
 
     def __post_init__(self) -> None:
         self.__dict__["_hash"] = hash(tuple(map(self.__dict__.__getitem__, self._fields)))
@@ -197,6 +200,28 @@ class HolomorphyClass(enum.Enum):
     ANTIHOLOMORPHIC = "antiholomorphic"
     MIXED = "mixed"
     CONSTANT = "constant"
+
+
+def _walk(expr: Expr, visit):
+    """``visit(node, results)`` on every node of ``expr`` after its subtrees, ``results``
+    being what the visits of the node's subtrees returned, in field order; returns the
+    visit of ``expr``.  An explicit stack, so a long sum nests to any depth."""
+    results: list = []
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if node.__class__ is tuple:  # ``(node,)`` once its subtrees are visited
+            (node,) = node
+            split = len(results) - len(node._subtrees)
+            results[split:] = [visit(node, results[split:])]
+        elif not isinstance(node, Expr):
+            raise TypeError(f"not an expression node: {node!r}")
+        elif node._subtrees:
+            stack.append((node,))
+            stack += [node.__dict__[name] for name in reversed(node._subtrees)]
+        else:
+            results.append(visit(node, []))
+    return results[0]
 
 
 # -- tokenizer ---------------------------------------------------------------
@@ -345,7 +370,10 @@ def _negate(node: Expr) -> Expr:
 def parse(src: str, n: int) -> Expr:
     """Parse ``src`` into an expression tree over an ``n``-dimensional chart."""
     parser = _Parser(src, n)
-    node = parser.parse_expr()
+    try:
+        node = parser.parse_expr()
+    except RecursionError:
+        raise ExpressionError("expression nested too deeply", parser.peek().pos) from None
     trailing = parser.peek()
     if trailing.kind != "end":
         raise ExpressionError(f"unexpected {trailing.kind!r}", trailing.pos)
@@ -357,14 +385,15 @@ def parse_complex(text: str) -> complex:
 
     A literal is read without a jet; adding ``0j`` adds each part to ``+0.0``, as the
     coefficient sum of its jet would (``-0`` reads ``0j``).  Any other constant is
-    evaluated with numpy's floating-point warnings off: a value that overflows is
-    refused here, with no warning before the refusal."""
+    evaluated with numpy's floating-point warnings off.  A value that overflows, and a
+    constant with no value (a pole, a branch point), are refused with a ``ValueError``
+    that names the text, and no warning before it."""
     node = parse(text, 0)
-    if isinstance(node, Literal):
-        value = node.value + 0j
-    else:
+    try:
         with np.errstate(all="ignore"):
-            value = eval_value(node, (), ())
+            value = node.value + 0j if isinstance(node, Literal) else eval_value(node, (), ())
+    except EvaluationError as exc:
+        raise ValueError(f"the constant {text!r} cannot be evaluated: {exc}") from None
     if not cmath.isfinite(value):
         raise ValueError(f"the constant {text!r} is not finite")
     return value
@@ -423,42 +452,37 @@ def to_source(expr: Expr) -> str:
     A :class:`Polynomial` prints as its terms joined by ``+``, each as its
     :func:`_term_tree` prints, so it reads as the sum of products it stands for.
     """
-    if isinstance(expr, Literal):
-        return _literal_source(expr.value)
-    if isinstance(expr, Var):
-        return f"{'zb' if expr.barred else 'z'}{expr.index}"
-    if isinstance(expr, Polynomial):
-        return "+".join(to_source(_term_tree(*term)) for term in expr.terms)
-    if isinstance(expr, (Add, Sub)):
-        op = "+" if isinstance(expr, Add) else "-"
-        left = to_source(expr.left)
-        if _prints_with_leading_minus(expr.left):
+    return _walk(expr, _source)
+
+
+def _source(node: Expr, parts: list) -> str:
+    """Source of ``node``, given ``parts``, the sources of its subtrees."""
+    if isinstance(node, Literal):
+        return _literal_source(node.value)
+    if isinstance(node, Var):
+        return f"{'zb' if node.barred else 'z'}{node.index}"
+    if isinstance(node, Polynomial):
+        return "+".join(to_source(_term_tree(*term)) for term in node.terms)
+    if isinstance(node, (Add, Sub)):
+        left, right = parts
+        if _prints_with_leading_minus(node.left):
             left = f"({left})"
-        right = to_source(expr.right)
-        if isinstance(expr.right, (Add, Sub, Neg, Polynomial)):
+        if isinstance(node.right, (Add, Sub, Neg, Polynomial)):
             right = f"({right})"
-        return f"{left}{op}{right}"
-    if isinstance(expr, (Mul, Div)):
-        op = "*" if isinstance(expr, Mul) else "/"
-        left = to_source(expr.left)
-        if isinstance(expr.left, (Add, Sub, Polynomial)) or _prints_with_leading_minus(expr.left):
+        return f"{left}{'+' if isinstance(node, Add) else '-'}{right}"
+    if isinstance(node, (Mul, Div)):
+        left, right = parts
+        if isinstance(node.left, (Add, Sub, Polynomial)) or _prints_with_leading_minus(node.left):
             left = f"({left})"
-        right = to_source(expr.right)
-        if isinstance(expr.right, (Add, Sub, Neg, Mul, Div, Polynomial)):
+        if isinstance(node.right, (Add, Sub, Neg, Mul, Div, Polynomial)):
             right = f"({right})"
-        return f"{left}{op}{right}"
-    if isinstance(expr, Neg):
-        return f"-({to_source(expr.arg)})"
-    if isinstance(expr, Pow):
-        base = to_source(expr.base)
-        if not isinstance(expr.base, Var):
-            base = f"({base})"
-        return f"{base}^{expr.exponent}"
-    if isinstance(expr, Log):
-        return f"log({to_source(expr.arg)})"
-    if isinstance(expr, Exp):
-        return f"exp({to_source(expr.arg)})"
-    raise TypeError(f"not an expression node: {expr!r}")
+        return f"{left}{'*' if isinstance(node, Mul) else '/'}{right}"
+    if isinstance(node, Pow):
+        base = parts[0] if isinstance(node.base, Var) else f"({parts[0]})"
+        return f"{base}^{node.exponent}"
+    if isinstance(node, Neg):
+        return f"-({parts[0]})"
+    return f"{'log' if isinstance(node, Log) else 'exp'}({parts[0]})"
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -561,6 +585,8 @@ def eval_jet(expr: Expr, z0: Sequence[complex], zb0: Sequence[complex], order: i
         return jet(rec(expr))
     except OverflowError as exc:  # a monomial's value beyond the float range
         raise EvaluationError(f"{exc} in '{to_source(expr)}'") from exc
+    except RecursionError:  # only sums and differences are walked without recursion
+        raise ValueError("expression nested too deeply to evaluate") from None
 
 
 def _chart_terms(poly: Polynomial, n: int) -> list:
@@ -609,41 +635,32 @@ def substitute(expr: Expr, replacements: Sequence[Expr]) -> Expr:
 
 def _map_leaves(expr: Expr, leaf) -> Expr:
     """``expr`` rebuilt with every literal, variable and polynomial ``node`` replaced by
-    ``leaf(node)``; the fields annotated ``Expr`` are the subtrees, every other field is
-    copied."""
-    if isinstance(expr, (Literal, Var, Polynomial)):
-        return leaf(expr)
-    if not isinstance(expr, Expr):
-        raise TypeError(f"not an expression node: {expr!r}")
-    return type(expr)(*(
-        _map_leaves(getattr(expr, f.name), leaf) if f.type == "Expr" else getattr(expr, f.name)
-        for f in fields(expr)
-    ))
+    ``leaf(node)``; every field that is not a subtree is copied."""
+
+    def visit(node: Expr, subtrees: list) -> Expr:
+        if not node._subtrees:
+            return leaf(node)
+        return replace(node, **dict(zip(node._subtrees, subtrees)))
+
+    return _walk(expr, visit)
 
 
 def classify(expr: Expr) -> HolomorphyClass:
     """Syntactic holomorphy class: which variable groups occur at all."""
-    has_z = False
-    has_zb = False
-    stack = [expr]
-    while stack:
-        node = stack.pop()
+    groups = set()  # "z" and "zb" as they occur
+
+    def visit(node: Expr, _) -> None:
         if isinstance(node, Var):
-            if node.barred:
-                has_zb = True
-            else:
-                has_z = True
-        elif isinstance(node, (Add, Sub, Mul, Div)):
-            stack.append(node.left)
-            stack.append(node.right)
-        elif isinstance(node, (Neg, Log, Exp)):
-            stack.append(node.arg)
-        elif isinstance(node, Pow):
-            stack.append(node.base)
+            groups.add("zb" if node.barred else "z")
         elif isinstance(node, Polynomial):
             n = node.n
-            has_z = has_z or any(any(p[:n]) for _, p in node.terms)
-            has_zb = has_zb or any(any(p[n:]) for _, p in node.terms)
+            if any(any(p[:n]) for _, p in node.terms):
+                groups.add("z")
+            if any(any(p[n:]) for _, p in node.terms):
+                groups.add("zb")
+
+    _walk(expr, visit)
+    has_z, has_zb = "z" in groups, "zb" in groups
     if has_z and has_zb:
         return HolomorphyClass.MIXED
     if has_z:

@@ -363,6 +363,70 @@ def test_long_sum_function_evaluates(capsys):
 
 
 @pytest.mark.parametrize(
+    "f",
+    ["*".join(["z1"] * 1200), "(" * 300 + "z1" + ")" * 300, "-" * 1200 + "zb1"],
+    ids=["long-product", "nested-parentheses", "leading-minus-signs"],
+)
+def test_input_nested_too_deeply_is_a_usage_error(capsys, f):
+    # the parser and eval_jet recurse on nesting (a product chain, parentheses, unary
+    # minus): past the recursion limit the request is refused, with no traceback
+    code, out, err = run_cli(capsys, "eval", "--preset", "flat", f"--f={f}", "--g", "z1")
+    assert code == 2
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith("error: expression nested too deeply")
+
+
+def test_a_pole_behind_a_long_sum_is_a_numerical_failure(capsys):
+    # the error message prints the 1 200-term quotient: printing walks without recursion
+    f = "(" + "+".join(["z1"] * 1200) + ")/(z1-z1)"
+    code, out, err = run_cli(capsys, "eval", "--preset", "flat", "--f", f, "--g", "z1")
+    assert code == 3
+    assert out == "" and len(err.splitlines()) == 1
+    assert "reciprocal of a jet with zero constant term" in err
+
+
+@pytest.mark.parametrize("point", ["1/0", "log(0)"])
+def test_a_point_constant_that_cannot_be_evaluated_is_a_usage_error(capsys, point):
+    # it is refused as text, as an overflowing constant is, before any chart is built
+    code, out, err = run_cli(capsys, "eval", "--preset", "flat", "--point", point, "--f", "z1",
+                             "--g", "z1")
+    assert code == 2
+    assert out == "" and len(err.splitlines()) == 1
+    assert f"the constant {point!r} cannot be evaluated" in err
+
+
+#: the report's ``config``: every setting that is not None, the point as [re, im] pairs
+CONFIGS = {
+    "eval": {
+        "command": "eval", "degree": 3, "epsilon": 0.1, "f": "zb1", "g": "z1", "jet_order": 10,
+        "json_output": True, "n": 1, "point": [[0.0, 0.0]], "preset": "flat", "seed": 0,
+        "trials": 20, "variant": "standard",
+    },
+    "verify": {
+        "command": "verify", "degree": 3, "epsilon": 0.1, "jet_order": 10, "json_output": True,
+        "n": 1, "point": [], "seed": 0, "trials": 0, "variant": "standard",
+    },
+    "compare": {
+        "command": "compare", "degree": 3, "epsilon": 0.1, "jet_order": 10, "json_output": True,
+        "n": 1, "point": [[0.0, 0.0]], "preset": "flat", "seed": 0, "trials": 20,
+        "variant": "standard",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["eval", "--preset", "flat", "--f", "zb1", "--g", "z1"], ["verify", "--trials", "0"],
+     ["compare", "--preset", "flat"]],
+    ids=lambda argv: argv[0],
+)
+def test_the_report_config_keeps_its_keys_and_defaults(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 0
+    assert json.loads(out)["config"] == CONFIGS[argv[0]]
+
+
+@pytest.mark.parametrize(
     "flags,message",
     [
         (["--trials", "-3"], "verify requires --trials of at least 0"),

@@ -1,6 +1,7 @@
 """Parser, printer, evaluation and substitution tests."""
 
 import random
+import re
 import warnings
 
 import pytest
@@ -99,14 +100,24 @@ def test_parse_complex_reads_literals_as_their_evaluation_does(text):
     assert repr(parse_complex(text)) == repr(eval_value(parse(text, 0), (), ()))
 
 
+#: constants with no value at all, and the reason their refusal gives
+UNEVALUABLE = {"1/0": "reciprocal of a jet with zero constant term", "log(0)": "branch cut"}
+
+
 @pytest.mark.parametrize(
-    "text", ["9" * 401, "9" * 401 + "i", "-" + "9" * 401, "9" * 200 + "*" + "9" * 200]
+    "text",
+    ["9" * 401, "9" * 401 + "i", "-" + "9" * 401, "9" * 200 + "*" + "9" * 200, *UNEVALUABLE],
 )
 def test_parse_complex_refuses_a_non_finite_constant(text):
-    # with no warning first: an evaluated constant overflows silently, then is refused
+    # with no warning first: an evaluated constant overflows silently, then is refused;
+    # a pole or a branch point is refused with the same error, naming the reason
+    if text in UNEVALUABLE:
+        reason = f"cannot be evaluated: .*{UNEVALUABLE[text]}"
+    else:
+        reason = "is not finite"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="is not finite"):
+        with pytest.raises(ValueError, match=f"the constant {re.escape(repr(text))} {reason}"):
             parse_complex(text)
 
 
@@ -319,6 +330,28 @@ def test_long_sums_do_not_recurse():
     got = eval_jet(long_sum, (0.1,), (0.1,), 10)
     expected = eval_jet(parse("1.2*z1*zb1", 1), (0.1,), (0.1,), 10)
     assert (got - expected).max_abs() <= 1e-12 * expected.max_abs()
+
+
+def test_deep_trees_print_substitute_and_conjugate_without_recursion():
+    # a parsed sum of 3 000 terms is a chain of Add nodes three times deeper than the
+    # default recursion limit
+    source = "+".join(f"{k + 1}*z1*zb2^2" for k in range(3000))
+    tree = parse(source, 2)
+    assert to_source(tree) == source.replace("*z1", ".0*z1")
+    assert classify(tree) is HolomorphyClass.MIXED
+    conjugate = formal_conjugate(tree)
+    assert to_source(conjugate) == to_source(tree).replace("z1", "Z1").replace(
+        "zb2", "z2").replace("Z1", "zb1")
+    swapped = substitute(tree, [Var(1, True), Var(2, True), Var(1, False), Var(2, False)])
+    assert swapped == conjugate
+
+
+def test_deep_input_is_refused_as_nested_too_deeply():
+    for source in ("(" * 300 + "z1" + ")" * 300, "-" * 1200 + "zb1"):
+        with pytest.raises(ExpressionError, match="expression nested too deeply"):
+            parse(source, 1)
+    with pytest.raises(ValueError, match="expression nested too deeply"):
+        eval_jet(parse("*".join(["z1"] * 1200), 1), (0.1,), (0.1,), 2)
 
 
 def test_deep_trees_compare_and_hash_without_recursion():

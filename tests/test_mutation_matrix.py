@@ -3,7 +3,8 @@
 One table of mutants, each a small error in one term of the covariant route or the
 recursion, with the exact set of check names it fails when
 ``verify._chart_checks`` runs on one random n=1 and one random n=2 chart, each
-with a fresh memo.  A set that grows or shrinks shows a check that started or
+with a fresh memo; where the two charts fail different sets, the entry maps the
+dimension to its set.  A set that grows or shrinks shows a check that started or
 stopped guarding its term.
 
 The unmutated suite's residuals on those charts are pinned to the bit: each
@@ -19,7 +20,9 @@ import random
 
 import pytest
 
-from kahlerstar import operators, oracle, verify
+from kahlerstar import geometry, operators, oracle, verify
+from kahlerstar.jets import derivative_values
+from kahlerstar.oracle import FormalOperator
 from kahlerstar.verify import RandomChartSpec, random_chart
 from tests.test_operators import _patch_everywhere
 
@@ -38,11 +41,45 @@ def _tensors_scaled(factor):
     return wrap
 
 
+def _transposed_raisers(original):
+    # at n=1 the raisers are 1x1, so a transposed raiser changes nothing
+    return lambda raisers, *args: original([r.transpose(0, 2, 1) for r in raisers], *args)
+
+
+def _other_side(original):
+    return lambda jet, chart, barred: original(jet, chart, not barred)
+
+
+def _gauge_dependent(original):
+    # a recursion that reads the pure holomorphic derivative of the potential at the
+    # point, which a gauge term moves: gauge_invariance hands the chart's own f and g
+    # jets to the shifted chart, so it must still see the change
+    def mutant(fj, chart):
+        scale = 1.0 + 1e-3 * derivative_values(chart.phi._vec, chart.n, 1, 0)[0]
+        return [
+            FormalOperator(op.n, op.order, [None if t is None else t * scale for t in op.tensors])
+            for op in original(fj, chart)
+        ]
+
+    return mutant
+
+
 def _associativity(*orders):
     return {f"associativity_{v}_order{r}" for v in ("standard", "modified") for r in orders}
 
 
-#: (mutated function, its module, wrapper, check names that must fail)
+ORACLE_AGREEMENT = {f"oracle_agreement_r{r}" for r in (1, 2, 3)}
+#: what a slip in the pairing shared by C1, C2, C3's triple term and R fails
+PAIRING = {*_associativity(2, 3), "c2_expanded_equals_covariant", "c3_decomposition",
+           *ORACLE_AGREEMENT}
+#: what derivative bundles of the wrong side fail at n=1: each argument is
+#: differentiated on one side only
+WRONG_SIDE = {"c2_expanded_equals_covariant", *ORACLE_AGREEMENT, *(
+    f"separation_{kind}_order{r}" for kind in ("hol", "anti") for r in (1, 2, 3)
+), "separation_hol_order3_modified", "separation_anti_order3_modified"}
+
+#: (mutated function, its module, wrapper, check names that must fail, or a map from
+#: the dimension to them)
 CAUGHT = [
     pytest.param(
         "c2_jet", operators, _scaled(1 + 1e-6),
@@ -70,9 +107,22 @@ CAUGHT = [
         id="c1_jet",
     ),
     pytest.param(
-        "_solve_level", oracle, _tensors_scaled(1 + 1e-3),
-        {f"oracle_agreement_r{r}" for r in (1, 2, 3)},
-        id="_solve_level",
+        "_solve_level", oracle, _tensors_scaled(1 + 1e-3), ORACLE_AGREEMENT, id="_solve_level",
+    ),
+    pytest.param(
+        "_raised_pairing", operators, _scaled(1 + 1e-6), PAIRING, id="_raised_pairing",
+    ),
+    pytest.param(
+        "_raised_pairing", operators, _transposed_raisers, {1: set(), 2: PAIRING},
+        id="_raised_pairing-transposed",
+    ),
+    pytest.param(
+        "_derivs", geometry, _other_side, {1: WRONG_SIDE, 2: {*WRONG_SIDE, *_associativity(2, 3)}},
+        id="_derivs-other-side",
+    ),
+    pytest.param(
+        "_recursion", oracle, _gauge_dependent, {"gauge_invariance", *ORACLE_AGREEMENT},
+        id="_recursion-gauge-dependent",
     ),
 ]
 
@@ -170,6 +220,8 @@ def test_the_unmutated_suite_keeps_its_residual_bits(chart):
 @pytest.mark.parametrize("name, module, wrap, expected", CAUGHT)
 def test_each_mutant_fails_exactly_its_checks(monkeypatch, chart, name, module, wrap, expected):
     _patch_everywhere(monkeypatch, name, wrap(getattr(module, name)), module)
+    if isinstance(expected, dict):
+        expected = expected[chart[1].n]
     assert _failing(chart) == expected
 
 
